@@ -14,7 +14,7 @@ from .expr import (
 from .parser import ParseError, parse_constraint, parse_expression, parse_recurrence
 from .recurrence import (
     EvalLimits, EvalOutcome, GuardFallthrough, LimitExceeded, RecurrenceDef,
-    Value, eval_closed_form, eval_fun, eval_fun_naive, load_recurrence,
+    Value, eval_closed_form, eval_fun, load_recurrence,
 )
 from .sampling import BaseFunctionSet, SampleConfig, TrainingSet, default_base_set
 from .regression import RegressionConfig, guess

@@ -27,8 +27,9 @@ from typing import Callable, Sequence
 
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
-    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Pow, Sub, Var, conj,
-    constraint_exprs, contains_calls, replace_calls, simplify, to_text,
+    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, Var,
+    conj, constraint_exprs, constraint_free_vars, contains_calls, nodes,
+    replace_calls, simplify, to_text,
 )
 from .recurrence import (
     EvalLimits, GuardFallthroughError, RecurrenceDef, Value, eval_closed_form,
@@ -159,7 +160,7 @@ def clear_entailment_cache():
 def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -> bool:
     """True iff hypothesis and not(conclusion) is unsatisfiable over the
     integers.  Solver timeouts and unknowns count as not entailed."""
-    names = sorted(_cmp_vars(hypothesis) | _cmp_vars(conclusion))
+    names = sorted(constraint_free_vars(hypothesis) | constraint_free_vars(conclusion))
     lines = [f"(set-logic {cfg.logic})"]
     lines += [f"(declare-const {n} Int)" for n in names]
     lines.append(f"(assert {emit_constraint(hypothesis)})")
@@ -170,12 +171,6 @@ def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -
     if key not in _ENTAILMENT_CACHE:
         _ENTAILMENT_CACHE[key] = run_solver(script, cfg).status == "unsat"
     return _ENTAILMENT_CACHE[key]
-
-
-def _cmp_vars(c: Constraint) -> set:
-    from .expr import constraint_free_vars
-
-    return constraint_free_vars(c)
 
 
 def make_domain_checker(cfg: SolverConfig) -> Callable[[Constraint, Constraint], bool]:
@@ -271,8 +266,6 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     precondition plus the negations of the earlier guards plus the case
     guard; the consequent equates the candidate at the arguments with the
     case body after every call has been replaced by the candidate."""
-    from .expr import Piece
-
     arg_vars = tuple(Var(n) for n in rdef.arg_names)
     fhat_region = ClosedForm(fhat.arg_names, fhat.precondition,
                              (Piece(fhat.single_region_body(), BoolLit(True)),),
@@ -301,33 +294,18 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     return EncodedFormula(tuple(rdef.arg_names), tuple(implications))
 
 
-def _collect_nonconst_divisors(e: Expr, out: list):
-    if isinstance(e, (Floor, Ceil)) and isinstance(e.arg, Div) \
-            and not isinstance(e.arg.rhs, Const):
-        out.append(e.arg.rhs)
-        _collect_nonconst_divisors(e.arg.lhs, out)
-        _collect_nonconst_divisors(e.arg.rhs, out)
-        return
-    from .expr import children
-
-    if isinstance(e, Ite):
-        for sub in (e.then, e.other):
-            _collect_nonconst_divisors(sub, out)
-        for sub in constraint_exprs(e.cond):
-            _collect_nonconst_divisors(sub, out)
-        return
-    for ch in children(e):
-        _collect_nonconst_divisors(ch, out)
+def _nonconst_divisors(e: Expr) -> list:
+    """Divisors of the floor/ceil quotients in `e` that are not constants."""
+    return [n.arg.rhs for n in nodes(e)
+            if isinstance(n, (Floor, Ceil)) and isinstance(n.arg, Div)
+            and not isinstance(n.arg.rhs, Const)]
 
 
 def _check_divisor_positivity(antecedent: Constraint, sides, domain_checker):
     # the div/ceil encodings assume positive divisors; demand the antecedent
     # proves it for every non-constant divisor
-    divisors: list = []
-    for side in sides:
-        _collect_nonconst_divisors(side, divisors)
-    for e in constraint_exprs(antecedent):
-        _collect_nonconst_divisors(e, divisors)
+    divisors = [d for e in (*sides, *constraint_exprs(antecedent))
+                for d in _nonconst_divisors(e)]
     for d in divisors:
         if not domain_checker(antecedent, Cmp(">", d, Const(Fraction(0)))):
             raise UnsupportedOperator(

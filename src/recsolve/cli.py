@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .checker import (
@@ -176,7 +175,11 @@ def cmd_eval(args) -> int:
         return 1
     limits = EvalLimits(max_depth=args.max_depth, max_steps=args.max_steps,
                         timeout_ms=args.eval_timeout_ms)
-    outcome = eval_fun(rdef, args.values, limits)
+    try:
+        outcome = eval_fun(rdef, args.values, limits)
+    except RecurrenceError as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     if isinstance(outcome, Value):
         v = outcome.value
         print(v.numerator if v.denominator == 1 else v)
@@ -208,11 +211,7 @@ def cmd_bench(args) -> int:
                                verdict="skipped", verdict_reason="harness-error",
                                error=f"{type(err).__name__}: {err}")
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, names))
-    else:
-        reports = [run(n) for n in names]
+    reports = [run(n) for n in names]
 
     if args.format == "json-lines":
         for rep in reports:
@@ -261,7 +260,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the bundled benchmark corpus")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--only", nargs="*", default=None, metavar="NAME")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="also write json-lines reports to a file")

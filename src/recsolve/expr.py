@@ -8,9 +8,10 @@ recurrence being solved); constraints may not.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 Env = Mapping[str, Fraction]
@@ -294,44 +295,44 @@ def exact_pow(base, exp):
     return base ** exp
 
 
+def _floor(v):
+    return v if isinstance(v, int) else math.floor(v)
+
+
+def _ceil(v):
+    return v if isinstance(v, int) else math.ceil(v)
+
+
+# The exact arithmetic of every operator node (binary or unary), applied to
+# its evaluated children in `children` order.  Shared by `eval_expr` and
+# the recurrence evaluator, so each operator is defined once.
+OPS = {
+    Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: exact_div,
+    Pow: exact_pow, Max: max, Min: min,
+    Floor: _floor, Ceil: _ceil, Log2Ceil: ceil_log2,
+}
+
+
 def eval_expr(e: Expr, env: Env):
     """Exact evaluation; `e` must be call-free and `env` total.  Values are
     int or Fraction (both exact rationals), never floats."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         v = e.value
         return v.numerator if v.denominator == 1 else v
-    if isinstance(e, Var):
+    if t is Var:
         try:
             return env[e.name]
         except KeyError:
             raise UnboundVariable(e.name) from None
-    if isinstance(e, Add):
-        return eval_expr(e.lhs, env) + eval_expr(e.rhs, env)
-    if isinstance(e, Sub):
-        return eval_expr(e.lhs, env) - eval_expr(e.rhs, env)
-    if isinstance(e, Mul):
-        return eval_expr(e.lhs, env) * eval_expr(e.rhs, env)
-    if isinstance(e, Div):
-        return exact_div(eval_expr(e.lhs, env), eval_expr(e.rhs, env))
-    if isinstance(e, Pow):
-        return exact_pow(eval_expr(e.base, env), eval_expr(e.exponent, env))
-    if isinstance(e, Floor):
-        v = eval_expr(e.arg, env)
-        return v if isinstance(v, int) else math.floor(v)
-    if isinstance(e, Ceil):
-        v = eval_expr(e.arg, env)
-        return v if isinstance(v, int) else math.ceil(v)
-    if isinstance(e, Log2Ceil):
-        return ceil_log2(eval_expr(e.arg, env))
-    if isinstance(e, Max):
-        return max(eval_expr(e.lhs, env), eval_expr(e.rhs, env))
-    if isinstance(e, Min):
-        return min(eval_expr(e.lhs, env), eval_expr(e.rhs, env))
-    if isinstance(e, Ite):
+    if t is Ite:
         return eval_expr(e.then if eval_constraint(e.cond, env) else e.other, env)
-    if isinstance(e, Call):
+    if t is Call:
         raise UnexpandedCall(e.fname)
-    raise TypeError(f"unknown expression node {e!r}")
+    kids = children(e)
+    if len(kids) == 2:
+        return OPS[t](eval_expr(kids[0], env), eval_expr(kids[1], env))
+    return OPS[t](eval_expr(kids[0], env))
 
 
 def eval_constraint(c: Constraint, env: Env) -> bool:
@@ -357,20 +358,51 @@ def eval_constraint(c: Constraint, env: Env) -> bool:
 # Structural queries and substitution
 # ---------------------------------------------------------------------------
 
+def _no_children(e):
+    return ()
+
+
+def _arg(e):
+    return (e.arg,)
+
+
+def _ite_children(e):
+    return (e.then, e.other, *constraint_exprs(e.cond))
+
+
+_lhs_rhs = operator.attrgetter("lhs", "rhs")
+_CHILDREN = {
+    Const: _no_children, Var: _no_children,
+    Add: _lhs_rhs, Sub: _lhs_rhs, Mul: _lhs_rhs, Div: _lhs_rhs,
+    Max: _lhs_rhs, Min: _lhs_rhs,
+    Pow: operator.attrgetter("base", "exponent"),
+    Floor: _arg, Ceil: _arg, Log2Ceil: _arg,
+    Call: operator.attrgetter("args"),
+    Ite: _ite_children,
+}
+
+
 def children(e: Expr) -> tuple:
-    if isinstance(e, (Const, Var)):
-        return ()
-    if isinstance(e, (Add, Sub, Mul, Div, Max, Min)):
-        return (e.lhs, e.rhs)
-    if isinstance(e, Pow):
-        return (e.base, e.exponent)
-    if isinstance(e, (Floor, Ceil, Log2Ceil)):
-        return (e.arg,)
-    if isinstance(e, Call):
-        return e.args
-    if isinstance(e, Ite):
-        return (e.then, e.other) + tuple(constraint_exprs(e.cond))
-    raise TypeError(f"unknown expression node {e!r}")
+    """The direct subexpressions of `e`, in constructor order; an Ite gives
+    its two branches followed by every Cmp side inside its condition."""
+    try:
+        get = _CHILDREN[type(e)]
+    except KeyError:
+        raise TypeError(f"unknown expression node {e!r}") from None
+    return get(e)
+
+
+def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild `e` with `f` applied to each child expression, in `children`
+    order (for an Ite, also to every Cmp side inside its condition)."""
+    t = type(e)
+    if t is Call:
+        return Call(e.fname, tuple(map(f, e.args)))
+    if t is Ite:
+        then, other = f(e.then), f(e.other)
+        return Ite(map_constraint(e.cond, f), then, other)
+    kids = children(e)
+    return t(*map(f, kids)) if kids else e
 
 
 def constraint_exprs(c: Constraint) -> list:
@@ -386,20 +418,37 @@ def constraint_exprs(c: Constraint) -> list:
     raise TypeError(f"unknown constraint node {c!r}")
 
 
+def map_constraint(c: Constraint, f: Callable[[Expr], Expr]) -> Constraint:
+    """Rebuild `c` with `f` applied to each Cmp side, in
+    `constraint_exprs` order."""
+    if isinstance(c, BoolLit):
+        return c
+    if isinstance(c, Cmp):
+        return Cmp(c.op, f(c.lhs), f(c.rhs))
+    if isinstance(c, (And, Or)):
+        return type(c)(map_constraint(c.lhs, f), map_constraint(c.rhs, f))
+    if isinstance(c, Not):
+        return Not(map_constraint(c.arg, f))
+    raise TypeError(f"unknown constraint node {c!r}")
+
+
+def nodes(e: Expr) -> Iterator[Expr]:
+    """Every node of `e` in preorder, children in `children` order."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
 def contains_calls(e: Expr, fname: str | None = None) -> bool:
     """True iff a Call node (with the given name, if any) occurs in e."""
-    if isinstance(e, Call) and (fname is None or e.fname == fname):
-        return True
-    return any(contains_calls(ch, fname) for ch in children(e))
+    return any(type(n) is Call and (fname is None or n.fname == fname)
+               for n in nodes(e))
 
 
 def free_vars(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    out: set = set()
-    for ch in children(e):
-        out |= free_vars(ch)
-    return out
+    return {n.name for n in nodes(e) if type(n) is Var}
 
 
 def constraint_free_vars(c: Constraint) -> set:
@@ -410,50 +459,13 @@ def constraint_free_vars(c: Constraint) -> set:
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, Var):
+    if type(e) is Var:
         return mapping.get(e.name, e)
-    if isinstance(e, (Const,)):
-        return e
-    if isinstance(e, Add):
-        return Add(substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Div):
-        return Div(substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), substitute(e.exponent, mapping))
-    if isinstance(e, Floor):
-        return Floor(substitute(e.arg, mapping))
-    if isinstance(e, Ceil):
-        return Ceil(substitute(e.arg, mapping))
-    if isinstance(e, Log2Ceil):
-        return Log2Ceil(substitute(e.arg, mapping))
-    if isinstance(e, Max):
-        return Max(substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Min):
-        return Min(substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Call):
-        return Call(e.fname, tuple(substitute(a, mapping) for a in e.args))
-    if isinstance(e, Ite):
-        return Ite(substitute_constraint(e.cond, mapping),
-                   substitute(e.then, mapping), substitute(e.other, mapping))
-    raise TypeError(f"unknown expression node {e!r}")
+    return map_children(e, lambda c: substitute(c, mapping))
 
 
 def substitute_constraint(c: Constraint, mapping: Mapping[str, Expr]) -> Constraint:
-    if isinstance(c, BoolLit):
-        return c
-    if isinstance(c, Cmp):
-        return Cmp(c.op, substitute(c.lhs, mapping), substitute(c.rhs, mapping))
-    if isinstance(c, And):
-        return And(substitute_constraint(c.lhs, mapping), substitute_constraint(c.rhs, mapping))
-    if isinstance(c, Or):
-        return Or(substitute_constraint(c.lhs, mapping), substitute_constraint(c.rhs, mapping))
-    if isinstance(c, Not):
-        return Not(substitute_constraint(c.arg, mapping))
-    raise TypeError(f"unknown constraint node {c!r}")
+    return map_constraint(c, lambda e: substitute(e, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -733,26 +745,12 @@ def replace_calls(e: Expr, fname: str, fhat: ClosedForm, pre: Constraint,
     hyp = conj([pre, guard])
 
     def walk(node: Expr) -> Expr:
-        if isinstance(node, Call) and node.fname == fname:
-            args = tuple(walk(a) for a in node.args)
-            if any(contains_calls(a) for a in args):
-                return Call(node.fname, args)
-            if domain_checker(hyp, fhat.domain_at(args)):
-                return fhat.instantiate(args)
-            return Call(node.fname, args)
-        if isinstance(node, (Const, Var)):
-            return node
-        if isinstance(node, (Add, Sub, Mul, Div, Max, Min)):
-            return type(node)(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, Pow):
-            return Pow(walk(node.base), walk(node.exponent))
-        if isinstance(node, (Floor, Ceil, Log2Ceil)):
-            return type(node)(walk(node.arg))
-        if isinstance(node, Call):
-            return Call(node.fname, tuple(walk(a) for a in node.args))
-        if isinstance(node, Ite):
-            return Ite(node.cond, walk(node.then), walk(node.other))
-        raise TypeError(f"unknown expression node {node!r}")
+        node = map_children(node, walk)
+        if isinstance(node, Call) and node.fname == fname \
+                and not any(contains_calls(a) for a in node.args) \
+                and domain_checker(hyp, fhat.domain_at(node.args)):
+            return fhat.instantiate(node.args)
+        return node
 
     prev, out = None, e
     while out != prev:  # innermost-first pass, repeated to fixpoint

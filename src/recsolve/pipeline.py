@@ -16,7 +16,9 @@ from .checker import (
     Verified, check_solution, make_domain_checker,
 )
 from .expr import ClosedForm, constraint_to_text, to_text
-from .recurrence import EvalLimits, RecurrenceDef, validate_coverage
+from .recurrence import (
+    EvalLimits, RecurrenceDef, UnknownFunction, foreign_names, validate_coverage,
+)
 from .regression import GuessResult, RegressionConfig, RegressionError, guess
 from .sampling import SampleConfig, SamplingError, default_base_set
 
@@ -147,20 +149,24 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
 
     t0 = time.monotonic()
     solver_failure = None
-    if cfg.check_coverage and cfg.solver is not None:
-        try:
+    try:
+        # a call to an unresolved function cannot be evaluated or sampled
+        foreign = foreign_names(rdef)
+        if foreign:
+            raise UnknownFunction(", ".join(sorted(foreign)))
+        if cfg.check_coverage and cfg.solver is not None:
             validate_coverage(rdef, make_domain_checker(cfg.solver))
-        except SolverProcessFailure as err:
-            # the solver is broken, not the recurrence: guess anyway, and
-            # report the failure where a check would be needed
-            solver_failure = err
-        except Exception as err:
-            report.error = f"{type(err).__name__}: {err}"
-            report.verdict_reason = "validation-failed"
-            timings["validate"] = (time.monotonic() - t0) * 1000
-            timings["total"] = (time.monotonic() - t_start) * 1000
-            report.timings_ms = timings
-            return report
+    except SolverProcessFailure as err:
+        # the solver is broken, not the recurrence: guess anyway, and
+        # report the failure where a check would be needed
+        solver_failure = err
+    except Exception as err:
+        report.error = f"{type(err).__name__}: {err}"
+        report.verdict_reason = "validation-failed"
+        timings["validate"] = (time.monotonic() - t0) * 1000
+        timings["total"] = (time.monotonic() - t_start) * 1000
+        report.timings_ms = timings
+        return report
     timings["validate"] = (time.monotonic() - t0) * 1000
 
     result, verdict = _guess_and_check(rdef, cfg, timings, report, solver_failure)

@@ -1,26 +1,21 @@
 """Recurrence definitions and their deterministic evaluation semantics.
 
 Evaluation follows the first-matching-guard order of the cases (a nested
-if-then-else).  The production evaluator is iterative with memoization on
-concrete argument tuples, so deeply recursive or non-terminating
-definitions hit the configured limits instead of exhausting the Python
-stack; a naive recursive evaluator is kept as an independent oracle.
+if-then-else).  The evaluator is iterative with memoization on concrete
+argument tuples, so deeply recursive or non-terminating definitions hit
+the configured limits instead of exhausting the Python stack.
 """
 from __future__ import annotations
 
-import math
-import sys
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .expr import (
-    Add, Call, Ceil, ClosedForm, Const, Constraint, Div, Expr, Floor, Ite,
-    Log2Ceil, Max, Min, Mul, Not, Pow, Sub, Var, ceil_log2, conj,
+    OPS, Call, ClosedForm, Constraint, Expr, Ite, Not, children, conj,
     constraint_free_vars, constraint_to_text, contains_calls, disj,
-    eval_constraint, eval_expr, exact_div, exact_pow, free_vars, to_text,
+    eval_constraint, eval_expr, free_vars, map_children, nodes, to_text,
 )
 
 
@@ -113,37 +108,18 @@ class RecurrenceDef:
 
 
 def _check_call_arities(e: Expr, arities: dict):
-    if isinstance(e, Call):
-        seen = arities.setdefault(e.fname, len(e.args))
-        if seen != len(e.args):
-            raise ArityMismatch(
-                f"{e.fname} called with {len(e.args)} arguments, expected {seen}")
-        for a in e.args:
-            _check_call_arities(a, arities)
-        return
-    from .expr import children
-    for ch in children(e):
-        _check_call_arities(ch, arities)
+    for node in nodes(e):
+        if isinstance(node, Call):
+            seen = arities.setdefault(node.fname, len(node.args))
+            if seen != len(node.args):
+                raise ArityMismatch(
+                    f"{node.fname} called with {len(node.args)} arguments, expected {seen}")
 
 
 def foreign_names(rdef: RecurrenceDef) -> set:
     """Function symbols other than the recurrence itself used in the bodies."""
-    names: set = set()
-
-    def walk(e: Expr):
-        if isinstance(e, Call):
-            if e.fname != rdef.name:
-                names.add(e.fname)
-            for a in e.args:
-                walk(a)
-            return
-        from .expr import children
-        for ch in children(e):
-            walk(ch)
-
-    for case in rdef.cases:
-        walk(case.body)
-    return names
+    return {node.fname for case in rdef.cases for node in nodes(case.body)
+            if isinstance(node, Call) and node.fname != rdef.name}
 
 
 def validate_coverage(rdef: RecurrenceDef, entails: Callable[[Constraint, Constraint], bool]):
@@ -159,22 +135,10 @@ def inline_function(rdef: RecurrenceDef, fname: str, cf: ClosedForm) -> Recurren
     chain a solved size recurrence into a dependent cost recurrence)."""
 
     def walk(e: Expr) -> Expr:
-        if isinstance(e, Call):
-            args = tuple(walk(a) for a in e.args)
-            if e.fname == fname:
-                return cf.instantiate(args)
-            return Call(e.fname, args)
-        if isinstance(e, (Const, Var)):
-            return e
-        if isinstance(e, (Add, Sub, Mul, Div, Max, Min)):
-            return type(e)(walk(e.lhs), walk(e.rhs))
-        if isinstance(e, Pow):
-            return Pow(walk(e.base), walk(e.exponent))
-        if isinstance(e, (Floor, Ceil, Log2Ceil)):
-            return type(e)(walk(e.arg))
-        if isinstance(e, Ite):
-            return Ite(e.cond, walk(e.then), walk(e.other))
-        raise TypeError(f"unknown expression node {e!r}")
+        e = map_children(e, walk)
+        if isinstance(e, Call) and e.fname == fname:
+            return cf.instantiate(e.args)
+        return e
 
     cases = tuple(Case(walk(c.body), c.guard) for c in rdef.cases)
     return RecurrenceDef(rdef.name, rdef.arg_names, rdef.precondition, cases)
@@ -213,26 +177,6 @@ class LimitExceeded(EvalOutcome):
 @dataclass(frozen=True)
 class GuardFallthrough(EvalOutcome):
     point: tuple
-
-
-def _apply_binary(e: Expr, lhs, rhs):
-    if isinstance(e, Add):
-        return lhs + rhs
-    if isinstance(e, Sub):
-        return lhs - rhs
-    if isinstance(e, Mul):
-        return lhs * rhs
-    if isinstance(e, Div):
-        return exact_div(lhs, rhs)
-    return max(lhs, rhs) if isinstance(e, Max) else min(lhs, rhs)
-
-
-def _apply_unary(e: Expr, v):
-    if isinstance(e, Log2Ceil):
-        return ceil_log2(v)
-    if isinstance(v, int):
-        return v
-    return math.floor(v) if isinstance(e, Floor) else math.ceil(v)
 
 
 def _canon(v):
@@ -295,7 +239,8 @@ class _Evaluator:
 
     def _eval_body(self, e: Expr, env: dict) -> Fraction:
         self.steps += 1
-        if isinstance(e, Call):
+        t = type(e)
+        if t is Call:
             if e.fname != self.rdef.name:
                 raise UnknownFunction(e.fname)
             key = tuple(self._eval_body(a, env) for a in e.args)
@@ -303,20 +248,17 @@ class _Evaluator:
                 return self.memo[key]
             except KeyError:
                 raise _NeedCall(key) from None
-        if isinstance(e, (Add, Sub, Mul, Div, Max, Min)):
-            lhs = self._eval_body(e.lhs, env)
-            rhs = self._eval_body(e.rhs, env)
-            return _apply_binary(e, lhs, rhs)
-        if isinstance(e, Pow):
-            return exact_pow(self._eval_body(e.base, env),
-                             self._eval_body(e.exponent, env))
-        if isinstance(e, (Floor, Ceil, Log2Ceil)):
-            return _apply_unary(e, self._eval_body(e.arg, env))
-        if isinstance(e, Ite):
+        if t is Ite:
             # guard constraints are call-free, so direct evaluation is safe
             branch = e.then if eval_constraint(e.cond, env) else e.other
             return self._eval_body(branch, env)
-        return eval_expr(e, env)
+        op = OPS.get(t)
+        if op is None:
+            return eval_expr(e, env)  # a leaf
+        kids = children(e)
+        if len(kids) == 2:
+            return op(self._eval_body(kids[0], env), self._eval_body(kids[1], env))
+        return op(self._eval_body(kids[0], env))
 
 
 def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits()) -> EvalOutcome:
@@ -326,93 +268,6 @@ def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimi
     if len(key) != rdef.arity:
         raise ArityMismatch(f"{rdef.name} expects {rdef.arity} arguments, got {len(key)}")
     return _Evaluator(rdef, limits).run(key)
-
-
-def eval_fun_naive(rdef: RecurrenceDef, point: Sequence,
-                   limits: EvalLimits = EvalLimits()) -> EvalOutcome:
-    """Reference evaluator without memoization, used as a test oracle.
-    Recursion is direct, so keep the limits small."""
-    deadline = time.monotonic() + limits.timeout_ms / 1000.0
-    steps = [0]
-
-    class _Limit(Exception):
-        def __init__(self, which):
-            self.which = which
-
-    def ev_body(e: Expr, env: dict, depth: int) -> Fraction:
-        steps[0] += 1
-        if steps[0] > limits.max_steps:
-            raise _Limit("steps")
-        if isinstance(e, Call):
-            if e.fname != rdef.name:
-                raise UnknownFunction(e.fname)
-            args = tuple(ev_body(a, env, depth) for a in e.args)
-            return ev_call(args, depth + 1)
-        if isinstance(e, (Add, Sub, Mul, Div, Max, Min)):
-            lhs = ev_body(e.lhs, env, depth)
-            rhs = ev_body(e.rhs, env, depth)
-            return _apply_binary(e, lhs, rhs)
-        if isinstance(e, Pow):
-            return exact_pow(ev_body(e.base, env, depth),
-                             ev_body(e.exponent, env, depth))
-        if isinstance(e, (Floor, Ceil, Log2Ceil)):
-            return _apply_unary(e, ev_body(e.arg, env, depth))
-        if isinstance(e, Ite):
-            branch = e.then if eval_constraint(e.cond, env) else e.other
-            return ev_body(branch, env, depth)
-        return eval_expr(e, env)
-
-    def ev_call(args: tuple, depth: int) -> Fraction:
-        if depth > limits.max_depth:
-            raise _Limit("depth")
-        if time.monotonic() > deadline:
-            raise _Limit("timeout")
-        env = dict(zip(rdef.arg_names, args))
-        for case in rdef.cases:
-            if eval_constraint(case.guard, env):
-                return ev_body(case.body, env, depth)
-        raise _Fallthrough(args)
-
-    def run() -> EvalOutcome:
-        key = tuple(_canon(x) for x in point)
-        try:
-            return Value(ev_call(key, 1))
-        except _Limit as lim:
-            return LimitExceeded(lim.which)
-        except _Fallthrough as fall:
-            return GuardFallthrough(fall.point)
-
-    # direct recursion needs roughly ten Python frames per call level; give
-    # the interpreter room to reach max_depth before Python's own limit
-    return _run_with_deep_stack(run, limits.max_depth * 10 + 2000)
-
-
-def _run_with_deep_stack(fn, frames: int):
-    if frames <= sys.getrecursionlimit():
-        return fn()
-    box: dict = {}
-
-    def target():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(frames)
-        try:
-            box["out"] = fn()
-        except BaseException as err:  # surfaced to the caller below
-            box["err"] = err
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_stack = threading.stack_size()
-    threading.stack_size(512 * 1024 * 1024)
-    try:
-        worker = threading.Thread(target=target)
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_stack)
-    if "err" in box:
-        raise box["err"]
-    return box["out"]
 
 
 def eval_closed_form(cf: ClosedForm, point: Sequence):

@@ -17,11 +17,12 @@ from recsolve.expr import (
 from recsolve.parser import parse_constraint, parse_expression
 from recsolve.pipeline import SolveConfig, solve
 from recsolve.recurrence import (
-    Value, eval_closed_form, eval_fun, eval_fun_naive, inline_function,
+    Value, eval_closed_form, eval_fun, inline_function,
 )
 from recsolve.regression import lambda_max, lasso_fit, linear_regression
 
 from conftest import bench_sidecar, grid_points, load_bench
+from oracle import eval_fun_naive
 from test_regression import subgradient_violation
 
 SEED = 0

@@ -88,6 +88,11 @@ class TestEvalCommand:
         status, _, err = run_cli(capsys, "eval", bench_file("nested"), "1", "2")
         assert status == 1
 
+    def test_unresolved_foreign_call(self, capsys):
+        status, out, err = run_cli(capsys, "eval", bench_file("cost"), "3")
+        assert status == 1 and out == ""
+        assert err.strip() == "error: UnknownFunction: s"
+
     def test_domain_violation(self, capsys):
         status, _, err = run_cli(capsys, "eval", bench_file("div"), "5", "0")
         assert status == 1
@@ -115,14 +120,3 @@ class TestBenchCommand:
             return json.dumps(docs, sort_keys=True).encode()
 
         assert one_run() == one_run()
-
-    def test_jobs_prouce_same_reports(self, capsys, solver):
-        def run(jobs):
-            status, out, _ = run_cli(capsys, "bench", "--only", "nested", "div",
-                                     "--jobs", jobs, "--format", "json-lines")
-            docs = [json.loads(l) for l in out.strip().splitlines()]
-            for d in docs:
-                d.pop("timings_ms", None)
-            return docs
-
-        assert run("1") == run("2")

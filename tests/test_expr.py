@@ -1,14 +1,16 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recsolve.expr import (
-    Add, Call, Ceil, Cmp, Const, Div, DivisionByZero, Floor, Ite, Log2Ceil,
-    Max, Min, Mul, Piece, Pow, Sub, UnboundVariable, UnexpandedCall, Var,
-    ClosedForm, ceil_log2, con, contains_calls, eval_constraint, eval_expr,
-    free_vars, is_syntactically_integer, replace_calls, simplify,
-    single_piece, substitute, to_text, TRUE,
+    Add, And, Call, Ceil, Cmp, Const, Div, DivisionByZero, Expr, Floor, Ite,
+    Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, UnboundVariable,
+    UnexpandedCall, Var, ClosedForm, ceil_log2, children, con,
+    constraint_exprs, contains_calls, eval_constraint, eval_expr, free_vars,
+    is_syntactically_integer, map_children, map_constraint, nodes,
+    replace_calls, simplify, single_piece, substitute, to_text, TRUE,
 )
 from recsolve.parser import parse_constraint, parse_expression
 
@@ -108,6 +110,89 @@ class TestStructure:
             Pow(X, Y)  # general x^y is rejected
         Pow(con(2), X)  # constant base is fine
         Pow(X, con(2))
+
+
+_LT, _EQ = Cmp("<", X, con(1)), Cmp("=", Y, con(0))
+
+# one example of every expression node type, with its children in order
+EXPR_NODES = [
+    (con(3), ()),
+    (X, ()),
+    (Add(X, Y), (X, Y)),
+    (Sub(X, Y), (X, Y)),
+    (Mul(X, Y), (X, Y)),
+    (Div(X, Y), (X, Y)),
+    (Pow(con(2), X), (con(2), X)),
+    (Floor(X), (X,)),
+    (Ceil(X), (X,)),
+    (Log2Ceil(X), (X,)),
+    (Max(X, Y), (X, Y)),
+    (Min(X, Y), (X, Y)),
+    (Call("f", (X, Y)), (X, Y)),
+    (Ite(And(_LT, Not(_EQ)), X, Y), (X, Y, X, con(1), Y, con(0))),
+]
+
+# one example of every constraint node type, with its Cmp sides in order
+CONSTRAINT_NODES = [
+    (TRUE, ()),
+    (_LT, (X, con(1))),
+    (And(_LT, _EQ), (X, con(1), Y, con(0))),
+    (Or(_EQ, _LT), (Y, con(0), X, con(1))),
+    (Not(_LT), (X, con(1))),
+]
+
+
+def _rename(e):
+    return substitute(e, {"x": Var("z")})
+
+
+class TestWalker:
+    @pytest.mark.parametrize("node, kids", EXPR_NODES,
+                             ids=[type(n).__name__ for n, _ in EXPR_NODES])
+    def test_expression_node(self, node, kids):
+        assert children(node) == kids
+        assert map_children(node, lambda c: c) == node
+        seen = []
+        map_children(node, lambda c: seen.append(c) or c)
+        assert tuple(seen) == kids
+        out = map_children(node, _rename)
+        assert type(out) is type(node)
+        assert children(out) == tuple(map(_rename, kids))
+
+    @pytest.mark.parametrize("node, sides", CONSTRAINT_NODES,
+                             ids=[type(n).__name__ for n, _ in CONSTRAINT_NODES])
+    def test_constraint_node(self, node, sides):
+        assert tuple(constraint_exprs(node)) == sides
+        assert map_constraint(node, lambda e: e) == node
+        seen = []
+        map_constraint(node, lambda e: seen.append(e) or e)
+        assert tuple(seen) == sides
+        out = map_constraint(node, _rename)
+        assert type(out) is type(node)
+        assert tuple(constraint_exprs(out)) == tuple(map(_rename, sides))
+
+    def test_nodes_in_preorder(self):
+        e = Add(Mul(X, Y), Floor(X))
+        assert list(nodes(e)) == [e, Mul(X, Y), X, Y, Floor(X), X]
+
+    def test_substitute_reaches_inside_ite_condition(self):
+        e = Ite(_LT, X, Y)
+        assert substitute(e, {"x": con(5)}) == Ite(Cmp("<", con(5), con(1)), con(5), Y)
+
+    def test_foreign_node_raises_type_error(self):
+        @dataclass(frozen=True)
+        class Foreign(Expr):
+            pass
+
+        for walk in (children, lambda e: map_children(e, lambda c: c)):
+            with pytest.raises(TypeError):
+                walk(Foreign())
+        # the recursive walks meet it below the root too
+        for walk in (lambda e: list(nodes(e)), lambda e: substitute(e, {}),
+                     free_vars, contains_calls, lambda e: ev(e, x=1)):
+            for e in (Foreign(), Add(X, Foreign())):
+                with pytest.raises(TypeError):
+                    walk(e)
 
 
 class TestSimplify:

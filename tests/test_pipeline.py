@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from recsolve.checker import SolverConfig
+from recsolve.checker import SolverConfig, resolve_solver
 from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solve
 from recsolve.recurrence import Value, eval_fun
 from recsolve.recurrence import eval_closed_form
@@ -106,3 +106,13 @@ class TestSolverFailure:
         assert report.verdict_reason == "solver-unavailable"
         assert report.closed_form is not None
         assert report.error.startswith("SolverProcessFailure")
+
+
+@pytest.mark.parametrize("solver", [None, resolve_solver()], ids=["no-solver", "solver"])
+def test_unresolved_foreign_call_fails_validation(solver):
+    # cost.rec calls the size function s, which only inlining resolves
+    report = solve(load_bench("cost"), SolveConfig(solver=solver))
+    assert report.verdict == "skipped"
+    assert report.verdict_reason == "validation-failed"
+    assert report.error == "UnknownFunction: s"
+    assert report.closed_form is None

@@ -3,16 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recsolve.expr import Piece, TRUE, con, eval_constraint, Var
+from recsolve.expr import Piece, TRUE, con, contains_calls, eval_constraint, Var
 from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.recurrence import (
     ArityMismatch, ClosedForm, EvalLimits, GuardFallthrough,
     GuardFallthroughError, LimitExceeded, PreconditionNotCovering, Value,
-    eval_closed_form, eval_fun, eval_fun_naive, inline_function,
+    eval_closed_form, eval_fun, foreign_names, inline_function,
     validate_coverage,
 )
 
 from conftest import brute_entails, grid_points, load_bench, bench_sidecar
+from oracle import eval_fun_naive
 
 
 def value(outcome):
@@ -88,6 +89,22 @@ class TestEvalFun:
     def test_deterministic(self):
         rdef = load_bench("sum-osc")
         assert eval_fun(rdef, (7, 9)) == eval_fun(rdef, (7, 9))
+
+
+class TestInlineFunction:
+    def test_size_closed_form_leaves_no_foreign_call(self):
+        cost = load_bench("cost")
+        size = load_bench("size")
+        size_cf = ClosedForm(size.arg_names, size.precondition,
+                             (Piece(Var("x"), parse_constraint("x > 0")),
+                              Piece(con(0), parse_constraint("x = 0"))))
+        inlined = inline_function(cost, "s", size_cf)
+        assert foreign_names(cost) == {"s"}
+        assert foreign_names(inlined) == set()
+        for case in inlined.cases:
+            assert not contains_calls(case.body, "s")
+        assert [value(eval_fun(inlined, (x,))) for x in range(6)] \
+            == [2 ** (x + 1) - 1 for x in range(6)]
 
 
 class TestLimits:

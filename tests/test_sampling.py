@@ -4,7 +4,7 @@ import pytest
 
 from recsolve.expr import eval_expr
 from recsolve.parser import parse_constraint
-from recsolve.recurrence import EvalLimits, Value, eval_fun_naive
+from recsolve.recurrence import EvalLimits, Value
 from recsolve.sampling import (
     BaseFunction, BaseFunctionSet, LikelyNonterminating, SampleConfig,
     SamplingExhausted, TrainingSet, build_training_set, default_base_set,
@@ -12,6 +12,7 @@ from recsolve.sampling import (
 )
 
 from conftest import load_bench
+from oracle import eval_fun_naive
 
 
 class TestDefaultBaseSet:
