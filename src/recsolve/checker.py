@@ -11,7 +11,8 @@ coefficients are cleared by multiplying each equation through by the
 least common denominator, floors and ceilings of divisions become
 integer `div` (with the sign-correct ceiling encoding -((-a) div b),
 valid for divisors entailed positive), and max/min/piecewise terms
-become `ite`.
+become `ite`.  An equation the emitter cannot translate is reported as
+`unsupported-operator`.
 """
 from __future__ import annotations
 
@@ -84,12 +85,13 @@ class Unknown(CheckVerdict):
 # Solver process driver
 # ---------------------------------------------------------------------------
 
+LOGIC = "QF_NIA"  # declared by every emitted script
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     argv: tuple
-    logic: str = "QF_NIA"
     timeout_ms: int = 10_000
-    produce_models: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "argv", tuple(self.argv))
@@ -161,7 +163,7 @@ def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -
     """True iff hypothesis and not(conclusion) is unsatisfiable over the
     integers.  Solver timeouts and unknowns count as not entailed."""
     names = sorted(constraint_free_vars(hypothesis) | constraint_free_vars(conclusion))
-    lines = [f"(set-logic {cfg.logic})"]
+    lines = [f"(set-logic {LOGIC})"]
     lines += [f"(declare-const {n} Int)" for n in names]
     lines.append(f"(assert {emit_constraint(hypothesis)})")
     lines.append(f"(assert (not {emit_constraint(conclusion)}))")
@@ -175,72 +177,6 @@ def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -
 
 def make_domain_checker(cfg: SolverConfig) -> Callable[[Constraint, Constraint], bool]:
     return lambda hyp, concl: entails(hyp, concl, cfg)
-
-
-# ---------------------------------------------------------------------------
-# supportedSMT: the solver fragment
-# ---------------------------------------------------------------------------
-
-def supported_smt(e: Expr) -> bool:
-    """True iff the expression lies in the integer fragment the emitter can
-    translate: linear/nonlinear integer arithmetic, constant powers,
-    floor/ceil over divisions, ite-encoded max/min and conditionals.
-    Rational constants are only admitted where multiplying the equation
-    through by a common denominator can clear them."""
-    return _supported(e, scalable=True)
-
-
-def _supported(e: Expr, scalable: bool) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Const):
-        return scalable or e.value.denominator == 1
-    if isinstance(e, (Add, Sub)):
-        return _supported(e.lhs, scalable) and _supported(e.rhs, scalable)
-    if isinstance(e, Mul):
-        if isinstance(e.lhs, Const):
-            return _supported(e.lhs, scalable) and _supported(e.rhs, scalable)
-        if isinstance(e.rhs, Const):
-            return _supported(e.rhs, scalable) and _supported(e.lhs, scalable)
-        return _supported(e.lhs, False) and _supported(e.rhs, False)
-    if isinstance(e, Div):
-        if isinstance(e.rhs, Const):
-            return scalable and _supported(e.lhs, scalable)
-        return False  # real division by a variable only makes sense under floor/ceil
-    if isinstance(e, (Floor, Ceil)):
-        arg = e.arg
-        if isinstance(arg, Div) and not isinstance(arg.rhs, Const):
-            return _supported(arg.lhs, False) and _supported(arg.rhs, False)
-        return _supported(arg, True)
-    if isinstance(e, Log2Ceil):
-        return isinstance(e.arg, Const)
-    if isinstance(e, Pow):
-        if not isinstance(e.exponent, Const):
-            return False
-        k = e.exponent.value
-        if k.denominator != 1 or k < 0:
-            return False
-        return _supported(e.base, False)
-    if isinstance(e, (Max, Min)):
-        return _supported(e.lhs, scalable) and _supported(e.rhs, scalable)
-    if isinstance(e, Ite):
-        return (supported_constraint(e.cond)
-                and _supported(e.then, scalable) and _supported(e.other, scalable))
-    if isinstance(e, Call):
-        return False
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def supported_constraint(c: Constraint) -> bool:
-    if isinstance(c, BoolLit):
-        return True
-    if isinstance(c, Cmp):
-        return _supported(c.lhs, True) and _supported(c.rhs, True)
-    if isinstance(c, (And, Or)):
-        return supported_constraint(c.lhs) and supported_constraint(c.rhs)
-    if isinstance(c, Not):
-        return supported_constraint(c.arg)
-    raise TypeError(f"unknown constraint node {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +201,10 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     """Build one implication per case, in case order: the antecedent is the
     precondition plus the negations of the earlier guards plus the case
     guard; the consequent equates the candidate at the arguments with the
-    case body after every call has been replaced by the candidate."""
+    case body after every call has been replaced by the candidate.  An
+    implication that `emit_implication` cannot translate, or whose
+    divisors the antecedent does not prove positive, raises
+    UnsupportedOperator."""
     arg_vars = tuple(Var(n) for n in rdef.arg_names)
     fhat_region = ClosedForm(fhat.arg_names, fhat.precondition,
                              (Piece(fhat.single_region_body(), BoolLit(True)),),
@@ -281,15 +220,13 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
             raise ResidualCall(
                 f"case {i + 1}: could not replace every call in {to_text(case.body)}")
         assert isinstance(replaced, Sub)
-        lhs = simplify(replaced.lhs)
-        rhs = simplify(replaced.rhs)
-        for side in (lhs, rhs):
-            if not supported_smt(side):
-                raise UnsupportedOperator(f"case {i + 1}: {to_text(side)}")
-        if not supported_constraint(antecedent):
-            raise UnsupportedOperator(f"case {i + 1} antecedent")
-        _check_divisor_positivity(antecedent, (lhs, rhs), domain_checker)
-        implications.append(Implication(antecedent, lhs, rhs))
+        impl = Implication(antecedent, simplify(replaced.lhs), simplify(replaced.rhs))
+        try:
+            emit_implication(impl)  # emission decides the solver fragment
+        except UnsupportedOperator as err:
+            raise UnsupportedOperator(f"case {i + 1}: {err}") from None
+        _check_divisor_positivity(antecedent, (impl.lhs, impl.rhs), domain_checker)
+        implications.append(impl)
         previous.append(Not(case.guard))
     return EncodedFormula(tuple(rdef.arg_names), tuple(implications))
 
@@ -451,22 +388,26 @@ def emit_constraint(c: Constraint) -> str:
     raise TypeError(f"unknown constraint node {c!r}")
 
 
-def emit_smtlib(ef: EncodedFormula, logic: str = "QF_NIA",
-                produce_models: bool = True) -> str:
+def emit_implication(impl: Implication) -> str:
+    """One implication as an SMT-LIB2 term, its equation cleared of
+    rational coefficients.  Raises UnsupportedOperator outside the solver
+    fragment: integer arithmetic with constant powers, floor/ceil over
+    divisions, ite-encoded max/min and conditionals."""
+    lhs, rhs = _cleared(impl.lhs, impl.rhs)
+    return (f"(=> {emit_constraint(impl.antecedent)}"
+            f" (= {emit_term(lhs)} {emit_term(rhs)}))")
+
+
+def emit_smtlib(ef: EncodedFormula) -> str:
     """Deterministic SMT-LIB2 script asserting the negation of the encoded
     conjunction of implications."""
-    lines = [f"(set-logic {logic})"]
+    lines = [f"(set-logic {LOGIC})"]
     lines += [f"(declare-const {n} Int)" for n in ef.variables]
-    impls = []
-    for impl in ef.implications:
-        lhs, rhs = _cleared(impl.lhs, impl.rhs)
-        impls.append(f"(=> {emit_constraint(impl.antecedent)}"
-                     f" (= {emit_term(lhs)} {emit_term(rhs)}))")
+    impls = [emit_implication(impl) for impl in ef.implications]
     body = impls[0] if len(impls) == 1 else "(and " + " ".join(impls) + ")"
     lines.append(f"(assert (not {body}))")
     lines.append("(check-sat)")
-    if produce_models:
-        lines.append("(get-model)")
+    lines.append("(get-model)")
     return "\n".join(lines) + "\n"
 
 
@@ -501,11 +442,11 @@ def check_solution(rdef: RecurrenceDef, fhat: ClosedForm, solver: SolverConfig,
     domain_checker = make_domain_checker(solver)
     try:
         ef = encode(rdef, fhat, domain_checker)
+        script = emit_smtlib(ef)
     except ResidualCall as err:
         return Unknown("residual-call", str(err))
     except UnsupportedOperator as err:
         return Unknown("unsupported-operator", str(err))
-    script = emit_smtlib(ef, solver.logic, solver.produce_models)
     if emit_dir:
         os.makedirs(emit_dir, exist_ok=True)
         with open(os.path.join(emit_dir, f"{label}.smt2"), "w", encoding="utf-8") as fh:

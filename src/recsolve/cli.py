@@ -1,8 +1,8 @@
 """Command-line surface: solve, check, eval and bench subcommands.
 
 Defaults mirror the reference hyperparameters (2-fold cross-validation,
-100 lambda values in [0.001, 1], epsilon 0.05) and every knob is a flag.
-Machine-readable output is line-delimited JSON with stable keys.
+100 lambda values in [0.001, 1], epsilon 0.05).  Machine-readable
+output is line-delimited JSON with stable keys.
 """
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ import json
 import sys
 from importlib import resources
 
-from .checker import (
-    Refuted, SolverProcessFailure, Unknown, Verified, check_solution,
-    resolve_solver,
-)
+from .checker import SolverProcessFailure, check_solution, resolve_solver
 from .expr import single_piece
 from .parser import ParseError, parse_expression
-from .pipeline import SolveConfig, SolveReport, solve
+from .pipeline import SolveConfig, SolveReport, solve, verdict_fields
 from .recurrence import (
     EvalLimits, LimitExceeded, RecurrenceError, Value, eval_fun,
     load_recurrence,
@@ -134,26 +131,23 @@ def cmd_check(args) -> int:
     except SolverProcessFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    kind, reason, ce = verdict_fields(verdict)
     if args.format == "json-lines":
-        doc = {"closed_form": cf.to_text(), "verdict": type(verdict).__name__.lower()}
-        if isinstance(verdict, Refuted):
-            doc["counterexample"] = {
-                "point": [int(v) for v in verdict.counterexample],
-                "recurrence_value": str(verdict.recurrence_value),
-                "candidate_value": str(verdict.candidate_value)}
-        if isinstance(verdict, Unknown):
-            doc["reason"] = verdict.reason
+        doc = {"closed_form": cf.to_text(), "verdict": kind}
+        if ce is not None:
+            doc["counterexample"] = ce
+        if kind == "unknown":
+            doc["reason"] = reason
         print(json.dumps(doc, sort_keys=True))
+    elif kind == "refuted":
+        print(f"refuted at {tuple(ce['point'])}: "
+              f"recurrence={ce['recurrence_value']} "
+              f"candidate={ce['candidate_value']}")
+    elif kind == "unknown":
+        print(f"unknown ({reason})")
     else:
-        if isinstance(verdict, Verified):
-            print("verified")
-        elif isinstance(verdict, Refuted):
-            print(f"refuted at {tuple(int(v) for v in verdict.counterexample)}: "
-                  f"recurrence={verdict.recurrence_value} "
-                  f"candidate={verdict.candidate_value}")
-        else:
-            print(f"unknown ({verdict.reason})")
-    return 0 if isinstance(verdict, Verified) else 3
+        print("verified")
+    return 0 if kind == "verified" else 3
 
 
 def cmd_eval(args) -> int:
@@ -212,10 +206,10 @@ def cmd_bench(args) -> int:
                                error=f"{type(err).__name__}: {err}")
 
     reports = [run(n) for n in names]
+    text = "".join(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n" for rep in reports)
 
     if args.format == "json-lines":
-        for rep in reports:
-            print(json.dumps(rep.to_json_dict(), sort_keys=True))
+        sys.stdout.write(text)
     else:
         width = max(len(n) for n in names)
         print(f"{'benchmark':<{width}}  {'closed form':<42} {'score':>5}  "
@@ -228,8 +222,7 @@ def cmd_bench(args) -> int:
             print(f"{rep.name:<{width}}  {cf:<42} {score:>5}  {verified:<8} {secs:>6.2f}s")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            for rep in reports:
-                fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(text)
     return 0 if all(r.verdict == "verified" for r in reports) else 3
 
 

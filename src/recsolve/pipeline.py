@@ -31,7 +31,6 @@ class SolveConfig:
     limits: EvalLimits = field(default_factory=EvalLimits)
     solver: SolverConfig | None = None
     emit_dir: str | None = None
-    check_coverage: bool = True
 
     def seeded(self) -> "SolveConfig":
         return replace(self, sample=replace(self.sample, seed=self.seed),
@@ -100,7 +99,7 @@ class SolveReport:
         return out
 
 
-def _verdict_fields(verdict: CheckVerdict) -> tuple:
+def verdict_fields(verdict: CheckVerdict) -> tuple:
     if isinstance(verdict, Verified):
         return "verified", "", None
     if isinstance(verdict, Refuted):
@@ -154,7 +153,7 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
         foreign = foreign_names(rdef)
         if foreign:
             raise UnknownFunction(", ".join(sorted(foreign)))
-        if cfg.check_coverage and cfg.solver is not None:
+        if cfg.solver is not None:
             validate_coverage(rdef, make_domain_checker(cfg.solver))
     except SolverProcessFailure as err:
         # the solver is broken, not the recurrence: guess anyway, and
@@ -178,7 +177,7 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
     if verdict is not None:
         report.verdict_from_checker = isinstance(verdict, Verified)
         report.verdict, report.verdict_reason, report.counterexample = \
-            _verdict_fields(verdict)
+            verdict_fields(verdict)
     timings["total"] = (time.monotonic() - t_start) * 1000
     report.timings_ms = timings
     report.validate()

@@ -2,9 +2,11 @@
 dictionary, followed by coefficient rationalization.
 
 The pipeline is Lasso with a cross-validated penalty, epsilon-pruning of
-weak terms, an ordinary least-squares refit on the survivors, and exact
-rationalization of the float coefficients so the verification stage can
-reason over integers.
+weak terms, an exact least-squares refit on the survivors, and
+rationalization of the refit coefficients to bounded denominators so the
+verification stage can reason over integers.  Only the Lasso, which picks
+the support, runs in floating point; the refit and its R^2 are computed
+over the rationals on the exact training rows.
 
 The Lasso objective, on features standardized to zero mean and unit
 variance with an unpenalized intercept, is
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -267,63 +270,82 @@ def cv_lasso_regression(x: np.ndarray, y: np.ndarray, lambdas: Sequence[float],
     return beta, b0, best_lam
 
 
-def remove_terms(names: Sequence[str], x: np.ndarray, beta: np.ndarray,
-                 intercept: float, epsilon: float):
-    """Drop base functions whose |coefficient| < epsilon, with their columns.
+def remove_terms(names: Sequence[str], beta: np.ndarray, intercept: float,
+                 epsilon: float):
+    """Drop base functions whose |coefficient| < epsilon.
 
-    Returns (surviving indices, pruned names, pruned matrix)."""
+    Returns (surviving indices, their names)."""
     if len(names) != len(beta):
         raise ValueError("coefficient vector does not match the term list")
     keep = [j for j in range(len(beta)) if abs(beta[j]) >= epsilon]
     if not keep:
         raise AllTermsPruned(intercept)
-    return keep, [names[j] for j in keep], x[:, keep]
+    return keep, [names[j] for j in keep]
 
 
-def linear_regression(x_train: np.ndarray, y_train: np.ndarray,
-                      x_test: np.ndarray, y_test: np.ndarray):
-    """Ordinary least squares via the normal equations (ridge fallback at
-    machine-epsilon scale on singular designs).  The score is R^2 on the
-    held-out test rows, clamped to [0, 1] (raw value also returned)."""
-    n, p = x_train.shape
+def _exact(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _solve_exact(gram: list, rhs: list) -> list:
+    """Solve gram w = rhs over the rationals by Gauss-Jordan elimination.
+    A zero pivot means a design column is a combination of the ones before
+    it (column 0 is the intercept), and raises DegenerateDesign."""
+    m = len(gram)
+    rows = [list(r) + [b] for r, b in zip(gram, rhs)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
+        if piv is None:
+            raise DegenerateDesign(f"design column {col} depends on the ones before it")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        top = [Fraction(v, p) for v in rows[col]]
+        rows[col] = top
+        for r in range(m):
+            f = rows[r][col]
+            if r != col and f != 0:
+                rows[r] = [a - f * b for a, b in zip(rows[r], top)]
+    return [row[m] for row in rows]
+
+
+def linear_regression(x_train: Sequence, y_train: Sequence,
+                      x_test: Sequence, y_test: Sequence):
+    """Exact least squares with an intercept: the normal equations solved
+    over the rationals.  Rows are sequences of ints, Fractions or floats;
+    floats are read exactly.  The score is R^2 on the held-out test rows,
+    clamped to [0, 1] (raw value also returned)."""
+    n = len(x_train)
+    p = len(x_train[0]) if n else 0
     if n <= p:
         raise DegenerateDesign(f"{n} rows for {p} surviving columns")
-    a = np.hstack([np.ones((n, 1)), x_train])
-    gram = a.T @ a
-    rhs = a.T @ y_train
-    try:
-        w = np.linalg.solve(gram, rhs)
-        ok = np.allclose(gram @ w, rhs, rtol=1e-8, atol=1e-8 * max(1.0, float(np.abs(rhs).max())))
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        scale = float(np.trace(gram)) / gram.shape[0]
-        ridge = gram + np.eye(gram.shape[0]) * np.finfo(float).eps * max(1.0, scale)
-        w = np.linalg.solve(ridge, rhs)
-    intercept, beta = float(w[0]), w[1:]
+    cols = [[1] * n] + [[_exact(v) for v in col] for col in zip(*x_train)]
+    y = [_exact(v) for v in y_train]
+    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    w = _solve_exact(gram, [sum(map(mul, a, y)) for a in cols])
+    intercept, beta = w[0], w[1:]
 
-    a_test = np.hstack([np.ones((x_test.shape[0], 1)), x_test])
-    pred = a_test @ w
-    ss_res = float(((y_test - pred) ** 2).sum())
-    ss_tot = float(((y_test - y_test.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        raw = 1.0 if ss_res <= 1e-12 * max(1.0, float(np.abs(y_test).max())) else 0.0
+    y_test = [_exact(v) for v in y_test]
+    pred = [intercept + sum(map(mul, beta, map(_exact, row))) for row in x_test]
+    ss_res = sum((a - b) ** 2 for a, b in zip(y_test, pred))
+    mean = Fraction(sum(y_test), len(y_test))
+    ss_tot = sum((v - mean) ** 2 for v in y_test)
+    if ss_tot == 0:
+        raw = 1.0 if ss_res == 0 else 0.0
     else:
-        raw = 1.0 - ss_res / ss_tot
+        raw = float(1 - Fraction(ss_res, ss_tot))
     return beta, intercept, min(max(raw, 0.0), 1.0), raw
 
 
-def rationalize(beta: Sequence[float], intercept: float, max_denominator: int):
+def rationalize(beta: Sequence, intercept: Fraction | float, max_denominator: int):
     """Snap coefficients to the nearest rationals with bounded denominator.
 
     Returns (rational coefficients, rational intercept, max rounding delta)."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    out = [Fraction(float(b)).limit_denominator(max_denominator) for b in beta]
-    b0 = Fraction(float(intercept)).limit_denominator(max_denominator)
-    deltas = [abs(float(r) - float(b)) for r, b in zip(out, beta)]
-    deltas.append(abs(float(b0) - float(intercept)))
-    return out, b0, max(deltas)
+    exact = [Fraction(b) for b in (*beta, intercept)]
+    snapped = [b.limit_denominator(max_denominator) for b in exact]
+    delta = max(abs(r - b) for r, b in zip(snapped, exact))
+    return snapped[:-1], snapped[-1], float(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +390,20 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
         raise LikelyNonterminating(len(ts.inputs), ts.dropped_inputs)
 
     x_all, y_all = ts.to_arrays()
-    x_train, y_train = x_all[train_idx], y_all[train_idx]
-    x_test, y_test = x_all[test_idx], y_all[test_idx]
-
     beta_cv, b0_cv, lam = cv_lasso_regression(
-        x_train, y_train, reg_cfg.lambdas, reg_cfg.folds, reg_cfg.cv_seed)
+        x_all[train_idx], y_all[train_idx], reg_cfg.lambdas, reg_cfg.folds,
+        reg_cfg.cv_seed)
     try:
-        keep, kept_names, x_train_kept = remove_terms(
-            ts.columns, x_train, beta_cv, b0_cv, reg_cfg.epsilon)
-        x_test_kept = x_test[:, keep]
+        keep, kept_names = remove_terms(ts.columns, beta_cv, b0_cv, reg_cfg.epsilon)
     except AllTermsPruned:
         keep, kept_names = [], []
-        x_train_kept = x_train[:, []]
-        x_test_kept = x_test[:, []]
+
+    def rows(idx):
+        return [[ts.features[i][j] for j in keep] for i in idx]
 
     beta, intercept, score, raw = linear_regression(
-        x_train_kept, y_train, x_test_kept, y_test)
+        rows(train_idx), [ts.values[i] for i in train_idx],
+        rows(test_idx), [ts.values[i] for i in test_idx])
     coefs, b0, delta = rationalize(beta, intercept, reg_cfg.max_denominator)
 
     kept_exprs = [ts.column_exprs[j] for j in keep]

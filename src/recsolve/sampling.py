@@ -134,7 +134,6 @@ class SampleConfig:
     n_test: int = 30
     bounds: tuple = (0, 30)
     seed: int = 0
-    max_attempts: int = 200_000
 
     def __post_init__(self):
         lo, hi = self.bounds
@@ -142,11 +141,10 @@ class SampleConfig:
             raise ValueError("sample counts must be positive")
         if lo > hi:
             raise ValueError("empty bounds")
-        if self.max_attempts <= 0:
-            raise ValueError("rejection-attempt cap must be positive")
 
 
-_ENUMERATION_LIMIT = 200_000
+_ENUMERATION_LIMIT = 200_000  # boxes up to this size are enumerated
+_MAX_ATTEMPTS = 200_000       # draws of rejection sampling in a larger box
 
 
 def _satisfies(pre: Constraint, arg_names: Sequence[str], point: tuple) -> bool:
@@ -158,7 +156,7 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
                   strict: bool = True) -> list:
     """Draw `count` distinct integer tuples within bounds satisfying `pre`,
     deterministically for a given seed.  Small boxes are enumerated and
-    shuffled; large ones use rejection sampling capped at `max_attempts`."""
+    shuffled; large ones use rejection sampling capped at `_MAX_ATTEMPTS`."""
     if count is None:
         count = cfg.n_train
     if arg_names is None:
@@ -175,7 +173,7 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
         return points[:count]
     found: list = []
     seen: set = set()
-    for _ in range(cfg.max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         p = tuple(rng.randint(lo, hi) for _ in range(arity))
         if p in seen:
             continue

@@ -170,19 +170,21 @@ def test_criterion_6_regression_unit_suite():
         beta, b0, _ = lasso_fit(x, y, lam)
         assert subgradient_violation(x, y, beta, b0, lam) < 1e-6, trial
 
+        # the refit reads the float data exactly, so its residual is
+        # exactly orthogonal to the intercept and to every column
         beta, b0, _, _ = linear_regression(x, y, x, y)
-        resid = y - (x @ beta + b0)
-        a = np.hstack([np.ones((n, 1)), x])
-        for j in range(a.shape[1]):
-            col = a[:, j]
-            bound = 1e-8 * (1.0 + np.linalg.norm(col) * np.linalg.norm(resid))
-            assert abs(col @ resid) <= bound, trial
+        xq = [[Fraction(v) for v in row] for row in x]
+        resid = [Fraction(v) - b0 - sum(c * b for c, b in zip(row, beta))
+                 for row, v in zip(xq, y)]
+        assert sum(resid) == 0, trial
+        for j in range(p):
+            assert sum(row[j] * r for row, r in zip(xq, resid)) == 0, trial
 
         lam_star = lambda_max(x, y)
         for factor in (1.0, 1.25, 4.0):
             beta, _, _ = lasso_fit(x, y, lam_star * factor)
             assert np.all(beta == 0.0), trial
-    print("\nPASS criterion 6: lasso KKT at 1e-6, OLS orthogonality at 1e-8, "
+    print("\nPASS criterion 6: lasso KKT at 1e-6, exact OLS orthogonality, "
           "exact nulls at lambda_max")
 
 

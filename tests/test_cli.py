@@ -59,10 +59,11 @@ class TestCheckCommand:
         assert "refuted at (0,)" in out
 
     def test_unsupported(self, capsys, solver):
-        status, out, _ = run_cli(capsys, "check", bench_file("nested"),
-                                 "--cf", "2^x")
-        assert status == 3
-        assert "unsupported-operator" in out
+        for name, text in [("nested", "2^x"), ("s-max", "1/2*max(2*x + 2*y, 1/2)")]:
+            status, out, err = run_cli(capsys, "check", bench_file(name), "--cf", text)
+            assert status == 3, name
+            assert out == "unknown (unsupported-operator)\n", name
+            assert err == "", name
 
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),

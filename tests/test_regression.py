@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recsolve.expr import to_text
-from recsolve.recurrence import eval_fun, Value
+from recsolve.expr import ClosedForm, Piece, Var, con, to_text
+from recsolve.parser import parse_constraint
+from recsolve.recurrence import eval_fun, inline_function, Value
 from recsolve.regression import (
     AllTermsPruned, DegenerateDesign, RegressionConfig, assemble_candidate,
     cv_lasso_regression, guess, lambda_grid, lambda_max, lasso_fit,
@@ -109,21 +110,18 @@ class TestCvLasso:
 
 class TestRemoveTerms:
     def test_prunes_small_coefficients(self):
-        x = np.zeros((4, 3))
-        keep, names, _ = remove_terms(["x", "x^2", "x^3"], x,
-                                      np.array([1.02, 0.003, 0.0]), 0.5, 0.05)
+        keep, names = remove_terms(["x", "x^2", "x^3"],
+                                   np.array([1.02, 0.003, 0.0]), 0.5, 0.05)
         assert names == ["x"]
         assert keep == [0]
 
     def test_keeps_everything_above_threshold(self):
-        x = np.zeros((4, 2))
-        keep, names, _ = remove_terms(["a", "b"], x, np.array([0.05, -1.0]),
-                                      0.0, 0.05)
+        keep, names = remove_terms(["a", "b"], np.array([0.05, -1.0]), 0.0, 0.05)
         assert names == ["a", "b"]
 
     def test_all_pruned(self):
         with pytest.raises(AllTermsPruned) as err:
-            remove_terms(["a"], np.zeros((4, 1)), np.array([0.0]), 2.5, 0.05)
+            remove_terms(["a"], np.array([0.0]), 2.5, 0.05)
         assert err.value.intercept == 2.5
 
 
@@ -151,22 +149,39 @@ class TestLinearRegression:
         beta, b0, s, raw = linear_regression(xs[:20], y[:20], xs[20:], y[20:])
         assert s < 1.0
 
+    @staticmethod
+    def rational_rows(rng, n, p):
+        return [[Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 7)))
+                 for _ in range(p)] for _ in range(n)]
+
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            x = rng.normal(size=(50, 4))
-            y = x @ rng.normal(size=4) + rng.normal(scale=0.5, size=50)
+            x = self.rational_rows(rng, 50, 4)
+            y = [Fraction(int(rng.integers(-1000, 1001)), 7) for _ in range(50)]
             beta, b0, _, _ = linear_regression(x, y, x, y)
-            resid = y - (x @ beta + b0)
-            a = np.hstack([np.ones((50, 1)), x])
-            for j in range(a.shape[1]):
-                col = a[:, j]
-                bound = 1e-8 * (1.0 + np.linalg.norm(col) * np.linalg.norm(resid))
-                assert abs(col @ resid) <= bound
+            resid = [v - b0 - sum(c * b for c, b in zip(row, beta))
+                     for row, v in zip(x, y)]
+            assert sum(resid) == 0  # the intercept column
+            for j in range(4):
+                assert sum(row[j] * r for row, r in zip(x, resid)) == 0
+
+    def test_target_in_span_recovered_exactly(self):
+        rng = np.random.default_rng(12)
+        x = self.rational_rows(rng, 30, 3)
+        w = [Fraction(3, 7), Fraction(-2), Fraction(5, 64)]
+        y = [Fraction(-1, 3) + sum(c * b for c, b in zip(row, w)) for row in x]
+        beta, b0, s, raw = linear_regression(x[:20], y[:20], x[20:], y[20:])
+        assert beta == w
+        assert b0 == Fraction(-1, 3)
+        assert s == raw == 1.0
 
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
             linear_regression(np.ones((2, 3)), np.ones(2), np.ones((1, 3)), np.ones(1))
+        rows = [[x, y, x + y] for x in range(5) for y in range(5)]  # collinear
+        with pytest.raises(DegenerateDesign):
+            linear_regression(rows, [r[0] for r in rows], rows, [r[0] for r in rows])
 
 
 class TestRationalize:
@@ -229,6 +244,18 @@ class TestGuess:
         assert len(res.closed_form.pieces) == 2  # fitted region + base case
         denominators = {c.denominator for c in res.fit.coefficients}
         assert 2 in denominators  # the y^2/2 and 3y/2 structure
+
+    @pytest.mark.parametrize("hi", [50, 80])
+    def test_chained_cost_exact_past_float_precision(self, hi):
+        # 2^(x+1) - 1 passes 2^53 on these bounds, where floats drop the - 1
+        size_cf = ClosedForm(("x",), parse_constraint("x >= 0"),
+                             (Piece(Var("x"), parse_constraint("x > 0")),
+                              Piece(con(0), parse_constraint("x = 0"))))
+        cost = inline_function(load_bench("cost"), "s", size_cf)
+        res = guess(cost, default_base_set(1, cost.arg_names), RegressionConfig(),
+                    SampleConfig(bounds=(0, hi)))
+        assert to_text(res.closed_form.pieces[0].expr) == "2*2^x - 1"
+        assert res.exact_fit
 
     def test_determinism(self):
         rdef = load_bench("div")
