@@ -5,7 +5,8 @@ of `prover.py` (`builtin`), which reads and answers the same text.
 
 `unsat` certifies the candidate as an exact solution (for every domain
 point where evaluation terminates); a model is turned into a concrete
-counterexample and confirmed by direct evaluation before reporting
+counterexample, at the model itself or at the arguments of a recursive
+call made there, and confirmed by direct evaluation before reporting
 Refuted.  Everything the solver sees is integer arithmetic: rational
 coefficients are cleared by multiplying each equation through by the
 least common denominator, floors and ceilings of divisions become
@@ -29,8 +30,8 @@ from typing import Callable, Sequence
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
     Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, Var,
-    conj, constraint_exprs, constraint_free_vars, contains_calls, nodes,
-    replace_calls, simplify, to_text,
+    conj, constraint_exprs, constraint_free_vars, contains_calls,
+    eval_constraint, eval_expr, nodes, replace_calls, simplify, to_text,
 )
 from .recurrence import (
     EvalLimits, GuardFallthroughError, RecurrenceDef, Value, eval_closed_form,
@@ -192,8 +193,17 @@ class Implication:
 
 @dataclass(frozen=True)
 class EncodedFormula:
+    """The implications and, aligned with them, their SMT-LIB2 text
+    (`emit_implication`), which is computed here unless `encode` already
+    has it."""
     variables: tuple
     implications: tuple
+    emitted: tuple | None = None
+
+    def __post_init__(self):
+        if self.emitted is None:
+            object.__setattr__(self, "emitted",
+                               tuple(emit_implication(i) for i in self.implications))
 
 
 def encode(rdef: RecurrenceDef, fhat: ClosedForm,
@@ -210,6 +220,7 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
                              (Piece(fhat.single_region_body(), BoolLit(True)),),
                              fhat.provenance)
     implications = []
+    emitted = []
     previous: list = []
     for i, case in enumerate(rdef.cases):
         antecedent = conj([rdef.precondition] + previous + [case.guard])
@@ -222,13 +233,14 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
         assert isinstance(replaced, Sub)
         impl = Implication(antecedent, simplify(replaced.lhs), simplify(replaced.rhs))
         try:
-            emit_implication(impl)  # emission decides the solver fragment
+            text = emit_implication(impl)  # emission decides the solver fragment
         except UnsupportedOperator as err:
             raise UnsupportedOperator(f"case {i + 1}: {err}") from None
         _check_divisor_positivity(antecedent, (impl.lhs, impl.rhs), domain_checker)
         implications.append(impl)
+        emitted.append(text)
         previous.append(Not(case.guard))
-    return EncodedFormula(tuple(rdef.arg_names), tuple(implications))
+    return EncodedFormula(tuple(rdef.arg_names), tuple(implications), tuple(emitted))
 
 
 def _nonconst_divisors(e: Expr) -> list:
@@ -403,7 +415,7 @@ def emit_smtlib(ef: EncodedFormula) -> str:
     conjunction of implications."""
     lines = [f"(set-logic {LOGIC})"]
     lines += [f"(declare-const {n} Int)" for n in ef.variables]
-    impls = [emit_implication(impl) for impl in ef.implications]
+    impls = ef.emitted
     body = impls[0] if len(impls) == 1 else "(and " + " ".join(impls) + ")"
     lines.append(f"(assert (not {body}))")
     lines.append("(check-sat)")
@@ -437,8 +449,9 @@ def check_solution(rdef: RecurrenceDef, fhat: ClosedForm, solver: SolverConfig,
                    emit_dir: str | None = None,
                    label: str = "query") -> CheckVerdict:
     """Encode, emit and run the solver on the negation.  `unsat` means
-    Verified; a model is confirmed by evaluating both sides before
-    reporting Refuted; anything else is Unknown with a reason."""
+    Verified.  A model is confirmed by evaluating both sides, at the model
+    or else at the arguments of a call its case makes (`_call_sites`),
+    before reporting Refuted; anything else is Unknown with a reason."""
     domain_checker = make_domain_checker(solver)
     try:
         ef = encode(rdef, fhat, domain_checker)
@@ -459,12 +472,39 @@ def check_solution(rdef: RecurrenceDef, fhat: ClosedForm, solver: SolverConfig,
     if result.status == "unknown":
         return Unknown("solver-unknown")
     point = parse_model(result.output, ef.variables)
-    rec = eval_fun(rdef, point, limits)
-    try:
-        cand = eval_closed_form(fhat, point)
-    except GuardFallthroughError:
-        cand = None
-    if isinstance(rec, Value) and cand is not None and rec.value != cand:
-        return Refuted(point, rec.value, cand)
+    memo: dict = {}
+    for p in (point, *_call_sites(rdef, point)):
+        rec = eval_fun(rdef, p, limits, memo)
+        try:
+            cand = eval_closed_form(fhat, p)
+        except GuardFallthroughError:
+            continue
+        if isinstance(rec, Value) and rec.value != cand:
+            return Refuted(p, rec.value, cand)
     return Unknown("solver-unknown",
                    f"model {point} did not yield a confirmed counterexample")
+
+
+def _call_sites(rdef: RecurrenceDef, point: tuple) -> list:
+    """The argument tuples of the recursive calls made at `point`: the
+    calls of the first case whose guard holds there, in preorder, skipping
+    calls whose arguments contain a call.  Only integer tuples inside the
+    precondition are kept, since counterexamples are integer inputs.
+
+    A model can violate an implication through a call alone: the
+    candidate is right at the model but wrong at a call's arguments,
+    which then confirm the refutation."""
+    env = dict(zip(rdef.arg_names, point))
+    case = next((c for c in rdef.cases if eval_constraint(c.guard, env)), None)
+    if case is None:
+        return []
+    sites = []
+    for node in nodes(case.body):
+        if isinstance(node, Call) and node.fname == rdef.name \
+                and not any(contains_calls(a) for a in node.args):
+            args = tuple(eval_expr(a, env) for a in node.args)
+            if all(v.denominator == 1 for v in args):
+                site = tuple(int(v) for v in args)
+                if eval_constraint(rdef.precondition, dict(zip(rdef.arg_names, site))):
+                    sites.append(site)
+    return sites

@@ -3,7 +3,9 @@
 Evaluation follows the first-matching-guard order of the cases (a nested
 if-then-else).  The evaluator is iterative with memoization on concrete
 argument tuples, so deeply recursive or non-terminating definitions hit
-the configured limits instead of exhausting the Python stack.
+the configured limits instead of exhausting the Python stack.  A caller
+that evaluates many points of one recurrence may pass one memo to every
+`eval_fun` call; the limits still apply to each call on its own.
 """
 from __future__ import annotations
 
@@ -198,12 +200,16 @@ class _Fallthrough(Exception):
 
 
 class _Evaluator:
-    """Single-use evaluation context: memo table plus step accounting."""
+    """Evaluation of one point: step, depth and time accounting against
+    the limits, over a memo of completed values.  The memo maps argument
+    tuples to values and holds nothing else, so a run that stops at a
+    limit leaves only correct entries and the memo may be shared by later
+    runs on the same recurrence."""
 
-    def __init__(self, rdef: RecurrenceDef, limits: EvalLimits):
+    def __init__(self, rdef: RecurrenceDef, limits: EvalLimits, memo: dict):
         self.rdef = rdef
         self.limits = limits
-        self.memo: dict = {}
+        self.memo = memo
         self.steps = 0
         self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
 
@@ -261,13 +267,22 @@ class _Evaluator:
         return op(self._eval_body(kids[0], env))
 
 
-def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits()) -> EvalOutcome:
+def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits(),
+             memo: dict | None = None) -> EvalOutcome:
     """Evaluate the recurrence at a concrete input, memoized on argument
-    tuples, within the given limits."""
+    tuples, within the given limits.
+
+    `memo`, if given, is read and extended in place; pass the same dict
+    to every call on one recurrence to share the values computed so far.
+    The limits are per call: the step count starts at zero and the
+    deadline at the call, and depth counts the calls pending on this
+    point's own stack.  A point whose call chain is already partly in the
+    memo can therefore finish where it would hit `max_depth` or
+    `max_steps` alone; values never change."""
     key = tuple(_canon(x) for x in point)
     if len(key) != rdef.arity:
         raise ArityMismatch(f"{rdef.name} expects {rdef.arity} arguments, got {len(key)}")
-    return _Evaluator(rdef, limits).run(key)
+    return _Evaluator(rdef, limits, {} if memo is None else memo).run(key)
 
 
 def eval_closed_form(cf: ClosedForm, point: Sequence):

@@ -4,7 +4,9 @@ Inputs are integer tuples drawn uniformly (without replacement) from a
 per-variable box, rejecting points that violate the precondition.  The
 training set pairs each surviving input's recurrence value with the
 evaluated base-function dictionary; values stay exact rationals until the
-regression boundary.
+regression boundary.  All inputs of one training set are evaluated
+against one shared memo, so neighbouring points reuse each other's
+subcalls; the evaluation limits still apply to each point on its own.
 """
 from __future__ import annotations
 
@@ -234,16 +236,18 @@ class TrainingSet:
 
 def build_training_set(rdef: RecurrenceDef, base_set: BaseFunctionSet,
                        inputs: Sequence, limits: EvalLimits = EvalLimits()) -> TrainingSet:
-    """Evaluate the recurrence and the dictionary on each input.  Inputs
-    whose evaluation exceeds limits are dropped (more than half dropped
+    """Evaluate the recurrence and the dictionary on each input, the
+    recurrence against one memo shared by all inputs.  Inputs whose
+    evaluation exceeds limits are dropped (more than half dropped
     raises LikelyNonterminating); base functions that are undefined
     somewhere on the kept inputs (e.g. x/y sampled at y=0) are dropped as
     columns and recorded."""
     kept: list = []
     values: list = []
     dropped = 0
+    memo: dict = {}
     for p in inputs:
-        outcome = eval_fun(rdef, p, limits)
+        outcome = eval_fun(rdef, p, limits, memo)
         if isinstance(outcome, Value):
             kept.append(tuple(p))
             values.append(outcome.value)

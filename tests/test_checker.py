@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from recsolve.checker import (
-    EncodedFormula, Implication, Refuted, ResidualCall, SolverConfig, Unknown,
+    BUILTIN, EncodedFormula, Implication, Refuted, ResidualCall, SolverConfig,
+    Unknown,
     UnsupportedOperator, Verified, check_solution, emit_smtlib, encode,
     emit_implication, entails, parse_model, SolverProcessFailure, _cleared,
 )
@@ -121,6 +122,15 @@ class TestEmission:
             "(check-sat)\n"
             "(get-model)\n")
 
+    def test_encode_emits_each_implication_once(self):
+        # the text `encode` keeps is what emission of the bare implications
+        # gives, so the script is the same either way
+        rdef = load_bench("sum-osc")
+        ef = encode(rdef, cf_for(rdef, "x + y^2/2 + 3*y/2 + 1"), brute_entails)
+        assert ef.emitted == tuple(emit_implication(i) for i in ef.implications)
+        assert emit_smtlib(ef) == emit_smtlib(
+            EncodedFormula(ef.variables, ef.implications))
+
     def test_rational_coefficients_cleared(self):
         ef = EncodedFormula(("x", "y"), (Implication(
             parse_constraint("y > 0"),
@@ -224,6 +234,22 @@ class TestCheckSolution:
         assert verdict.counterexample == (0,)
         assert verdict.recurrence_value == 0
         assert verdict.candidate_value == 1
+
+    def test_counterexample_at_call_site(self, solver):
+        # the candidate is right at (0, 1) but wrong at (1, 0), where case 2
+        # calls f(x+1, y-1); builtin's smallest model is (0, 1), so the
+        # refutation is confirmed at the call's arguments
+        rdef = load_bench("sum-osc")
+        cf = ClosedForm(rdef.arg_names, rdef.precondition, (
+            Piece(parse_expression("x + y^2/2 + 3*y/2"), parse_constraint("y > 0")),
+            Piece(parse_expression("1 + x"), TRUE)))
+        assert check_solution(rdef, cf, SolverConfig((BUILTIN,))) == \
+            Refuted((1, 0), 1, 2)
+        verdict = check_solution(rdef, cf, solver)
+        assert isinstance(verdict, Refuted)
+        assert eval_fun(rdef, verdict.counterexample) == Value(verdict.recurrence_value)
+        assert eval_closed_form(cf, verdict.counterexample) == verdict.candidate_value
+        assert verdict.recurrence_value != verdict.candidate_value
 
     def test_unsupported(self, solver):
         # clearing the second leaves a rational constant inside max

@@ -119,6 +119,32 @@ class TestLimits:
             EvalLimits(max_depth=0)
 
 
+class TestSharedMemo:
+    @pytest.mark.parametrize("name", ["nested", "fib", "merge", "sum-osc",
+                                      "div-ceil", "nonterm", "size"])
+    def test_with_and_without_memo_agree(self, name):
+        # one memo across the whole grid, in both sweep orders; nonterm's
+        # points end at the depth limit and leave nothing in the memo
+        rdef = load_bench(name)
+        limits = EvalLimits(max_depth=200)
+        points = grid_points(rdef.precondition, rdef.arg_names, 0, 10)
+        alone = [eval_fun(rdef, p, limits) for p in points]
+        for order in (points, points[::-1]):
+            memo: dict = {}
+            shared = {p: eval_fun(rdef, p, limits, memo) for p in order}
+            assert [shared[p] for p in points] == alone, name
+
+    def test_fallthrough_with_memo(self):
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            "f(x) = 0 if x = 0;\n"
+            "f(x) = f(x - 2) + 1 if x >= 2;\n")
+        memo: dict = {}
+        assert value(eval_fun(rdef, (4,), memo=memo)) == 2
+        assert eval_fun(rdef, (5,), memo=memo) == GuardFallthrough((Fraction(1),))
+        assert value(eval_fun(rdef, (6,), memo=memo)) == 3
+
+
 class TestMemoAgainstNaive:
     @pytest.mark.parametrize("name", ["nested", "fib", "merge", "open-zip",
                                       "s-max", "s-max-1", "sum-osc", "div",

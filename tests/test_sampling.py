@@ -4,7 +4,9 @@ import pytest
 
 from recsolve.expr import eval_expr
 from recsolve.parser import parse_constraint
-from recsolve.recurrence import EvalLimits, Value
+from recsolve.cli import BENCHMARKS
+from recsolve.parser import parse_recurrence
+from recsolve.recurrence import EvalLimits, LimitExceeded, Value, eval_fun
 from recsolve.sampling import (
     BaseFunction, BaseFunctionSet, LikelyNonterminating, SampleConfig,
     SamplingExhausted, TrainingSet, build_training_set, default_base_set,
@@ -140,6 +142,64 @@ class TestBuildTrainingSet:
                                  list(b[0]) + list(b[1]))
         assert ts1.values == ts2.values
         assert ts1.features == ts2.features
+
+
+class TestSharedMemo:
+    """`build_training_set` evaluates all its inputs against one memo."""
+
+    @pytest.mark.parametrize("name", list(BENCHMARKS) + ["fib", "size"])
+    def test_rows_equal_per_point_evaluation(self, name):
+        # the points the guess stage samples, in its order
+        rdef = load_bench(name)
+        train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
+                                        SampleConfig(), arg_names=rdef.arg_names)
+        inputs = list(train) + list(test)
+        ts = build_training_set(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                                inputs)
+        alone = [(p, eval_fun(rdef, p)) for p in inputs]
+        assert ts.inputs == [p for p, out in alone if isinstance(out, Value)]
+        assert ts.values == [out.value for _, out in alone if isinstance(out, Value)]
+        # the naive oracle is exponential on merge, merge-sz, fib, nested
+        # and size, so it is asked only where it finishes in 2000 steps
+        compared = 0
+        for p, b in zip(ts.inputs, ts.values):
+            out = eval_fun_naive(rdef, p, EvalLimits(max_steps=2000))
+            if out != LimitExceeded("steps"):
+                assert out == Value(b), (name, p)
+                compared += 1
+        assert compared >= 7
+
+    def test_step_budget_resets_per_point(self):
+        # (12, 12) alone needs more than 500 steps; the cheap points after
+        # it are kept, and the entries it memoized before stopping are right
+        rdef = load_bench("merge-sz")
+        limits = EvalLimits(max_steps=500)
+        memo: dict = {}
+        assert eval_fun(rdef, (12, 12), limits, memo) == LimitExceeded("steps")
+        assert memo
+        assert eval_fun(rdef, (2, 1), limits, memo) == Value(3)
+        for key, v in memo.items():
+            assert eval_fun_naive(rdef, key) == Value(v), key
+        ts = build_training_set(rdef, default_base_set(2, rdef.arg_names),
+                                [(12, 12), (1, 1), (2, 1), (1, 2)], limits)
+        assert ts.dropped_inputs == 1
+        assert ts.inputs == [(1, 1), (2, 1), (1, 2)]
+        assert ts.values == [2, 3, 3]
+
+    def test_max_depth_counts_only_unmemoized_frames(self):
+        # alone, f(80) needs 80 pending frames and stops at max_depth 50;
+        # after f(40) is memoized it needs 40 and finishes
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            "f(x) = 0 if x = 0;\n"
+            "f(x) = f(x-1) + 1 if x > 0;\n")
+        limits = EvalLimits(max_depth=50)
+        base = default_base_set(1, ("x",))
+        assert eval_fun(rdef, (80,), limits) == LimitExceeded("depth")
+        ts = build_training_set(rdef, base, [(40,), (80,)], limits)
+        assert ts.inputs == [(40,), (80,)] and ts.values == [40, 80]
+        ts = build_training_set(rdef, base, [(80,), (40,)], limits)
+        assert ts.inputs == [(40,)] and ts.dropped_inputs == 1
 
 
 class TestTrainingSetInvariants:
