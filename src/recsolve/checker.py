@@ -9,10 +9,11 @@ counterexample, at the model itself or at the arguments of a recursive
 call made there, and confirmed by direct evaluation before reporting
 Refuted.  Everything the solver sees is integer arithmetic: rational
 coefficients are cleared by multiplying each equation through by the
-least common denominator, floors and ceilings of divisions become
-integer `div` (with the sign-correct ceiling encoding -((-a) div b),
-valid for divisors entailed positive), and max/min/piecewise terms
-become `ite`.  An equation the emitter cannot translate is reported as
+least common denominator, carried through constant factors into max,
+min and ite; floors and ceilings of divisions become integer `div`
+(with the sign-correct ceiling encoding -((-a) div b), valid for
+divisors entailed positive), and max/min/piecewise terms become `ite`.
+An equation the emitter cannot translate is reported as
 `unsupported-operator`.
 """
 from __future__ import annotations
@@ -291,7 +292,11 @@ def _denominators(e: Expr) -> list:
 
 
 def _scale(e: Expr, s: int) -> Expr:
-    """Multiply by a positive integer, distributing where this is exact."""
+    """Multiply by a positive integer, distributing where this is exact.
+    A constant factor whose product with `s` is a nonzero integer k is
+    carried into its operand as `_scale(operand, |k|)`, negated when k is
+    negative, so the clearing factor reaches the constants under max, min
+    and ite (`_denominators` already counts them)."""
     if s == 1:
         return e
     if isinstance(e, Const):
@@ -300,9 +305,9 @@ def _scale(e: Expr, s: int) -> Expr:
         return type(e)(_scale(e.lhs, s), _scale(e.rhs, s))
     if isinstance(e, Mul):
         if isinstance(e.lhs, Const):
-            return Mul(Const(e.lhs.value * s), e.rhs)
+            return _scale_product(e.lhs.value * s, e.rhs)
         if isinstance(e.rhs, Const):
-            return Mul(e.lhs, Const(e.rhs.value * s))
+            return _scale_product(e.rhs.value * s, e.lhs)
         return Mul(Const(Fraction(s)), e)
     if isinstance(e, Div) and isinstance(e.rhs, Const):
         return _scale(Mul(Const(1 / e.rhs.value), e.lhs), s)
@@ -311,6 +316,16 @@ def _scale(e: Expr, s: int) -> Expr:
     if isinstance(e, Ite):
         return Ite(e.cond, _scale(e.then, s), _scale(e.other, s))
     return Mul(Const(Fraction(s)), e)
+
+
+def _scale_product(k: Fraction, operand: Expr) -> Expr:
+    """`k * operand`, the factor carried into the operand when it is a
+    nonzero integer."""
+    if k.denominator != 1 or k == 0:
+        return Mul(Const(k), operand)
+    if k < 0:
+        return Sub(Const(Fraction(0)), _scale(operand, int(-k)))
+    return _scale(operand, int(k))
 
 
 def _cleared(lhs: Expr, rhs: Expr) -> tuple:

@@ -7,6 +7,7 @@ output is line-delimited JSON with stable keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -260,10 +261,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call: parsing keeps no
+    state in it, and building it costs about as much as a small `eval`."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     return args.func(args)

@@ -1,23 +1,32 @@
 """Recurrence definitions and their deterministic evaluation semantics.
 
 Evaluation follows the first-matching-guard order of the cases (a nested
-if-then-else).  The evaluator is iterative with memoization on concrete
-argument tuples, so deeply recursive or non-terminating definitions hit
-the configured limits instead of exhausting the Python stack.  A caller
-that evaluates many points of one recurrence may pass one memo to every
+if-then-else).  On the first `eval_fun` call on a definition, each case's
+guard and body are compiled into Python closures over the argument tuple,
+and the definition keeps them.  The evaluator is iterative with
+memoization on concrete argument tuples, so deeply recursive or
+non-terminating definitions hit the configured limits instead of
+exhausting the Python stack: a body that reaches a call missing from the
+memo is restarted once that call is evaluated.  A step is one guard tried
+or one body node visited, restarted visits included, so the limits stop
+exactly where a node-by-node walk of the bodies would.  A caller that
+evaluates many points of one recurrence may pass one memo to every
 `eval_fun` call; the limits still apply to each call on its own.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
-    OPS, Call, ClosedForm, Constraint, Expr, Ite, Not, children, conj,
-    constraint_free_vars, constraint_to_text, contains_calls, disj,
-    eval_constraint, eval_expr, free_vars, map_children, nodes, to_text,
+    OPS, And, BoolLit, Call, ClosedForm, Cmp, Const, Constraint, Expr, Ite,
+    Not, Or, Var, children, conj, constraint_free_vars, constraint_to_text,
+    contains_calls, disj, eval_constraint, eval_expr, free_vars,
+    map_children, nodes, to_text,
 )
 
 
@@ -97,6 +106,11 @@ class RecurrenceDef:
         """Precondition restricted by the negations of the base-case guards."""
         return conj([self.precondition]
                     + [Not(c.guard) for c in self.base_cases()])
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        """The cases compiled for `eval_fun`, built on its first call."""
+        return _compile_cases(self)
 
     def guard_disjunction(self) -> Constraint:
         return disj([c.guard for c in self.cases])
@@ -190,81 +204,165 @@ def _canon(v):
 
 
 class _NeedCall(Exception):
-    def __init__(self, args: tuple):
-        self.args_tuple = args
+    """A recursive call whose value is not in the memo yet.  `steps` is
+    the number of body nodes visited up to and including the call's
+    arguments, except those inside Ite branches that finished before the
+    call (the step accumulator holds those)."""
+
+    def __init__(self, key: tuple, steps: int):
+        self.key = key
+        self.steps = steps
 
 
-class _Fallthrough(Exception):
-    def __init__(self, point: tuple):
-        self.point = point
+def _run(cases: tuple, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutcome:
+    """Evaluate one point against compiled cases: step, depth and time
+    accounting against the limits, over a memo of completed values.  The
+    memo maps argument tuples to values and holds nothing else, so a run
+    that stops at a limit leaves only correct entries and the memo may be
+    shared by later runs on the same recurrence.
+
+    A body that needs a call missing from the memo pushes the call and is
+    restarted, guards included, once the call's value is in the memo.  A
+    step is one guard tried or one body node visited, including the nodes
+    visited before a restart; Ite conditions count none."""
+    max_depth, max_steps = limits.max_depth, limits.max_steps
+    deadline = time.monotonic() + limits.timeout_ms / 1000.0
+    steps = 0
+    acc = [0]  # steps of finished Ite branches, added by the closures
+    pending = [point]
+    while pending:
+        if len(pending) > max_depth:
+            return LimitExceeded("depth")
+        if steps + acc[0] > max_steps:
+            return LimitExceeded("steps")
+        if time.monotonic() > deadline:
+            return LimitExceeded("timeout")
+        top = pending[-1]
+        if top in memo:
+            pending.pop()
+            continue
+        for guard, body, size in cases:
+            steps += 1
+            if guard(top, memo, acc):
+                break
+        else:
+            return GuardFallthrough(top)
+        try:
+            memo[top] = body(top, memo, acc)
+        except _NeedCall as need:
+            steps += need.steps
+            pending.append(need.key)
+        else:
+            steps += size
+            pending.pop()
+    return Value(memo[point])
 
 
-class _Evaluator:
-    """Evaluation of one point: step, depth and time accounting against
-    the limits, over a memo of completed values.  The memo maps argument
-    tuples to values and holds nothing else, so a run that stops at a
-    limit leaves only correct entries and the memo may be shared by later
-    runs on the same recurrence."""
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-    def __init__(self, rdef: RecurrenceDef, limits: EvalLimits, memo: dict):
-        self.rdef = rdef
-        self.limits = limits
-        self.memo = memo
-        self.steps = 0
-        self.deadline = time.monotonic() + limits.timeout_ms / 1000.0
 
-    def run(self, point: tuple) -> EvalOutcome:
-        pending = [point]
-        while pending:
-            if len(pending) > self.limits.max_depth:
-                return LimitExceeded("depth")
-            if self.steps > self.limits.max_steps:
-                return LimitExceeded("steps")
-            if time.monotonic() > self.deadline:
-                return LimitExceeded("timeout")
-            top = pending[-1]
-            if top in self.memo:
-                pending.pop()
-                continue
-            try:
-                self.memo[top] = self._eval_call_once(top)
-                pending.pop()
-            except _NeedCall as need:
-                pending.append(need.args_tuple)
-            except _Fallthrough as fall:
-                return GuardFallthrough(fall.point)
-        return Value(self.memo[point])
+def _tuple_of(fs: list):
+    """A closure evaluating each of `fs` into a tuple, in order (unrolled
+    for the usual one or two arguments)."""
+    if len(fs) == 1:
+        f0, = fs
+        return lambda a, m, acc: (f0(a, m, acc),)
+    if len(fs) == 2:
+        f0, f1 = fs
+        return lambda a, m, acc: (f0(a, m, acc), f1(a, m, acc))
+    return lambda a, m, acc: tuple([f(a, m, acc) for f in fs])
 
-    def _eval_call_once(self, args: tuple) -> Fraction:
-        env = dict(zip(self.rdef.arg_names, args))
-        for case in self.rdef.cases:
-            self.steps += 1
-            if eval_constraint(case.guard, env):
-                return self._eval_body(case.body, env)
-        raise _Fallthrough(args)
 
-    def _eval_body(self, e: Expr, env: dict) -> Fraction:
-        self.steps += 1
+def _compile_cases(rdef: RecurrenceDef) -> tuple:
+    """Each case as (guard, body, size).  `guard(a, memo, acc)` and
+    `body(a, memo, acc)` evaluate at the argument tuple `a` with the
+    arithmetic of `expr.OPS`, operands left to right; `size` is the
+    number of body nodes a finished evaluation visits, each Ite counting
+    as one.  The steps of the Ite branch taken are added to `acc[0]` when
+    the branch finishes, and a call missing from `memo` raises
+    `_NeedCall`."""
+    index = {n: i for i, n in enumerate(rdef.arg_names)}
+
+    def expr(e: Expr, pos: int, counted: bool) -> tuple:
+        # (closure, size); `pos` is the number of body nodes visited
+        # before `e`, finished Ite branches excepted
         t = type(e)
+        if t is Const:
+            v = e.value.numerator if e.value.denominator == 1 else e.value
+            return (lambda a, m, acc: v), 1
+        if t is Var:
+            i = index[e.name]
+            return (lambda a, m, acc: a[i]), 1
         if t is Call:
-            if e.fname != self.rdef.name:
-                raise UnknownFunction(e.fname)
-            key = tuple(self._eval_body(a, env) for a in e.args)
-            try:
-                return self.memo[key]
-            except KeyError:
-                raise _NeedCall(key) from None
+            if e.fname != rdef.name:
+                name = e.fname
+
+                def foreign(a, m, acc):
+                    raise UnknownFunction(name)
+                return foreign, 1
+            fs, size = [], 1
+            for arg in e.args:
+                f, n = expr(arg, pos + size, counted)
+                fs.append(f)
+                size += n
+            visited = pos + size
+            args = _tuple_of(fs)
+
+            def call(a, m, acc):
+                key = args(a, m, acc)
+                try:
+                    return m[key]
+                except KeyError:
+                    raise _NeedCall(key, visited) from None
+            return call, size
         if t is Ite:
-            # guard constraints are call-free, so direct evaluation is safe
-            branch = e.then if eval_constraint(e.cond, env) else e.other
-            return self._eval_body(branch, env)
-        op = OPS.get(t)
-        if op is None:
-            return eval_expr(e, env)  # a leaf
+            test = constraint(e.cond)
+            then, n_then = expr(e.then, pos + 1, counted)
+            other, n_other = expr(e.other, pos + 1, counted)
+            if not counted:
+                n_then = n_other = 0
+
+            def ite(a, m, acc):
+                if test(a, m, acc):
+                    v = then(a, m, acc)
+                    acc[0] += n_then
+                else:
+                    v = other(a, m, acc)
+                    acc[0] += n_other
+                return v
+            return ite, 1
+        op = OPS[t]
         kids = children(e)
-        if len(kids) == 2:
-            return op(self._eval_body(kids[0], env), self._eval_body(kids[1], env))
-        return op(self._eval_body(kids[0], env))
+        f, nf = expr(kids[0], pos + 1, counted)
+        if len(kids) == 1:
+            return (lambda a, m, acc: op(f(a, m, acc))), 1 + nf
+        g, ng = expr(kids[1], pos + 1 + nf, counted)
+        return (lambda a, m, acc: op(f(a, m, acc), g(a, m, acc))), 1 + nf + ng
+
+    def constraint(c: Constraint):
+        # guards and Ite conditions are call-free and count no steps
+        t = type(c)
+        if t is Cmp:
+            f, _ = expr(c.lhs, 0, False)
+            g, _ = expr(c.rhs, 0, False)
+            op = _CMP[c.op]
+            return lambda a, m, acc: op(f(a, m, acc), g(a, m, acc))
+        if t is And or t is Or:
+            f, g = constraint(c.lhs), constraint(c.rhs)
+            if t is And:
+                return lambda a, m, acc: f(a, m, acc) and g(a, m, acc)
+            return lambda a, m, acc: f(a, m, acc) or g(a, m, acc)
+        if t is Not:
+            f = constraint(c.arg)
+            return lambda a, m, acc: not f(a, m, acc)
+        if t is BoolLit:
+            v = c.value
+            return lambda a, m, acc: v
+        raise TypeError(f"unknown constraint node {c!r}")
+
+    return tuple((constraint(case.guard), *expr(case.body, 0, True))
+                 for case in rdef.cases)
 
 
 def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits(),
@@ -282,7 +380,7 @@ def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimi
     key = tuple(_canon(x) for x in point)
     if len(key) != rdef.arity:
         raise ArityMismatch(f"{rdef.name} expects {rdef.arity} arguments, got {len(key)}")
-    return _Evaluator(rdef, limits, {} if memo is None else memo).run(key)
+    return _run(rdef._compiled, key, limits, {} if memo is None else memo)
 
 
 def eval_closed_form(cf: ClosedForm, point: Sequence):

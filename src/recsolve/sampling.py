@@ -36,12 +36,18 @@ class SamplingExhausted(SamplingError):
 
 
 class LikelyNonterminating(SamplingError):
-    """More than half of the sampled inputs hit evaluation limits."""
+    """More than half of the sampled inputs hit evaluation limits.  The
+    inputs after the one that settled this were not evaluated, so `kept +
+    dropped` may be less than `sampled`."""
 
-    def __init__(self, kept: int, dropped: int):
-        super().__init__(f"{dropped} of {kept + dropped} sampled evaluations hit limits")
+    def __init__(self, kept: int, dropped: int, sampled: int | None = None):
+        evaluated = kept + dropped
+        sampled = evaluated if sampled is None else sampled
+        super().__init__(f"{dropped} of {evaluated} evaluated inputs hit limits"
+                         f" ({sampled} sampled)")
         self.kept = kept
         self.dropped = dropped
+        self.sampled = sampled
 
 
 @dataclass(frozen=True)
@@ -238,10 +244,11 @@ def build_training_set(rdef: RecurrenceDef, base_set: BaseFunctionSet,
                        inputs: Sequence, limits: EvalLimits = EvalLimits()) -> TrainingSet:
     """Evaluate the recurrence and the dictionary on each input, the
     recurrence against one memo shared by all inputs.  Inputs whose
-    evaluation exceeds limits are dropped (more than half dropped
-    raises LikelyNonterminating); base functions that are undefined
-    somewhere on the kept inputs (e.g. x/y sampled at y=0) are dropped as
-    columns and recorded."""
+    evaluation exceeds limits are dropped; LikelyNonterminating is raised
+    as soon as more than half of the inputs are dropped, without
+    evaluating the rest, or when none is kept.  Base functions that are
+    undefined somewhere on the kept inputs (e.g. x/y sampled at y=0) are
+    dropped as columns and recorded."""
     kept: list = []
     values: list = []
     dropped = 0
@@ -253,8 +260,10 @@ def build_training_set(rdef: RecurrenceDef, base_set: BaseFunctionSet,
             values.append(outcome.value)
         else:
             dropped += 1
-    if dropped > (len(kept) + dropped) // 2 or not kept:
-        raise LikelyNonterminating(len(kept), dropped)
+            if dropped > len(inputs) // 2:  # the majority is dropped already
+                raise LikelyNonterminating(len(kept), dropped, len(inputs))
+    if not kept:
+        raise LikelyNonterminating(0, dropped, len(inputs))
 
     envs = [dict(zip(rdef.arg_names, p)) for p in kept]
     columns: list = []

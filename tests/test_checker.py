@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -49,7 +50,9 @@ class TestSupportedSmt:
         ("max(x/2, y)", True),        # clearable: 2*max(x/2, y) = max(x, 2y)
         ("f(x) + 1", False),
         ("x^2*y", True),
-        ("1/2*max(2*x + 2*y, 1/2)", False),  # clearing leaves 1/2 inside max
+        ("1/2*max(2*x + 2*y, 1/2)", True),   # 4 times it is max(4x + 4y, 1)
+        ("-1/2*min(-2*x - 2*y, 1/2)", True),  # 4 times it is 0 - min(-4x - 4y, 1)
+        ("max(x, 1/2)*y", False),    # no constant factor to clear into max
     ])
     def test_fragment(self, text, ok):
         assert self.emits(parse_expression(text)) is ok
@@ -183,6 +186,20 @@ class TestClearing:
             env = {"x": xv}
             assert eval_expr(clhs, env) == 4 * eval_expr(e, env)
 
+    @pytest.mark.parametrize("text,factor,cleared", [
+        ("1/2*max(2*x + 2*y, 1/2)", 4, "max(4*x + 4*y, 1)"),
+        ("max(2*x + 2*y, 1/2)*1/2", 4, "max(4*x + 4*y, 1)"),
+        ("-1/2*min(-2*x - 2*y, 1/2)", 4, "0 - min(0 - 4*x - 4*y, 1)"),
+        ("3/2*max(x, 1/3)", 6, "max(9*x, 3)"),
+    ])
+    def test_clearing_factor_carried_into_max_min(self, text, factor, cleared):
+        e = parse_expression(text)
+        clhs, crhs = _cleared(simplify(e), con(0))
+        assert (to_text(clhs), crhs) == (cleared, con(0))
+        for p in itertools.product(range(-3, 4), repeat=2):
+            env = dict(zip(("x", "y"), p))
+            assert eval_expr(clhs, env) == factor * eval_expr(e, env), p
+
 
 class TestModelParsing:
     def test_positive_and_negative(self):
@@ -252,12 +269,25 @@ class TestCheckSolution:
         assert verdict.recurrence_value != verdict.candidate_value
 
     def test_unsupported(self, solver):
-        # clearing the second leaves a rational constant inside max
-        for name, text in [("nested", "2^x"), ("s-max", "1/2*max(2*x + 2*y, 1/2)")]:
-            rdef = load_bench(name)
-            verdict = check_solution(rdef, cf_for(rdef, text), solver)
-            assert verdict == Unknown("unsupported-operator",
-                                      detail=verdict.detail), name
+        rdef = load_bench("nested")
+        verdict = check_solution(rdef, cf_for(rdef, "2^x"), solver)
+        assert verdict == Unknown("unsupported-operator", detail=verdict.detail)
+
+    def test_clearing_reaches_constants_under_max(self, solver):
+        # clearing by 4 carries the factor 1/2 into max (or min, negated),
+        # so the constant inside is integral and the check decides
+        rdef = load_bench("s-max")
+        for text in ["1/2*max(2*x + 2*y, -1/2)", "-1/2*min(-2*x - 2*y, 1/2)"]:
+            assert check_solution(rdef, cf_for(rdef, text), solver) == Verified(), text
+        # max(x + y, 1/4) is 1/4 at (0, 0), where s-max is 0
+        wrong = cf_for(rdef, "1/2*max(2*x + 2*y, 1/2)")
+        assert check_solution(rdef, wrong, SolverConfig((BUILTIN,))) == \
+            Refuted((0, 0), 0, Fraction(1, 4))
+        verdict = check_solution(rdef, wrong, solver)
+        assert isinstance(verdict, Refuted)
+        assert eval_fun(rdef, verdict.counterexample) == Value(verdict.recurrence_value)
+        assert eval_closed_form(wrong, verdict.counterexample) == verdict.candidate_value
+        assert verdict.recurrence_value != verdict.candidate_value
 
     def test_piecewise_candidates(self, solver):
         for name, pieces in [

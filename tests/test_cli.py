@@ -59,11 +59,19 @@ class TestCheckCommand:
         assert "refuted at (0,)" in out
 
     def test_unsupported(self, capsys, solver):
-        for name, text in [("nested", "2^x"), ("s-max", "1/2*max(2*x + 2*y, 1/2)")]:
-            status, out, err = run_cli(capsys, "check", bench_file(name), "--cf", text)
-            assert status == 3, name
-            assert out == "unknown (unsupported-operator)\n", name
-            assert err == "", name
+        status, out, err = run_cli(capsys, "check", bench_file("nested"), "--cf", "2^x")
+        assert status == 3
+        assert out == "unknown (unsupported-operator)\n"
+        assert err == ""
+
+    def test_rational_constant_under_max(self, capsys, solver):
+        status, out, err = run_cli(capsys, "check", bench_file("s-max"),
+                                   "--cf", "1/2*max(2*x + 2*y, -1/2)")
+        assert (status, out, err) == (0, "verified\n", "")
+        status, out, err = run_cli(capsys, "check", bench_file("s-max"),
+                                   "--cf", "1/2*max(2*x + 2*y, 1/2)")
+        assert status == 3 and err == ""
+        assert out.startswith("refuted at (")
 
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),
@@ -98,6 +106,22 @@ class TestEvalCommand:
         status, _, err = run_cli(capsys, "eval", bench_file("div"), "5", "0")
         assert status == 1
         assert "precondition" in err
+
+
+class TestRepeatedMain:
+    def test_eval_twice_then_check(self, capsys, solver):
+        # main reuses one argument parser; no option leaks between calls
+        status, out, _ = run_cli(capsys, "eval", bench_file("merge"), "3", "4",
+                                 "--max-steps", "10")
+        assert (status, out) == (3, "LimitExceeded(steps)\n")
+        status, out, _ = run_cli(capsys, "eval", bench_file("merge"), "3", "4")
+        assert (status, out) == (0, "6\n")
+        status, out, _ = run_cli(capsys, "check", bench_file("nested"), "--cf", "x",
+                                 "--format", "json-lines")
+        assert status == 0
+        assert json.loads(out) == {"closed_form": "x", "verdict": "verified"}
+        status, out, _ = run_cli(capsys, "check", bench_file("nested"), "--cf", "x+1")
+        assert status == 3 and out.startswith("refuted at (0,)")
 
 
 class TestBenchCommand:

@@ -119,6 +119,73 @@ class TestLimits:
             EvalLimits(max_depth=0)
 
 
+# A recurrence whose bodies visit Ite branches before, around and after
+# their calls
+ITE_BODY = parse_recurrence(
+    "def f(x);\npre x >= 0;\n"
+    "f(x) = x if x < 2;\n"
+    "f(x) = ite(x > 4, f(x - 1), f(x - 2)) + ite(x > 9, 2*x, 1) + f(x - 2)"
+    " if x >= 2;\n")
+
+
+def _accounting_rdef(name):
+    if name == "ite-body":
+        return ITE_BODY
+    if name == "cost-inlined":  # size's two-piece closed form, as an Ite
+        size_cf = ClosedForm(("x",), parse_constraint("x >= 0"),
+                             (Piece(Var("x"), parse_constraint("x > 0")),
+                              Piece(con(0), parse_constraint("x = 0"))))
+        return inline_function(load_bench("cost"), "s", size_cf)
+    return load_bench(name)
+
+
+# (recurrence, point, value, smallest max_steps, smallest max_depth) at which
+# a cold eval_fun returns the value; recorded with the interpretive
+# evaluator that the compiled one replaced.  A step is one guard tried or
+# one body node visited, also before a restart for a missing call; Ite
+# conditions count none.
+ACCOUNTING = [
+    ("nested", (5,), 5, 78, 6),
+    ("nested", (40,), 40, 673, 41),
+    ("fib", (5,), 8, 76, 5),
+    ("fib", (25,), 121393, 436, 25),
+    ("size", (4,), 4, 61, 5),
+    ("size", (30,), 30, 503, 31),
+    ("merge", (3, 4), 6, 379, 7),
+    ("merge", (30, 25), 54, 20833, 55),
+    ("merge-sz", (2, 3), 5, 198, 5),
+    ("merge-sz", (20, 30), 50, 16758, 50),
+    ("open-zip", (5, 3), 5, 90, 6),
+    ("open-zip", (40, 17), 40, 755, 41),
+    ("div", (7, 2), 3, 40, 4),
+    ("div", (60, 7), 8, 115, 9),
+    ("div-ceil", (7, 3), 3, 25, 3),
+    ("div-ceil", (50, 9), 6, 70, 6),
+    ("s-max", (3, 2), 5, 50, 4),
+    ("s-max", (40, 10), 50, 753, 41),
+    ("s-max-1", (4, 1), 9, 83, 5),
+    ("s-max-1", (35, 20), 90, 796, 36),
+    ("sum-osc", (2, 3), 11, 119, 8),
+    ("sum-osc", (12, 20), 242, 881, 52),
+    ("cost-inlined", (4,), 31, 74, 5),
+    ("cost-inlined", (12,), 8191, 250, 13),
+    ("ite-body", (6,), 11, 124, 5),
+    ("ite-body", (20,), 15471, 480, 19),
+]
+
+
+class TestLimitAccounting:
+    @pytest.mark.parametrize("name,point,v,steps,depth", ACCOUNTING)
+    def test_smallest_limits(self, name, point, v, steps, depth):
+        rdef = _accounting_rdef(name)
+        assert eval_fun(rdef, point, EvalLimits(max_steps=steps)) == Value(v)
+        assert eval_fun(rdef, point, EvalLimits(max_steps=steps - 1)) \
+            == LimitExceeded("steps")
+        assert eval_fun(rdef, point, EvalLimits(max_depth=depth)) == Value(v)
+        assert eval_fun(rdef, point, EvalLimits(max_depth=depth - 1)) \
+            == LimitExceeded("depth")
+
+
 class TestSharedMemo:
     @pytest.mark.parametrize("name", ["nested", "fib", "merge", "sum-osc",
                                       "div-ceil", "nonterm", "size"])

@@ -6,6 +6,7 @@ from recsolve.expr import eval_expr
 from recsolve.parser import parse_constraint
 from recsolve.cli import BENCHMARKS
 from recsolve.parser import parse_recurrence
+from recsolve import sampling
 from recsolve.recurrence import EvalLimits, LimitExceeded, Value, eval_fun
 from recsolve.sampling import (
     BaseFunction, BaseFunctionSet, LikelyNonterminating, SampleConfig,
@@ -90,6 +91,46 @@ class TestBuildTrainingSet:
             build_training_set(rdef, default_base_set(1, ("x",)),
                                [(1,), (2,), (3,), (4,)],
                                EvalLimits(max_depth=100, max_steps=10_000))
+
+    def test_nonterminating_stops_at_the_dropped_majority(self, monkeypatch):
+        # on the points the guess stage samples, every input diverges, so
+        # the majority is settled after len(inputs)//2 + 1 evaluations
+        rdef = load_bench("nonterm")
+        train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
+                                        SampleConfig(), arg_names=rdef.arg_names)
+        inputs = list(train) + list(test)
+        evaluated = []
+
+        def counting(rdef, point, limits, memo):
+            evaluated.append(point)
+            return eval_fun(rdef, point, limits, memo)
+
+        monkeypatch.setattr(sampling, "eval_fun", counting)
+        with pytest.raises(LikelyNonterminating) as err:
+            build_training_set(rdef, default_base_set(1, ("x",)), inputs)
+        stop = len(inputs) // 2 + 1
+        assert evaluated == inputs[:stop]
+        assert (err.value.kept, err.value.dropped, err.value.sampled) == (0, stop, len(inputs))
+        assert str(err.value) == f"{stop} of {stop} evaluated inputs hit limits " \
+                                 f"({len(inputs)} sampled)"
+
+    def test_early_stop_keeps_the_decision(self):
+        # inputs from 10 up diverge; two of five is no majority, so all are
+        # evaluated, and four of six is settled before the sixth input
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            "f(x) = 0 if x = 0;\n"
+            "f(x) = f(x - 1) + 1 if x > 0 and x < 10;\n"
+            "f(x) = f(x + 1) if x >= 10;\n")
+        limits = EvalLimits(max_depth=50)
+        base = default_base_set(1, ("x",))
+        ts = build_training_set(rdef, base, [(10,), (11,), (0,), (3,), (4,)], limits)
+        assert ts.inputs == [(0,), (3,), (4,)] and ts.dropped_inputs == 2
+        with pytest.raises(LikelyNonterminating) as err:
+            build_training_set(rdef, base, [(10,), (1,), (11,), (12,), (13,), (2,)],
+                               limits)
+        assert (err.value.kept, err.value.dropped, err.value.sampled) == (1, 4, 6)
+        assert str(err.value) == "4 of 5 evaluated inputs hit limits (6 sampled)"
 
     def test_constant_recurrence(self):
         from recsolve.parser import parse_recurrence
