@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
-    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, Var,
+    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Pow, Sub, Var,
     conj, constraint_exprs, constraint_free_vars, contains_calls,
     eval_constraint, eval_expr, nodes, replace_calls, simplify, to_text,
 )
@@ -157,10 +157,6 @@ def run_solver(script: str, cfg: SolverConfig) -> SolverResult:
 _ENTAILMENT_CACHE: dict = {}
 
 
-def clear_entailment_cache():
-    _ENTAILMENT_CACHE.clear()
-
-
 def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -> bool:
     """True iff hypothesis and not(conclusion) is unsatisfiable over the
     integers.  Solver timeouts and unknowns count as not entailed."""
@@ -217,16 +213,13 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     divisors the antecedent does not prove positive, raises
     UnsupportedOperator."""
     arg_vars = tuple(Var(n) for n in rdef.arg_names)
-    fhat_region = ClosedForm(fhat.arg_names, fhat.precondition,
-                             (Piece(fhat.single_region_body(), BoolLit(True)),),
-                             fhat.provenance)
     implications = []
     emitted = []
     previous: list = []
     for i, case in enumerate(rdef.cases):
         antecedent = conj([rdef.precondition] + previous + [case.guard])
         equation = Sub(Call(rdef.name, arg_vars), case.body)
-        replaced = replace_calls(equation, rdef.name, fhat_region,
+        replaced = replace_calls(equation, rdef.name, fhat,
                                  rdef.precondition, case.guard, domain_checker)
         if contains_calls(replaced):
             raise ResidualCall(

@@ -40,12 +40,21 @@ def _add_common(p: argparse.ArgumentParser):
                    help="SMT-LIB2 solver, or 'builtin' for the in-process prover")
     p.add_argument("--timeout-ms", type=int, default=10_000,
                    help="per-query solver timeout")
-    p.add_argument("--max-depth", type=int, default=10_000)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--eval-timeout-ms", type=int, default=5_000)
+    _add_limits(p)
     p.add_argument("--emit-smt", default=None, metavar="DIR",
                    help="also write emitted SMT-LIB2 scripts here")
     p.add_argument("--format", choices=("human", "json-lines"), default="human")
+
+
+def _add_limits(p: argparse.ArgumentParser):
+    p.add_argument("--max-depth", type=int, default=EvalLimits.max_depth)
+    p.add_argument("--max-steps", type=int, default=EvalLimits.max_steps)
+    p.add_argument("--eval-timeout-ms", type=int, default=EvalLimits.timeout_ms)
+
+
+def _limits(args) -> EvalLimits:
+    return EvalLimits(max_depth=args.max_depth, max_steps=args.max_steps,
+                      timeout_ms=args.eval_timeout_ms)
 
 
 def _split_ints(text: str, n: int, what: str) -> list:
@@ -64,11 +73,9 @@ def build_config(args) -> SolveConfig:
         lambdas=lambda_grid(int(count), float(lo), float(hi)),
         folds=args.folds, epsilon=args.epsilon,
         max_denominator=args.max_denominator, cv_seed=args.seed)
-    limits = EvalLimits(max_depth=args.max_depth, max_steps=args.max_steps,
-                        timeout_ms=args.eval_timeout_ms)
     solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
     return SolveConfig(seed=args.seed, sample=sample, regression=regression,
-                       limits=limits, solver=solver, emit_dir=args.emit_smt)
+                       limits=_limits(args), solver=solver, emit_dir=args.emit_smt)
 
 
 def _print_report(report: SolveReport, fmt: str, out=None):
@@ -168,10 +175,8 @@ def cmd_eval(args) -> int:
         print(f"error: input {tuple(args.values)} violates the precondition",
               file=sys.stderr)
         return 1
-    limits = EvalLimits(max_depth=args.max_depth, max_steps=args.max_steps,
-                        timeout_ms=args.eval_timeout_ms)
     try:
-        outcome = eval_fun(rdef, args.values, limits)
+        outcome = eval_fun(rdef, args.values, _limits(args))
     except RecurrenceError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
@@ -247,9 +252,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the recurrence at a point")
     p.add_argument("file")
     p.add_argument("values", nargs="+", type=int)
-    p.add_argument("--max-depth", type=int, default=10_000)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--eval-timeout-ms", type=int, default=5_000)
+    _add_limits(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run the bundled benchmark corpus")

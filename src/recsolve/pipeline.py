@@ -239,5 +239,4 @@ def _reason_for(err: Exception) -> str:
         "LikelyNonterminating": "likely-nonterminating",
         "SamplingExhausted": "sampling-exhausted",
         "DegenerateDesign": "degenerate-design",
-        "AllTermsPruned": "all-terms-pruned",
     }.get(name, "guess-error")

@@ -96,9 +96,6 @@ class RecurrenceDef:
         if not closed:
             raise RecurrenceError("no case is in closed form")
 
-    def recursive_cases(self) -> list:
-        return [c for c in self.cases if contains_calls(c.body, self.name)]
-
     def base_cases(self) -> list:
         return [c for c in self.cases if not contains_calls(c.body, self.name)]
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Add, ClosedForm, Const, Constraint, Expr, Mul, Piece, eval_expr, simplify,
+    Add, ClosedForm, Const, Expr, Mul, Not, Piece, conj, eval_expr, simplify,
 )
 from .recurrence import EvalLimits, RecurrenceDef
 from .sampling import (
@@ -43,15 +43,6 @@ class RegressionError(Exception):
 
 class DegenerateDesign(RegressionError):
     pass
-
-
-class AllTermsPruned(RegressionError):
-    """Every coefficient fell below epsilon; the candidate degenerates to a
-    constant (still a legal candidate)."""
-
-    def __init__(self, intercept: float):
-        super().__init__("all base functions pruned")
-        self.intercept = intercept
 
 
 def lambda_grid(count: int = 100, lo: float = 0.001, hi: float = 1.0) -> tuple:
@@ -98,7 +89,8 @@ class FitResult:
 
 # A column whose standardized residual variance, after projection on the
 # active columns, falls below this is treated as linearly dependent on
-# them (the two-argument dictionary has max + min = x + y exactly).
+# them on the rows at hand (max(x, y) equals x on every row of a region
+# such as x >= y).
 _DEPENDENT = 1e-10
 
 
@@ -122,7 +114,9 @@ def _lars_knots(corr: np.ndarray, b: np.ndarray, lam_min: float) -> list:
     stays within [-lambda, lambda]; these are the KKT conditions.  A column
     that would join while linearly dependent on the active ones is held
     out: its correlation is then a fixed combination of theirs, so it
-    stays tied at the boundary and zero is still optimal for it."""
+    stays tied at the boundary and zero is still optimal for it.  Such a
+    dependence comes from the rows, not the dictionary: on a region such
+    as x >= y the column max(x, y) repeats x."""
     q = b.shape[0]
     beta = np.zeros(q)
     c = b.copy()
@@ -270,16 +264,14 @@ def cv_lasso_regression(x: np.ndarray, y: np.ndarray, lambdas: Sequence[float],
     return beta, b0, best_lam
 
 
-def remove_terms(names: Sequence[str], beta: np.ndarray, intercept: float,
-                 epsilon: float):
+def remove_terms(names: Sequence[str], beta: np.ndarray, epsilon: float):
     """Drop base functions whose |coefficient| < epsilon.
 
-    Returns (surviving indices, their names)."""
+    Returns (surviving indices, their names); both are empty when every
+    term is pruned, and the candidate is then a constant."""
     if len(names) != len(beta):
         raise ValueError("coefficient vector does not match the term list")
     keep = [j for j in range(len(beta)) if abs(beta[j]) >= epsilon]
-    if not keep:
-        raise AllTermsPruned(intercept)
     return keep, [names[j] for j in keep]
 
 
@@ -357,7 +349,6 @@ class GuessResult:
     closed_form: ClosedForm
     fit: FitResult
     exact_fit: bool           # rationalized candidate reproduces the test set exactly
-    region: Constraint
     train_rows: int
     test_rows: int
     dropped_inputs: int
@@ -376,12 +367,13 @@ def assemble_candidate(coefficients: Sequence[Fraction], intercept: Fraction,
 
 def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionConfig,
           sample_cfg: SampleConfig, limits: EvalLimits = EvalLimits()) -> GuessResult:
-    """Run the full guess stage against the recursive region of the
-    recurrence and assemble a piecewise candidate: the fitted expression on
-    the recursive region plus the non-recursive cases copied verbatim."""
-    region = rdef.recursive_region()
-    train_pts, test_pts = sample_train_test(region, rdef.arity, sample_cfg,
-                                            arg_names=rdef.arg_names)
+    """Run the full guess stage on points sampled from the recursive region
+    of the recurrence and assemble a piecewise candidate: the fitted
+    expression where no base guard holds, then the non-recursive cases
+    copied verbatim.  The precondition is the closed form's own and is not
+    repeated in the guard."""
+    train_pts, test_pts = sample_train_test(rdef.recursive_region(), rdef.arity,
+                                            sample_cfg, arg_names=rdef.arg_names)
     ts = build_training_set(rdef, base_set, list(train_pts) + list(test_pts), limits)
     train_set, test_set = set(train_pts), set(test_pts)
     train_idx = [i for i, p in enumerate(ts.inputs) if p in train_set]
@@ -390,13 +382,10 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
         raise LikelyNonterminating(len(ts.inputs), ts.dropped_inputs)
 
     x_all, y_all = ts.to_arrays()
-    beta_cv, b0_cv, lam = cv_lasso_regression(
+    beta_cv, _, lam = cv_lasso_regression(
         x_all[train_idx], y_all[train_idx], reg_cfg.lambdas, reg_cfg.folds,
         reg_cfg.cv_seed)
-    try:
-        keep, kept_names = remove_terms(ts.columns, beta_cv, b0_cv, reg_cfg.epsilon)
-    except AllTermsPruned:
-        keep, kept_names = [], []
+    keep, kept_names = remove_terms(ts.columns, beta_cv, reg_cfg.epsilon)
 
     def rows(idx):
         return [[ts.features[i][j] for j in keep] for i in idx]
@@ -412,12 +401,13 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
     exact = _rescore_exact(candidate, rdef.arg_names,
                            [ts.inputs[i] for i in test_idx],
                            [ts.values[i] for i in test_idx])
-    pieces = [Piece(candidate, region)]
-    pieces += [Piece(c.body, c.guard) for c in rdef.base_cases()]
+    base = rdef.base_cases()
+    pieces = [Piece(candidate, conj([Not(c.guard) for c in base]))]
+    pieces += [Piece(c.body, c.guard) for c in base]
     cf = ClosedForm(rdef.arg_names, rdef.precondition, tuple(pieces),
                     provenance="regression")
     fit = FitResult(coefs, b0, kept_names, score, raw, lam, delta)
-    return GuessResult(cf, fit, exact, region, len(train_idx), len(test_idx),
+    return GuessResult(cf, fit, exact, len(train_idx), len(test_idx),
                        ts.dropped_inputs, ts.dropped_columns)
 
 

@@ -17,9 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import (
-    Ceil, Const, Constraint, Div, Expr, ExprError, Floor, Log2Ceil, Max, Min,
-    Mul, Pow, Var, contains_calls, eval_constraint, eval_expr, simplify,
-    to_text,
+    Ceil, Const, Constraint, Div, Expr, ExprError, Floor, Log2Ceil, Max, Mul,
+    Pow, Var, contains_calls, eval_constraint, eval_expr, simplify, to_text,
 )
 from .recurrence import EvalLimits, RecurrenceDef, Value, eval_fun
 
@@ -101,7 +100,9 @@ def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> Base
 
     One argument: x, x^2, x^3, log2ceil(x), 2^x, x*log2ceil(x).
     Two arguments: both per-variable families plus the combination terms
-    x*y, max, min, floor(x/y), ceil(x/y), x*log2ceil(y), y*log2ceil(x).
+    x*y, max(x, y), floor(x/y), ceil(x/y), x*log2ceil(y), y*log2ceil(x).
+    There is no min(x, y): it equals x + y - max(x, y) everywhere, so it
+    would add nothing to the span but a second spelling of x + y.
     Three or more: per-variable x, x^2, log2ceil(x), 2^x plus all pairwise
     products.
     """
@@ -119,7 +120,6 @@ def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> Base
         fns = _unary_family(x) + _unary_family(y) + [
             _bf(Mul(x, y)),
             _bf(Max(x, y)),
-            _bf(Min(x, y)),
             _bf(Floor(Div(x, y))),
             _bf(Ceil(Div(x, y))),
             _bf(Mul(x, Log2Ceil(y))),

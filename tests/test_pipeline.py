@@ -3,6 +3,7 @@ import json
 import pytest
 
 from recsolve.checker import SolverConfig, resolve_solver
+from recsolve.parser import parse_recurrence
 from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solve
 from recsolve.recurrence import Value, eval_fun
 from recsolve.recurrence import eval_closed_form
@@ -61,6 +62,18 @@ class TestSolve:
         assert a.closed_form == b.closed_form
         assert a.verdict == b.verdict
         assert a.config == b.config
+
+    def test_min_shaped_recurrence_is_solved_without_min(self, solver):
+        # min(x, y) is not in the dictionary; x + y - max(x, y) spans it
+        rdef = parse_recurrence(
+            "def f(x, y);\n"
+            "pre x >= 0 and y >= 0;\n"
+            "f(x, y) = f(x-1, y-1) + 1 if x > 0 and y > 0;\n"
+            "f(x, y) = 0 if x = 0 or y = 0;\n")
+        report = solve(rdef, config(solver))
+        assert report.verdict == "verified"
+        for x, y in grid_points(rdef.precondition, rdef.arg_names, 0, 12):
+            assert eval_closed_form(report.closed_form, (x, y)) == min(x, y)
 
     def test_verified_candidates_match_recurrence_on_grid(self, solver):
         rdef = load_bench("open-zip")

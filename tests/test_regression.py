@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recsolve.expr import ClosedForm, Piece, Var, con, to_text
+from recsolve.cli import BENCHMARKS
+from recsolve.expr import And, ClosedForm, Not, Piece, Var, con, conj, to_text
 from recsolve.parser import parse_constraint
 from recsolve.recurrence import eval_fun, inline_function, Value
 from recsolve.regression import (
-    AllTermsPruned, DegenerateDesign, RegressionConfig, assemble_candidate,
+    DegenerateDesign, RegressionConfig, assemble_candidate,
     cv_lasso_regression, guess, lambda_grid, lambda_max, lasso_fit,
     linear_regression, rationalize, remove_terms,
 )
@@ -111,18 +112,16 @@ class TestCvLasso:
 class TestRemoveTerms:
     def test_prunes_small_coefficients(self):
         keep, names = remove_terms(["x", "x^2", "x^3"],
-                                   np.array([1.02, 0.003, 0.0]), 0.5, 0.05)
+                                   np.array([1.02, 0.003, 0.0]), 0.05)
         assert names == ["x"]
         assert keep == [0]
 
     def test_keeps_everything_above_threshold(self):
-        keep, names = remove_terms(["a", "b"], np.array([0.05, -1.0]), 0.0, 0.05)
+        keep, names = remove_terms(["a", "b"], np.array([0.05, -1.0]), 0.05)
         assert names == ["a", "b"]
 
     def test_all_pruned(self):
-        with pytest.raises(AllTermsPruned) as err:
-            remove_terms(["a"], np.array([0.0]), 2.5, 0.05)
-        assert err.value.intercept == 2.5
+        assert remove_terms(["a"], np.array([0.0]), 0.05) == ([], [])
 
 
 class TestLinearRegression:
@@ -216,6 +215,10 @@ class TestAssembleCandidate:
         assert to_text(e) == "2*y + 1"
 
 
+def _conjuncts(c):
+    return [*_conjuncts(c.lhs), *_conjuncts(c.rhs)] if isinstance(c, And) else [c]
+
+
 class TestGuess:
     def test_nested_yields_identity(self):
         rdef = load_bench("nested")
@@ -256,6 +259,29 @@ class TestGuess:
                     SampleConfig(bounds=(0, hi)))
         assert to_text(res.closed_form.pieces[0].expr) == "2*2^x - 1"
         assert res.exact_fit
+
+    @pytest.mark.parametrize("name, main", [
+        ("merge-sz", "x + y"), ("merge", "x + y - 1"), ("s-max", "x + y"),
+        ("s-max-1", "2*x + y")])
+    def test_main_piece_spells_sums_without_extrema(self, name, main):
+        rdef = load_bench(name)
+        res = guess(rdef, default_base_set(2, rdef.arg_names),
+                    RegressionConfig(), SampleConfig(seed=0))
+        assert to_text(res.closed_form.pieces[0].expr) == main
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_main_guard_is_the_negated_base_guards(self, name):
+        rdef = load_bench(name)
+        res = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                    RegressionConfig(), SampleConfig(seed=0))
+        main, *rest = res.closed_form.pieces
+        base = rdef.base_cases()
+        assert main.guard == conj([Not(c.guard) for c in base])
+        assert rest == [Piece(c.body, c.guard) for c in base]
+        # the precondition belongs to the closed form, not to the guard
+        assert res.closed_form.precondition == rdef.precondition
+        assert not set(_conjuncts(rdef.precondition)) & set(_conjuncts(main.guard))
+        assert "min(" not in res.closed_form.to_text()
 
     def test_determinism(self):
         rdef = load_bench("div")
