@@ -8,8 +8,8 @@ through an external solver or the in-process prover.
 """
 
 from .expr import (
-    ClosedForm, Constraint, Expr, Piece, eval_constraint, eval_expr,
-    simplify, to_text,
+    ClosedForm, Constraint, Expr, Piece, compile_constraint, compile_expr,
+    eval_constraint, eval_expr, simplify, to_text,
 )
 from .parser import ParseError, parse_constraint, parse_expression, parse_recurrence
 from .recurrence import (

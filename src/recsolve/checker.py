@@ -31,8 +31,9 @@ from typing import Callable, Sequence
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
     Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Pow, Sub, Var,
-    conj, constraint_exprs, constraint_free_vars, contains_calls,
-    eval_constraint, eval_expr, nodes, replace_calls, simplify, to_text,
+    compile_constraint, compile_expr, conj, constraint_exprs,
+    constraint_free_vars, contains_calls, nodes, replace_calls, simplify,
+    to_text,
 )
 from .recurrence import (
     EvalLimits, GuardFallthroughError, RecurrenceDef, Value, eval_closed_form,
@@ -502,17 +503,19 @@ def _call_sites(rdef: RecurrenceDef, point: tuple) -> list:
     A model can violate an implication through a call alone: the
     candidate is right at the model but wrong at a call's arguments,
     which then confirm the refutation."""
-    env = dict(zip(rdef.arg_names, point))
-    case = next((c for c in rdef.cases if eval_constraint(c.guard, env)), None)
+    names = rdef.arg_names
+    case = next((c for c in rdef.cases if compile_constraint(c.guard, names)(point)),
+                None)
     if case is None:
         return []
+    pre = compile_constraint(rdef.precondition, names)
     sites = []
     for node in nodes(case.body):
         if isinstance(node, Call) and node.fname == rdef.name \
                 and not any(contains_calls(a) for a in node.args):
-            args = tuple(eval_expr(a, env) for a in node.args)
+            args = tuple(compile_expr(a, names)(point) for a in node.args)
             if all(v.denominator == 1 for v in args):
                 site = tuple(int(v) for v in args)
-                if eval_constraint(rdef.precondition, dict(zip(rdef.arg_names, site))):
+                if pre(site):
                     sites.append(site)
     return sites

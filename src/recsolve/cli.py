@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 
 from .checker import SolverProcessFailure, check_solution, resolve_solver
-from .expr import single_piece
+from .expr import compile_constraint, single_piece
 from .parser import ParseError, parse_expression
 from .pipeline import SolveConfig, SolveReport, solve, verdict_fields
 from .recurrence import (
@@ -167,11 +167,7 @@ def cmd_eval(args) -> int:
     if len(args.values) != rdef.arity:
         print(f"error: {rdef.name} takes {rdef.arity} arguments", file=sys.stderr)
         return 1
-    from .expr import eval_constraint
-    from fractions import Fraction
-
-    env = {n: Fraction(v) for n, v in zip(rdef.arg_names, args.values)}
-    if not eval_constraint(rdef.precondition, env):
+    if not compile_constraint(rdef.precondition, rdef.arg_names)(tuple(args.values)):
         print(f"error: input {tuple(args.values)} violates the precondition",
               file=sys.stderr)
         return 1

@@ -1,9 +1,13 @@
 """Symbolic expression trees and boolean constraints over exact rationals.
 
-Everything here is immutable and evaluated with `fractions.Fraction`, so
-no floating point can leak into guards, recurrence values or candidate
-coefficients.  Expressions may contain `Call` nodes (references to a
-recurrence being solved); constraints may not.
+Everything here is immutable and evaluated with ints and
+`fractions.Fraction`, so no floating point can leak into guards,
+recurrence values or candidate coefficients.  Expressions may contain
+`Call` nodes (references to a recurrence being solved); constraints may
+not.  Evaluation compiles a tree once into a closure over an argument
+tuple (`compile_expr`, `compile_constraint`), for code that evaluates one
+expression at many points; `eval_expr` and `eval_constraint` compile and
+apply in one call.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -188,7 +193,9 @@ def var(name: str) -> Var:
 # Constraints
 # ---------------------------------------------------------------------------
 
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# The test of every comparison operator.
+CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+       "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,7 @@ class Cmp(Constraint):
     rhs: Expr
 
     def __post_init__(self):
-        if self.op not in _CMP_OPS:
+        if self.op not in CMP:
             raise ValueError(f"unknown comparison operator {self.op!r}")
         for side in (self.lhs, self.rhs):
             if contains_calls(side):
@@ -304,7 +311,7 @@ def _ceil(v):
 
 
 # The exact arithmetic of every operator node (binary or unary), applied to
-# its evaluated children in `children` order.  Shared by `eval_expr` and
+# its evaluated children in `children` order.  Shared by `compile_expr` and
 # the recurrence evaluator, so each operator is defined once.
 OPS = {
     Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: exact_div,
@@ -313,45 +320,74 @@ OPS = {
 }
 
 
+def _raiser(error: type, name: str):
+    def fail(a):
+        raise error(name)
+    return fail
+
+
+def compile_expr(e: Expr, arg_names: Sequence[str]) -> Callable[[tuple], Rational]:
+    """`e` as a closure over an argument tuple whose values are bound to
+    `arg_names` in order.  Values are int or Fraction (both exact
+    rationals), never floats; operands are evaluated left to right.  An
+    unbound variable, a Call or an arithmetic error raises only when the
+    node holding it is evaluated, so an untaken Ite branch raises nothing."""
+    index = {n: i for i, n in enumerate(arg_names)}
+
+    def comp(e: Expr):
+        t = type(e)
+        if t is Const:
+            v = e.value.numerator if e.value.denominator == 1 else e.value
+            return lambda a: v
+        if t is Var:
+            if e.name not in index:
+                return _raiser(UnboundVariable, e.name)
+            return operator.itemgetter(index[e.name])
+        if t is Call:
+            return _raiser(UnexpandedCall, e.fname)
+        if t is Ite:
+            test = compile_constraint(e.cond, arg_names)
+            then, other = comp(e.then), comp(e.other)
+            return lambda a: then(a) if test(a) else other(a)
+        kids = children(e)
+        op, f = OPS[t], comp(kids[0])
+        if len(kids) == 1:
+            return lambda a: op(f(a))
+        g = comp(kids[1])
+        return lambda a: op(f(a), g(a))
+
+    return comp(e)
+
+
+def compile_constraint(c: Constraint, arg_names: Sequence[str]) -> Callable[[tuple], bool]:
+    """`c` as a closure over an argument tuple, as `compile_expr`; And and
+    Or short-circuit left to right."""
+    t = type(c)
+    if t is Cmp:
+        f, g = compile_expr(c.lhs, arg_names), compile_expr(c.rhs, arg_names)
+        op = CMP[c.op]
+        return lambda a: op(f(a), g(a))
+    if t is And or t is Or:
+        f, g = compile_constraint(c.lhs, arg_names), compile_constraint(c.rhs, arg_names)
+        if t is And:
+            return lambda a: f(a) and g(a)
+        return lambda a: f(a) or g(a)
+    if t is Not:
+        f = compile_constraint(c.arg, arg_names)
+        return lambda a: not f(a)
+    if t is BoolLit:
+        v = c.value
+        return lambda a: v
+    raise TypeError(f"unknown constraint node {c!r}")
+
+
 def eval_expr(e: Expr, env: Env):
-    """Exact evaluation; `e` must be call-free and `env` total.  Values are
-    int or Fraction (both exact rationals), never floats."""
-    t = type(e)
-    if t is Const:
-        v = e.value
-        return v.numerator if v.denominator == 1 else v
-    if t is Var:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
-    if t is Ite:
-        return eval_expr(e.then if eval_constraint(e.cond, env) else e.other, env)
-    if t is Call:
-        raise UnexpandedCall(e.fname)
-    kids = children(e)
-    if len(kids) == 2:
-        return OPS[t](eval_expr(kids[0], env), eval_expr(kids[1], env))
-    return OPS[t](eval_expr(kids[0], env))
+    """Exact evaluation of call-free `e` with the variables bound by `env`."""
+    return compile_expr(e, tuple(env))(tuple(env.values()))
 
 
 def eval_constraint(c: Constraint, env: Env) -> bool:
-    if isinstance(c, BoolLit):
-        return c.value
-    if isinstance(c, Cmp):
-        a, b = eval_expr(c.lhs, env), eval_expr(c.rhs, env)
-        return {
-            "=": a == b, "!=": a != b,
-            "<": a < b, "<=": a <= b,
-            ">": a > b, ">=": a >= b,
-        }[c.op]
-    if isinstance(c, And):
-        return eval_constraint(c.lhs, env) and eval_constraint(c.rhs, env)
-    if isinstance(c, Or):
-        return eval_constraint(c.lhs, env) or eval_constraint(c.rhs, env)
-    if isinstance(c, Not):
-        return not eval_constraint(c.arg, env)
-    raise TypeError(f"unknown constraint node {c!r}")
+    return compile_constraint(c, tuple(env))(tuple(env.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +574,14 @@ def _merge_terms(t1: dict, t2: dict, sign: int) -> dict:
 
 
 def _rebuild_linear(const: Fraction, terms: dict) -> Expr:
+    """The sum with positive terms first, then negative ones, each group
+    ordered by text, and the constant last.  A positive constant leads
+    when no term is positive, so only an all-negative sum starts `0 - `."""
     parts = sorted(((a, v) for a, v in terms.items() if v != 0),
-                   key=lambda kv: to_text(kv[0]))
+                   key=lambda kv: (kv[1] < 0, to_text(kv[0])))
     expr: Expr | None = None
+    if const > 0 and (not parts or parts[0][1] < 0):
+        expr, const = Const(const), Fraction(0)
     for atom, coef in parts:
         if coef == 1:
             piece, negative = atom, False
@@ -636,7 +677,7 @@ def simplify_constraint(c: Constraint) -> Constraint:
     if isinstance(c, Cmp):
         lhs, rhs = simplify(c.lhs), simplify(c.rhs)
         if _is_const(lhs) and _is_const(rhs):
-            return BoolLit(eval_constraint(Cmp(c.op, lhs, rhs), {}))
+            return BoolLit(CMP[c.op](lhs.value, rhs.value))
         return Cmp(c.op, lhs, rhs)
     if isinstance(c, And):
         lhs, rhs = simplify_constraint(c.lhs), simplify_constraint(c.rhs)
@@ -693,6 +734,13 @@ class ClosedForm:
         for p in self.pieces:
             if contains_calls(p.expr):
                 raise ValueError("closed form pieces must be call-free")
+
+    @cached_property
+    def compiled_pieces(self) -> tuple:
+        """Each piece as (guard, expr) closures over an argument tuple, built
+        on first use."""
+        return tuple((compile_constraint(p.guard, self.arg_names),
+                      compile_expr(p.expr, self.arg_names)) for p in self.pieces)
 
     def single_region_body(self) -> Expr:
         """Fold the pieces into one conditional term.  The last piece acts

@@ -3,11 +3,12 @@
 Evaluation follows the first-matching-guard order of the cases (a nested
 if-then-else).  On the first `eval_fun` call on a definition, each case's
 guard and body are compiled into Python closures over the argument tuple,
-and the definition keeps them.  The evaluator is iterative with
-memoization on concrete argument tuples, so deeply recursive or
-non-terminating definitions hit the configured limits instead of
-exhausting the Python stack: a body that reaches a call missing from the
-memo is restarted once that call is evaluated.  A step is one guard tried
+and the definition keeps them: guards and Ite conditions by
+`expr.compile_constraint`, bodies here, since their calls read the memo.
+The evaluator is iterative with memoization on concrete argument tuples,
+so deeply recursive or non-terminating definitions hit the configured
+limits instead of exhausting the Python stack: a body that reaches a
+call missing from the memo is restarted once that call is evaluated.  A step is one guard tried
 or one body node visited, restarted visits included, so the limits stop
 exactly where a node-by-node walk of the bodies would.  A caller that
 evaluates many points of one recurrence may pass one memo to every
@@ -15,7 +16,6 @@ evaluates many points of one recurrence may pass one memo to every
 """
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +23,9 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
-    OPS, And, BoolLit, Call, ClosedForm, Cmp, Const, Constraint, Expr, Ite,
-    Not, Or, Var, children, conj, constraint_free_vars, constraint_to_text,
-    contains_calls, disj, eval_constraint, eval_expr, free_vars,
-    map_children, nodes, to_text,
+    OPS, Call, ClosedForm, Const, Constraint, Expr, Ite, Not, Var, children,
+    compile_constraint, conj, constraint_free_vars, constraint_to_text,
+    contains_calls, disj, free_vars, map_children, nodes, to_text,
 )
 
 
@@ -240,7 +239,7 @@ def _run(cases: tuple, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutc
             continue
         for guard, body, size in cases:
             steps += 1
-            if guard(top, memo, acc):
+            if guard(top):
                 break
         else:
             return GuardFallthrough(top)
@@ -253,10 +252,6 @@ def _run(cases: tuple, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutc
             steps += size
             pending.pop()
     return Value(memo[point])
-
-
-_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _tuple_of(fs: list):
@@ -272,16 +267,16 @@ def _tuple_of(fs: list):
 
 
 def _compile_cases(rdef: RecurrenceDef) -> tuple:
-    """Each case as (guard, body, size).  `guard(a, memo, acc)` and
-    `body(a, memo, acc)` evaluate at the argument tuple `a` with the
-    arithmetic of `expr.OPS`, operands left to right; `size` is the
-    number of body nodes a finished evaluation visits, each Ite counting
-    as one.  The steps of the Ite branch taken are added to `acc[0]` when
-    the branch finishes, and a call missing from `memo` raises
-    `_NeedCall`."""
+    """Each case as (guard, body, size).  `guard(a)` is the guard from
+    `expr.compile_constraint`; `body(a, memo, acc)` evaluates at the
+    argument tuple `a` with the arithmetic of `expr.OPS`, operands left
+    to right.  `size` is the number of body nodes a finished evaluation
+    visits, each Ite counting as one.  The steps of the Ite branch taken
+    are added to `acc[0]` when the branch finishes, and a call missing
+    from `memo` raises `_NeedCall`."""
     index = {n: i for i, n in enumerate(rdef.arg_names)}
 
-    def expr(e: Expr, pos: int, counted: bool) -> tuple:
+    def expr(e: Expr, pos: int) -> tuple:
         # (closure, size); `pos` is the number of body nodes visited
         # before `e`, finished Ite branches excepted
         t = type(e)
@@ -300,7 +295,7 @@ def _compile_cases(rdef: RecurrenceDef) -> tuple:
                 return foreign, 1
             fs, size = [], 1
             for arg in e.args:
-                f, n = expr(arg, pos + size, counted)
+                f, n = expr(arg, pos + size)
                 fs.append(f)
                 size += n
             visited = pos + size
@@ -314,14 +309,12 @@ def _compile_cases(rdef: RecurrenceDef) -> tuple:
                     raise _NeedCall(key, visited) from None
             return call, size
         if t is Ite:
-            test = constraint(e.cond)
-            then, n_then = expr(e.then, pos + 1, counted)
-            other, n_other = expr(e.other, pos + 1, counted)
-            if not counted:
-                n_then = n_other = 0
+            test = compile_constraint(e.cond, rdef.arg_names)
+            then, n_then = expr(e.then, pos + 1)
+            other, n_other = expr(e.other, pos + 1)
 
             def ite(a, m, acc):
-                if test(a, m, acc):
+                if test(a):
                     v = then(a, m, acc)
                     acc[0] += n_then
                 else:
@@ -331,34 +324,13 @@ def _compile_cases(rdef: RecurrenceDef) -> tuple:
             return ite, 1
         op = OPS[t]
         kids = children(e)
-        f, nf = expr(kids[0], pos + 1, counted)
+        f, nf = expr(kids[0], pos + 1)
         if len(kids) == 1:
             return (lambda a, m, acc: op(f(a, m, acc))), 1 + nf
-        g, ng = expr(kids[1], pos + 1 + nf, counted)
+        g, ng = expr(kids[1], pos + 1 + nf)
         return (lambda a, m, acc: op(f(a, m, acc), g(a, m, acc))), 1 + nf + ng
 
-    def constraint(c: Constraint):
-        # guards and Ite conditions are call-free and count no steps
-        t = type(c)
-        if t is Cmp:
-            f, _ = expr(c.lhs, 0, False)
-            g, _ = expr(c.rhs, 0, False)
-            op = _CMP[c.op]
-            return lambda a, m, acc: op(f(a, m, acc), g(a, m, acc))
-        if t is And or t is Or:
-            f, g = constraint(c.lhs), constraint(c.rhs)
-            if t is And:
-                return lambda a, m, acc: f(a, m, acc) and g(a, m, acc)
-            return lambda a, m, acc: f(a, m, acc) or g(a, m, acc)
-        if t is Not:
-            f = constraint(c.arg)
-            return lambda a, m, acc: not f(a, m, acc)
-        if t is BoolLit:
-            v = c.value
-            return lambda a, m, acc: v
-        raise TypeError(f"unknown constraint node {c!r}")
-
-    return tuple((constraint(case.guard), *expr(case.body, 0, True))
+    return tuple((compile_constraint(case.guard, rdef.arg_names), *expr(case.body, 0))
                  for case in rdef.cases)
 
 
@@ -385,10 +357,9 @@ def eval_closed_form(cf: ClosedForm, point: Sequence):
     key = tuple(_canon(x) for x in point)
     if len(key) != len(cf.arg_names):
         raise ArityMismatch(f"closed form expects {len(cf.arg_names)} arguments, got {len(key)}")
-    env = dict(zip(cf.arg_names, key))
-    for piece in cf.pieces:
-        if eval_constraint(piece.guard, env):
-            return eval_expr(piece.expr, env)
+    for guard, expr in cf.compiled_pieces:
+        if guard(key):
+            return expr(key)
     raise GuardFallthroughError(key)
 
 

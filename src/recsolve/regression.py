@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    Add, ClosedForm, Const, Expr, Mul, Not, Piece, conj, eval_expr, simplify,
+    Add, ClosedForm, Const, Expr, Mul, Not, Piece, compile_expr, conj,
+    simplify,
 )
 from .recurrence import EvalLimits, RecurrenceDef
 from .sampling import (
@@ -413,7 +414,5 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
 
 def _rescore_exact(candidate: Expr, arg_names: Sequence[str],
                    inputs: Sequence, values: Sequence) -> bool:
-    for point, expected in zip(inputs, values):
-        if eval_expr(candidate, dict(zip(arg_names, point))) != expected:
-            return False
-    return True
+    value = compile_expr(candidate, arg_names)
+    return all(value(point) == expected for point, expected in zip(inputs, values))

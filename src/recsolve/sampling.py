@@ -1,12 +1,14 @@
 """Random input generation and training-set construction.
 
 Inputs are integer tuples drawn uniformly (without replacement) from a
-per-variable box, rejecting points that violate the precondition.  The
-training set pairs each surviving input's recurrence value with the
-evaluated base-function dictionary; values stay exact rationals until the
-regression boundary.  All inputs of one training set are evaluated
-against one shared memo, so neighbouring points reuse each other's
-subcalls; the evaluation limits still apply to each point on its own.
+per-variable box, rejecting points that violate the precondition, which
+is compiled once per call.  The training set pairs each surviving input's
+recurrence value with the evaluated base-function dictionary, each base
+function compiled once and applied to every kept input; values stay
+exact rationals until the regression boundary.  All inputs of one
+training set are evaluated against one shared memo, so neighbouring
+points reuse each other's subcalls; the evaluation limits still apply to
+each point on its own.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from typing import Sequence
 
 from .expr import (
     Ceil, Const, Constraint, Div, Expr, ExprError, Floor, Log2Ceil, Max, Mul,
-    Pow, Var, contains_calls, eval_constraint, eval_expr, simplify, to_text,
+    Pow, Var, compile_constraint, compile_expr, contains_calls, simplify,
+    to_text,
 )
 from .recurrence import EvalLimits, RecurrenceDef, Value, eval_fun
 
@@ -155,10 +158,6 @@ _ENUMERATION_LIMIT = 200_000  # boxes up to this size are enumerated
 _MAX_ATTEMPTS = 200_000       # draws of rejection sampling in a larger box
 
 
-def _satisfies(pre: Constraint, arg_names: Sequence[str], point: tuple) -> bool:
-    return eval_constraint(pre, dict(zip(arg_names, point)))
-
-
 def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
                   count: int | None = None, arg_names: Sequence[str] | None = None,
                   strict: bool = True) -> list:
@@ -169,12 +168,13 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
         count = cfg.n_train
     if arg_names is None:
         arg_names = [f"x{i+1}" for i in range(arity)]
+    satisfies = compile_constraint(pre, arg_names)
     lo, hi = cfg.bounds
     rng = random.Random(cfg.seed)
     box = (hi - lo + 1) ** arity
     if box <= _ENUMERATION_LIMIT:
-        points = [p for p in itertools.product(range(lo, hi + 1), repeat=arity)
-                  if _satisfies(pre, arg_names, p)]
+        points = list(filter(satisfies,
+                             itertools.product(range(lo, hi + 1), repeat=arity)))
         rng.shuffle(points)
         if len(points) < count and strict:
             raise SamplingExhausted(count, len(points))
@@ -186,7 +186,7 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
         if p in seen:
             continue
         seen.add(p)
-        if _satisfies(pre, arg_names, p):
+        if satisfies(p):
             found.append(p)
             if len(found) == count:
                 return found
@@ -265,14 +265,13 @@ def build_training_set(rdef: RecurrenceDef, base_set: BaseFunctionSet,
     if not kept:
         raise LikelyNonterminating(0, dropped, len(inputs))
 
-    envs = [dict(zip(rdef.arg_names, p)) for p in kept]
     columns: list = []
     column_exprs: list = []
     feature_cols: list = []
     dropped_columns: list = []
     for f in base_set:
         try:
-            col = [eval_expr(f.expr, env) for env in envs]
+            col = list(map(compile_expr(f.expr, rdef.arg_names), kept))
         except ExprError:
             dropped_columns.append(f.name)
             continue

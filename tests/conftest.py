@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from recsolve.checker import SolverConfig, resolve_solver
-from recsolve.expr import constraint_free_vars, eval_constraint
+from recsolve.expr import compile_constraint, constraint_free_vars
 from recsolve.parser import parse_recurrence
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "recsolve", "bench")
@@ -31,20 +31,16 @@ def solver() -> SolverConfig:
 def grid_points(constraint, arg_names, lo=0, hi=12):
     """All integer tuples in the box satisfying the constraint: the
     brute-force domain used by sweep oracles."""
-    out = []
-    for p in itertools.product(range(lo, hi + 1), repeat=len(arg_names)):
-        env = {n: Fraction(v) for n, v in zip(arg_names, p)}
-        if eval_constraint(constraint, env):
-            out.append(p)
-    return out
+    satisfies = compile_constraint(constraint, arg_names)
+    return [p for p in itertools.product(range(lo, hi + 1), repeat=len(arg_names))
+            if satisfies(tuple(map(Fraction, p)))]
 
 
 def brute_entails(hyp, concl, lo=-4, hi=16):
     """Entailment by enumeration over a small integer box; an independent
     stand-in for the SMT-backed domain checker in unit tests."""
     names = sorted(constraint_free_vars(hyp) | constraint_free_vars(concl))
-    for p in itertools.product(range(lo, hi + 1), repeat=len(names)):
-        env = {n: Fraction(v) for n, v in zip(names, p)}
-        if eval_constraint(hyp, env) and not eval_constraint(concl, env):
-            return False
-    return True
+    hyp, concl = compile_constraint(hyp, names), compile_constraint(concl, names)
+    return not any(hyp(p) and not concl(p)
+                   for p in itertools.product(map(Fraction, range(lo, hi + 1)),
+                                              repeat=len(names)))

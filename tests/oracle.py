@@ -1,10 +1,12 @@
-"""Test oracle: a naive recursive evaluator for recurrences.
+"""Test oracle: naive recursive evaluators for expressions, constraints
+and recurrences.
 
-It shares nothing with `recsolve.recurrence`'s memoized evaluator beyond
-the expression types: recursion is direct, nothing is memoized, and the
-operator arithmetic is written out here rather than taken from
-`recsolve.expr.OPS`, so a fault in either evaluator shows as a
-disagreement.
+They share nothing with `recsolve.expr`'s compiler or
+`recsolve.recurrence`'s memoized evaluator beyond the expression types
+and error classes: each tree is walked node by node, recursion is direct,
+nothing is memoized, and the operator arithmetic is written out here
+rather than taken from `recsolve.expr.OPS`, so a fault in either side
+shows as a disagreement.
 """
 import math
 import sys
@@ -13,8 +15,9 @@ import time
 from fractions import Fraction
 
 from recsolve.expr import (
-    Add, Call, Ceil, Const, Div, Floor, Ite, Max, Min, Mul, Pow, Sub, Var,
-    children, eval_constraint, eval_expr,
+    Add, And, BoolLit, Call, Ceil, Cmp, Const, Div, DivisionByZero, ExprError,
+    Floor, Ite, Max, Min, Mul, Not, Or, Pow, Sub, UnboundVariable,
+    UnexpandedCall, Var, children,
 )
 from recsolve.recurrence import (
     EvalLimits, GuardFallthrough, LimitExceeded, UnknownFunction, Value,
@@ -47,6 +50,48 @@ def _apply(e, a, b=None):
     return 0 if a <= 1 else (math.ceil(a) - 1).bit_length()
 
 
+def _apply_exact(e, *operands):
+    """`_apply`, with its arithmetic errors raised as recsolve's."""
+    try:
+        return _apply(e, *operands)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"{operands}") from None
+    except ValueError as err:
+        raise ExprError(str(err)) from None
+
+
+def eval_expr_naive(e, env):
+    """Value of call-free `e` under the mapping `env`, node by node."""
+    if isinstance(e, Const):
+        v = e.value
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise UnboundVariable(e.name)
+        return env[e.name]
+    if isinstance(e, Call):
+        raise UnexpandedCall(e.fname)
+    if isinstance(e, Ite):
+        return eval_expr_naive(e.then if eval_constraint_naive(e.cond, env) else e.other, env)
+    return _apply_exact(e, *(eval_expr_naive(k, env) for k in children(e)))
+
+
+def eval_constraint_naive(c, env):
+    if isinstance(c, BoolLit):
+        return c.value
+    if isinstance(c, Cmp):
+        a, b = eval_expr_naive(c.lhs, env), eval_expr_naive(c.rhs, env)
+        return {"=": a == b, "!=": a != b, "<": a < b, "<=": a <= b,
+                ">": a > b, ">=": a >= b}[c.op]
+    if isinstance(c, And):
+        return eval_constraint_naive(c.lhs, env) and eval_constraint_naive(c.rhs, env)
+    if isinstance(c, Or):
+        return eval_constraint_naive(c.lhs, env) or eval_constraint_naive(c.rhs, env)
+    if isinstance(c, Not):
+        return not eval_constraint_naive(c.arg, env)
+    raise TypeError(f"unknown constraint node {c!r}")
+
+
 class _Limit(Exception):
     def __init__(self, which):
         self.which = which
@@ -73,10 +118,10 @@ def eval_fun_naive(rdef, point, limits=EvalLimits()):
             args = tuple(ev_body(a, env, depth) for a in e.args)
             return ev_call(args, depth + 1)
         if isinstance(e, Ite):
-            branch = e.then if eval_constraint(e.cond, env) else e.other
+            branch = e.then if eval_constraint_naive(e.cond, env) else e.other
             return ev_body(branch, env, depth)
         if isinstance(e, (Const, Var)):
-            return eval_expr(e, env)
+            return eval_expr_naive(e, env)
         kids = children(e)
         if len(kids) == 2:
             return _apply(e, ev_body(kids[0], env, depth), ev_body(kids[1], env, depth))
@@ -89,7 +134,7 @@ def eval_fun_naive(rdef, point, limits=EvalLimits()):
             raise _Limit("timeout")
         env = dict(zip(rdef.arg_names, args))
         for case in rdef.cases:
-            if eval_constraint(case.guard, env):
+            if eval_constraint_naive(case.guard, env):
                 return ev_body(case.body, env, depth)
         raise _Fallthrough(args)
 

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recsolve.expr import (
-    Add, And, Call, Ceil, Cmp, Const, Div, DivisionByZero, Expr, Floor, Ite,
-    Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, UnboundVariable,
-    UnexpandedCall, Var, ClosedForm, ceil_log2, children, con,
-    constraint_exprs, contains_calls, eval_constraint, eval_expr, free_vars,
-    is_syntactically_integer, map_children, map_constraint, nodes,
-    replace_calls, simplify, single_piece, substitute, to_text, TRUE,
+    CMP, Add, And, Call, Ceil, Cmp, Const, Div, DivisionByZero, Expr, ExprError,
+    Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub,
+    UnboundVariable, UnexpandedCall, Var, ClosedForm, ceil_log2, children,
+    compile_constraint, compile_expr, con, constraint_exprs, contains_calls,
+    eval_constraint, eval_expr, free_vars, is_syntactically_integer,
+    map_children, map_constraint, nodes, replace_calls, simplify,
+    single_piece, substitute, to_text, FALSE, TRUE,
 )
 from recsolve.parser import parse_constraint, parse_expression
 
 from conftest import brute_entails
+from oracle import eval_constraint_naive, eval_expr_naive
 
 X, Y = Var("x"), Var("y")
 
@@ -211,6 +213,12 @@ class TestSimplify:
         ("ceil(7/2)", "4"),
         ("log2ceil(5)", "3"),
         ("floor(floor(x/y))", "floor(x/y)"),
+        # a positive term, else a positive constant, leads the sum
+        ("1 - x", "1 - x"),
+        ("0 - max(x, y) + x + y", "x + y - max(x, y)"),
+        ("5 - 3*x + y - 2*y^2", "y - 3*x - 2*y^2 + 5"),
+        ("0 - x - 1", "0 - x - 1"),
+        ("0 - 4*x - 4*y", "0 - 4*x - 4*y"),
     ])
     def test_rules(self, text, expected):
         assert to_text(simplify(parse_expression(text))) == expected
@@ -350,3 +358,93 @@ class TestClosedForm:
     def test_exactness_of_coefficients(self):
         cf = single_piece(parse_expression("x + y^2/2 + 3*y/2"), ("x", "y"), TRUE)
         assert eval_expr(cf.instantiate((con(2), con(4))), {}) == 16
+
+
+# random expressions and constraints for the compiler, with runtime zero
+# divisors, negative and fractional exponents, an unbound variable `z` and,
+# outside constraints, a call
+Z = Var("z")
+_small = st.one_of(st.integers(-3, 3).map(con),
+                   st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(
+                       lambda t: con(Fraction(*t))))
+_plain_leaf = st.one_of(_small, st.sampled_from([X, Y]), st.just(Z))
+
+
+def _div(a, b):
+    # Div rejects a literal zero divisor, so spell it x - x
+    return Div(a, Sub(X, X) if b == con(0) else b)
+
+
+def _compound(kids):
+    binary = [Add, Sub, Mul, Max, Min]
+    return st.one_of(
+        st.tuples(st.sampled_from(binary), kids, kids).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(kids, kids).map(lambda t: _div(*t)),
+        st.tuples(kids, st.sampled_from([-2, -1, 0, 1, 3, Fraction(1, 2)])).map(
+            lambda t: Pow(t[0], con(t[1]))),
+        st.tuples(st.sampled_from([-2, 0, 2, Fraction(1, 2)]), st.sampled_from([X, Y, Z])).map(
+            lambda t: Pow(con(t[0]), t[1])),
+        st.tuples(st.sampled_from([Floor, Ceil, Log2Ceil]), kids).map(lambda t: t[0](t[1])),
+        st.tuples(st.deferred(lambda: conditions), kids, kids).map(lambda t: Ite(*t)),
+    )
+
+
+plain_exprs = st.recursive(_plain_leaf, _compound, max_leaves=10)
+conditions = st.recursive(
+    st.one_of(st.sampled_from([TRUE, FALSE]),
+              st.builds(Cmp, st.sampled_from(sorted(CMP)), plain_exprs, plain_exprs)),
+    lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids),
+                           st.builds(Not, kids)),
+    max_leaves=3)
+exprs_with_calls = st.recursive(
+    st.one_of(_plain_leaf, st.just(Call("f", (X,)))), _compound, max_leaves=10)
+points = st.tuples(*[st.one_of(st.integers(-4, 4),
+                               st.fractions(-4, 4, max_denominator=3))] * 2)
+
+
+def outcome(thunk):
+    """The value, or the exact error class, of a thunk."""
+    try:
+        return "value", thunk()
+    except ExprError as err:
+        return "error", type(err)
+
+
+class TestCompiler:
+    """`compile_expr`/`compile_constraint` against the oracle's walker,
+    which has its own arithmetic."""
+
+    @given(exprs_with_calls, points)
+    @settings(max_examples=300, deadline=None)
+    def test_expression_matches_walker(self, e, point):
+        f = compile_expr(e, ("x", "y"))  # compiling never raises
+        env = dict(zip(("x", "y"), point))
+        expected = outcome(lambda: eval_expr_naive(e, env))
+        assert outcome(lambda: f(point)) == expected
+        assert outcome(lambda: eval_expr(e, env)) == expected
+
+    @given(conditions, points)
+    @settings(max_examples=200, deadline=None)
+    def test_constraint_matches_walker(self, c, point):
+        f = compile_constraint(c, ("x", "y"))
+        env = dict(zip(("x", "y"), point))
+        expected = outcome(lambda: eval_constraint_naive(c, env))
+        assert outcome(lambda: f(point)) == expected
+        assert outcome(lambda: eval_constraint(c, env)) == expected
+
+    def test_untaken_branches_raise_nothing(self):
+        positive = Cmp(">", X, con(0))
+        for e, at, value in [(Ite(positive, X, Z), 2, 2),
+                             (Ite(positive, Call("f", (X,)), con(7)), 0, 7),
+                             (Ite(positive, Div(con(1), X), con(0)), 0, 0)]:
+            assert compile_expr(e, ("x",))((at,)) == value
+        short = [(Or(TRUE, Cmp("=", Z, con(0))), True),
+                 (And(FALSE, Cmp("=", Div(X, Sub(X, X)), con(0))), False)]
+        for c, value in short:
+            assert compile_constraint(c, ("x",))((1,)) is value
+
+    def test_taken_branches_raise(self):
+        with pytest.raises(UnboundVariable):
+            compile_expr(Ite(Cmp(">", X, con(0)), Z, X), ("x",))((1,))
+        with pytest.raises(UnexpandedCall):
+            compile_expr(Ite(Cmp(">", X, con(0)), X, Call("f", (X,))), ("x",))((0,))

@@ -3,12 +3,16 @@ by the `layerbench` marker:
 
     pytest -m layerbench tests/test_layer_bench.py
 
-They time the evaluation layer alone: `build_training_set` on the points
-the guess stage samples, cold `eval_fun` calls (each with a fresh memo),
-and a grid sweep through one shared memo."""
+They time one layer each: sampling merge-sz's recursive region, its
+dictionary columns alone on the 130 sampled points, `build_training_set`
+on those points, the CV-Lasso path on its training rows, cold `eval_fun`
+calls (each with a fresh memo), and a grid sweep through one shared
+memo."""
 import pytest
 
+from recsolve.expr import compile_expr
 from recsolve.recurrence import EvalLimits, Value, eval_fun
+from recsolve.regression import RegressionConfig, cv_lasso_regression
 from recsolve.sampling import (
     SampleConfig, build_training_set, default_base_set, sample_train_test,
 )
@@ -18,12 +22,46 @@ from conftest import grid_points, load_bench
 pytestmark = pytest.mark.layerbench
 
 
+def guess_points(rdef) -> list:
+    train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
+                                    SampleConfig(), arg_names=rdef.arg_names)
+    return list(train) + list(test)
+
+
+def test_sample_train_test_merge_sz(benchmark):
+    rdef = load_bench("merge-sz")
+    train, test = benchmark(sample_train_test, rdef.recursive_region(), rdef.arity,
+                            SampleConfig(), arg_names=rdef.arg_names)
+    assert (len(train), len(test)) == (100, 30)
+
+
+def test_feature_columns_merge_sz(benchmark):
+    # the column loop of build_training_set, without the recurrence
+    rdef = load_bench("merge-sz")
+    points = guess_points(rdef)
+    base = default_base_set(rdef.arity, rdef.arg_names)
+
+    def columns():
+        return [list(map(compile_expr(f.expr, rdef.arg_names), points)) for f in base]
+
+    assert [len(c) for c in benchmark(columns)] == [130] * len(base)
+
+
+def test_cv_lasso_regression_merge_sz(benchmark):
+    rdef = load_bench("merge-sz")
+    ts = build_training_set(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                            guess_points(rdef))
+    x, y = ts.to_arrays()
+    cfg = RegressionConfig()
+    beta, _, _ = benchmark(cv_lasso_regression, x[:100], y[:100], cfg.lambdas,
+                           cfg.folds, cfg.cv_seed)
+    assert len(beta) == len(ts.columns)
+
+
 @pytest.mark.parametrize("name", ["merge-sz", "sum-osc"])
 def test_build_training_set(benchmark, name):
     rdef = load_bench(name)
-    train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
-                                    SampleConfig(), arg_names=rdef.arg_names)
-    inputs = list(train) + list(test)
+    inputs = guess_points(rdef)
     base = default_base_set(rdef.arity, rdef.arg_names)
     ts = benchmark(build_training_set, rdef, base, inputs)
     assert len(ts) == len(inputs)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from recsolve.checker import SolverConfig, resolve_solver
+from recsolve.expr import to_text
 from recsolve.parser import parse_recurrence
 from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solve
 from recsolve.recurrence import Value, eval_fun
@@ -72,6 +73,7 @@ class TestSolve:
             "f(x, y) = 0 if x = 0 or y = 0;\n")
         report = solve(rdef, config(solver))
         assert report.verdict == "verified"
+        assert to_text(report.closed_form.pieces[0].expr) == "x + y - max(x, y)"
         for x, y in grid_points(rdef.precondition, rdef.arg_names, 0, 12):
             assert eval_closed_form(report.closed_form, (x, y)) == min(x, y)
 

@@ -1,8 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from recsolve.expr import eval_expr
+from recsolve.expr import ExprError, eval_expr
 from recsolve.parser import parse_constraint
 from recsolve.cli import BENCHMARKS
 from recsolve.parser import parse_recurrence
@@ -15,7 +17,7 @@ from recsolve.sampling import (
 )
 
 from conftest import load_bench
-from oracle import eval_fun_naive
+from oracle import eval_constraint_naive, eval_expr_naive, eval_fun_naive
 
 
 class TestDefaultBaseSet:
@@ -242,6 +244,62 @@ class TestSharedMemo:
         assert ts.inputs == [(40,), (80,)] and ts.values == [40, 80]
         ts = build_training_set(rdef, base, [(80,), (40,)], limits)
         assert ts.inputs == [(40,)] and ts.dropped_inputs == 1
+
+
+class TestPinnedAgainstOracle:
+    """The sampler and the dictionary columns against brute force with the
+    oracle's walker, on the points the guess stage samples."""
+
+    @staticmethod
+    def brute_force(region, names, cfg):
+        # the sampler's algorithm, with the region tested node by node
+        lo, hi = cfg.bounds
+        inside = lambda p: eval_constraint_naive(region, dict(zip(names, p)))
+        rng = random.Random(cfg.seed)
+        total = cfg.n_train + cfg.n_test
+        if (hi - lo + 1) ** len(names) <= sampling._ENUMERATION_LIMIT:
+            points = [p for p in itertools.product(range(lo, hi + 1), repeat=len(names))
+                      if inside(p)]
+            rng.shuffle(points)
+            return points[:total]
+        found, seen = [], set()
+        for _ in range(sampling._MAX_ATTEMPTS):
+            p = tuple(rng.randint(lo, hi) for _ in names)
+            if p not in seen:
+                seen.add(p)
+                if inside(p):
+                    found.append(p)
+                    if len(found) == total:
+                        break
+        return found
+
+    @pytest.mark.parametrize("name", list(BENCHMARKS) + ["fib", "size"])
+    def test_points_equal_brute_force(self, name):
+        rdef = load_bench(name)
+        region, names = rdef.recursive_region(), rdef.arg_names
+        enumerated = SampleConfig()
+        rejected = SampleConfig(seed=4, bounds=(0, 250_000 if rdef.arity == 1 else 500))
+        for cfg in (enumerated, rejected):
+            train, test = sample_train_test(region, rdef.arity, cfg, arg_names=names)
+            assert list(train) + list(test) == self.brute_force(region, names, cfg), cfg
+
+    @pytest.mark.parametrize("name", list(BENCHMARKS) + ["fib", "size"])
+    def test_rows_equal_oracle_evaluation(self, name):
+        rdef = load_bench(name)
+        train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
+                                        SampleConfig(), arg_names=rdef.arg_names)
+        base = default_base_set(rdef.arity, rdef.arg_names)
+        ts = build_training_set(rdef, base, list(train) + list(test))
+        envs = [dict(zip(rdef.arg_names, p)) for p in ts.inputs]
+        columns, dropped = [], []
+        for f in base:
+            try:
+                columns.append([eval_expr_naive(f.expr, env) for env in envs])
+            except ExprError:
+                dropped.append(f.name)
+        assert ts.dropped_columns == dropped
+        assert ts.columns == [f.name for f in base if f.name not in dropped]
+        assert ts.features == [list(row) for row in zip(*columns)]
 
 
 class TestTrainingSetInvariants:
