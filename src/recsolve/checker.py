@@ -2,6 +2,7 @@
 in, emit SMT-LIB2, and ask a solver whether the negation is satisfiable:
 an external SMT-LIB2 solver over stdin/stdout, or the in-process prover
 of `prover.py` (`builtin`), which reads and answers the same text.
+`absorb_covered_pieces` first drops the base pieces the main one covers.
 
 `unsat` certifies the candidate as an exact solution (for every domain
 point where evaluation terminates); a model is turned into a concrete
@@ -10,9 +11,9 @@ call made there, and confirmed by direct evaluation before reporting
 Refuted.  Everything the solver sees is integer arithmetic: rational
 coefficients are cleared by multiplying each equation through by the
 least common denominator, carried through constant factors into max,
-min and ite; floors and ceilings of divisions become integer `div`
-(with the sign-correct ceiling encoding -((-a) div b), valid for
-divisors entailed positive), and max/min/piecewise terms become `ite`.
+min, ite and constant powers; floors and ceilings of divisions become
+integer `div` (with the sign-correct ceiling encoding -((-a) div b),
+valid for divisors entailed positive), and max/min/piecewise terms become `ite`.
 An equation the emitter cannot translate is reported as
 `unsupported-operator`.
 """
@@ -23,14 +24,14 @@ import re
 import shlex
 import shutil
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
-    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Pow, Sub, Var,
+    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, Var,
     compile_constraint, compile_expr, conj, constraint_exprs,
     constraint_free_vars, contains_calls, nodes, replace_calls, simplify,
     to_text,
@@ -178,6 +179,28 @@ def make_domain_checker(cfg: SolverConfig) -> Callable[[Constraint, Constraint],
     return lambda hyp, concl: entails(hyp, concl, cfg)
 
 
+def absorb_covered_pieces(cf: ClosedForm) -> ClosedForm:
+    """Drop the base pieces that the main piece (first, as `regression.guess`
+    lays it out) covers.  From last to first, piece i goes when the in-process
+    prover shows that the precondition and its guard entail main = body_i and
+    the negation of every later kept guard, so the result equals `cf` on the
+    precondition.  A query outside the solver fragment keeps its piece."""
+    main, *base = cf.pieces
+    prover = make_domain_checker(SolverConfig((BUILTIN,)))
+    kept: list = []
+    for piece in reversed(base):
+        hypothesis = conj([cf.precondition, piece.guard])
+        covered = conj([Cmp("=", main.expr, piece.expr)] + [Not(k.guard) for k in kept])
+        try:
+            _check_divisor_positivity(hypothesis, constraint_exprs(covered), prover)
+            absorbed = prover(hypothesis, covered)
+        except UnsupportedOperator:
+            absorbed = False
+        if not absorbed:
+            kept.insert(0, piece)
+    return replace(cf, pieces=(Piece(main.expr, conj([Not(k.guard) for k in kept])), *kept))
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
@@ -264,7 +287,7 @@ def _denominators(e: Expr) -> list:
     """Denominators of rational coefficients at positions the
     equation-level clearing can reach (mirrors `_scale`).  Coefficients
     that multiply compose their denominators multiplicatively, so the lcm
-    of the result always clears them."""
+    of the result clears them; base^k needs d^k if d clears the base."""
     if isinstance(e, Const):
         return [e.value.denominator]
     if isinstance(e, (Add, Sub, Max, Min)):
@@ -282,6 +305,9 @@ def _denominators(e: Expr) -> list:
         return [d] + [d * x for x in _denominators(e.lhs)]
     if isinstance(e, Ite):
         return _denominators(e.then) + _denominators(e.other)
+    if isinstance(e, Pow) and isinstance(e.exponent, Const) \
+            and e.exponent.value.denominator == 1 and e.exponent.value > 0:
+        return [lcm(1, *_denominators(e.base)) ** int(e.exponent.value)]
     return []
 
 
@@ -309,6 +335,11 @@ def _scale(e: Expr, s: int) -> Expr:
         return type(e)(_scale(e.lhs, s), _scale(e.rhs, s))
     if isinstance(e, Ite):
         return Ite(e.cond, _scale(e.then, s), _scale(e.other, s))
+    if isinstance(e, Pow) and _denominators(e):  # to a positive integer constant
+        d = lcm(1, *_denominators(e.base))
+        q, r = divmod(s, d ** int(e.exponent.value))
+        if r == 0:
+            return Mul(Const(Fraction(q)), Pow(_scale(e.base, d), e.exponent))
     return Mul(Const(Fraction(s)), e)
 
 

@@ -1,10 +1,11 @@
-"""End-to-end orchestration: guess, gate on the score, check, retry.
+"""End-to-end orchestration: guess, gate on the score, simplify, check, retry.
 
 A candidate goes to the verifier only when the regression is exact (R^2
 of 1 and an exact rational re-score on the held-out test set); otherwise
 the report carries the candidate as an approximation, clearly labelled
-possibly unsafe.  A refuted candidate earns one retry with a fresh seed
-and twice the sample budget.
+possibly unsafe.  An exact one first loses the base pieces its main piece
+covers (`checker.absorb_covered_pieces`).  A refuted candidate earns one
+retry with a fresh seed and twice the sample budget.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .checker import (
     CheckVerdict, Refuted, SolverConfig, SolverProcessFailure, Unknown,
-    Verified, check_solution, make_domain_checker,
+    Verified, absorb_covered_pieces, check_solution, make_domain_checker,
 )
 from .expr import ClosedForm, constraint_to_text, to_text
 from .recurrence import (
@@ -206,6 +207,9 @@ def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
             report.verdict_reason = "score-below-threshold"
             report.note = APPROXIMATION_NOTE
             return result, None
+        t0 = time.monotonic()
+        result = replace(result, closed_form=absorb_covered_pieces(result.closed_form))
+        timings[prefix + "simplify"] = (time.monotonic() - t0) * 1000
         if cfg.solver is None or solver_failure is not None:
             return _unchecked(result, report, solver_failure)
 

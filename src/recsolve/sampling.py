@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .expr import (
@@ -107,7 +108,7 @@ def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> Base
     There is no min(x, y): it equals x + y - max(x, y) everywhere, so it
     would add nothing to the span but a second spelling of x + y.
     Three or more: per-variable x, x^2, log2ceil(x), 2^x plus all pairwise
-    products.
+    products.  Built once per tuple of names (the set is frozen).
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
@@ -115,10 +116,15 @@ def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> Base
         arg_names = ["x", "y", "z"][:arity] if arity <= 3 else [f"x{i+1}" for i in range(arity)]
     if len(arg_names) != arity:
         raise ValueError("arg_names length must match arity")
+    return _base_set(tuple(arg_names))
+
+
+@lru_cache(maxsize=64)
+def _base_set(arg_names: tuple) -> BaseFunctionSet:
     vs = [Var(n) for n in arg_names]
-    if arity == 1:
+    if len(vs) == 1:
         return BaseFunctionSet(tuple(_unary_family(vs[0])))
-    if arity == 2:
+    if len(vs) == 2:
         x, y = vs
         fns = _unary_family(x) + _unary_family(y) + [
             _bf(Mul(x, y)),
@@ -133,9 +139,8 @@ def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> Base
     for v in vs:
         fns += [_bf(v), _bf(Pow(v, Const(Fraction(2)))), _bf(Log2Ceil(v)),
                 _bf(Pow(Const(Fraction(2)), v))]
-    for i in range(arity):
-        for j in range(i + 1, arity):
-            fns.append(_bf(Mul(vs[i], vs[j])))
+    for a, b in itertools.combinations(vs, 2):
+        fns.append(_bf(Mul(a, b)))
     return BaseFunctionSet(tuple(fns))
 
 

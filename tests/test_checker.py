@@ -6,17 +6,21 @@ import pytest
 from recsolve.checker import (
     BUILTIN, EncodedFormula, Implication, Refuted, ResidualCall, SolverConfig,
     Unknown,
-    UnsupportedOperator, Verified, check_solution, emit_smtlib, encode,
-    emit_implication, entails, parse_model, SolverProcessFailure, _cleared,
+    UnsupportedOperator, Verified, absorb_covered_pieces, check_solution,
+    emit_smtlib, encode, emit_implication, entails, parse_model,
+    SolverProcessFailure, _cleared,
 )
+from recsolve.cli import BENCHMARKS
 from recsolve.expr import (
     Piece, TRUE, Var, con, eval_expr, simplify, single_piece, to_text,
     ClosedForm,
 )
-from recsolve.parser import parse_constraint, parse_expression
+from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.recurrence import Value, eval_closed_form, eval_fun
+from recsolve.regression import RegressionConfig, guess
+from recsolve.sampling import SampleConfig, default_base_set
 
-from conftest import brute_entails, grid_points, load_bench
+from conftest import bench_sidecar, brute_entails, grid_points, load_bench
 
 X, Y = Var("x"), Var("y")
 
@@ -200,6 +204,19 @@ class TestClearing:
             env = dict(zip(("x", "y"), p))
             assert eval_expr(clhs, env) == factor * eval_expr(e, env), p
 
+    @pytest.mark.parametrize("text,factor,cleared", [
+        ("(x - 1 + 1/2*(x - 1)^2)^2", 4, "((x - 1)^2 + 2*x - 2)^2"),
+        ("1/2*(x/3)^2", 18, "x^2"),
+        ("(y/3)^2 + 1/2", 18, "2*y^2 + 9"),
+    ])
+    def test_clearing_reaches_into_a_power(self, text, factor, cleared):
+        e = parse_expression(text)
+        clhs, crhs = _cleared(simplify(e), con(0))
+        assert (to_text(clhs), crhs) == (cleared, con(0))
+        for p in itertools.product(range(-3, 4), repeat=2):
+            env = dict(zip(("x", "y"), p))
+            assert eval_expr(clhs, env) == factor * eval_expr(e, env), p
+
 
 class TestModelParsing:
     def test_positive_and_negative(self):
@@ -336,3 +353,52 @@ class TestSoundness:
                 out = eval_fun(rdef, p)
                 assert isinstance(out, Value)
                 assert out.value == eval_closed_form(cf, p), (name, p)
+
+
+# case 1 is covered by the main piece x but overlaps case 2, which is not
+# (2*x - 2 differs from x at 0 and 1); case 3 is covered and overlaps nothing
+OVERLAP = """def f(x);
+pre x >= 0;
+f(x) = x if x <= 1;
+f(x) = 2*x - 2 if x <= 2;
+f(x) = 3 if x = 3;
+f(x) = f(x - 1) + 1 if x > 3;
+"""
+
+
+def guessed(rdef) -> ClosedForm:
+    return guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                 RegressionConfig(), SampleConfig()).closed_form
+
+
+class TestAbsorbCoveredPieces:
+    def assert_pointwise_equal(self, rdef, a, b):
+        for p in grid_points(rdef.precondition, rdef.arg_names, 0, 12):
+            assert eval_closed_form(a, p) == eval_closed_form(b, p), p
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_corpus(self, name):
+        rdef = load_bench(name)
+        cf = guessed(rdef)
+        absorbed = absorb_covered_pieces(cf)
+        self.assert_pointwise_equal(rdef, absorbed, cf)
+        reference = bench_sidecar(name)["reference"]
+        if name in ("merge", "sum-osc"):  # their base pieces differ from the main one
+            assert absorbed == cf
+        else:
+            assert reference == [[absorbed.to_text(), "true"]]
+
+    def test_overlapping_guards_keep_the_covered_piece(self):
+        rdef = parse_recurrence(OVERLAP)
+        cf = guessed(rdef)
+        absorbed = absorb_covered_pieces(cf)
+        assert absorbed.to_text() == \
+            "x if not x <= 1 and not x <= 2; x if x <= 1; 2*x - 2 if x <= 2"
+        self.assert_pointwise_equal(rdef, absorbed, cf)
+
+    def test_query_outside_the_fragment_keeps_the_piece(self):
+        rdef = load_bench("nested")
+        cf = ClosedForm(rdef.arg_names, rdef.precondition,
+                        (Piece(parse_expression("2*2^x - 1"), parse_constraint("not x = 0")),
+                         Piece(con(1), parse_constraint("x = 0"))))
+        assert absorb_covered_pieces(cf) == cf

@@ -64,6 +64,12 @@ class TestCheckCommand:
         assert out == "unknown (unsupported-operator)\n"
         assert err == ""
 
+    def test_rational_coefficient_under_a_power(self, capsys, solver):
+        # case 2 holds (x - 1 + 1/2*(x - 1)^2)^2, cleared as a whole
+        status, out, err = run_cli(capsys, "check", bench_file("nested"),
+                                   "--cf", "x + 1/2*x^2")
+        assert (status, out, err) == (3, "refuted at (1,): recurrence=1 candidate=3/2\n", "")
+
     def test_rational_constant_under_max(self, capsys, solver):
         status, out, err = run_cli(capsys, "check", bench_file("s-max"),
                                    "--cf", "1/2*max(2*x + 2*y, -1/2)")

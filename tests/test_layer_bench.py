@@ -5,14 +5,19 @@ by the `layerbench` marker:
 
 They time one layer each: sampling merge-sz's recursive region, its
 dictionary columns alone on the 130 sampled points, `build_training_set`
-on those points, the CV-Lasso path on its training rows, cold `eval_fun`
-calls (each with a fresh memo), and a grid sweep through one shared
-memo."""
+on those points, the CV-Lasso path on its training rows, `encode` and
+the whole `check_solution` of its candidate on the in-process prover,
+cold `eval_fun` calls (each with a fresh memo), and a grid sweep through
+one shared memo."""
 import pytest
 
+from recsolve.checker import (
+    BUILTIN, SolverConfig, Verified, absorb_covered_pieces, check_solution, encode,
+    make_domain_checker,
+)
 from recsolve.expr import compile_expr
 from recsolve.recurrence import EvalLimits, Value, eval_fun
-from recsolve.regression import RegressionConfig, cv_lasso_regression
+from recsolve.regression import RegressionConfig, cv_lasso_regression, guess
 from recsolve.sampling import (
     SampleConfig, build_training_set, default_base_set, sample_train_test,
 )
@@ -56,6 +61,25 @@ def test_cv_lasso_regression_merge_sz(benchmark):
     beta, _, _ = benchmark(cv_lasso_regression, x[:100], y[:100], cfg.lambdas,
                            cfg.folds, cfg.cv_seed)
     assert len(beta) == len(ts.columns)
+
+
+def merge_sz_candidate():
+    rdef = load_bench("merge-sz")
+    res = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                RegressionConfig(), SampleConfig())
+    return rdef, absorb_covered_pieces(res.closed_form)
+
+
+def test_encode_merge_sz(benchmark):
+    # the domain queries come from the entailment cache after the first round
+    rdef, cf = merge_sz_candidate()
+    ef = benchmark(encode, rdef, cf, make_domain_checker(SolverConfig((BUILTIN,))))
+    assert len(ef.implications) == len(rdef.cases)
+
+
+def test_check_solution_merge_sz(benchmark):
+    rdef, cf = merge_sz_candidate()
+    assert benchmark(check_solution, rdef, cf, SolverConfig((BUILTIN,))) == Verified()
 
 
 @pytest.mark.parametrize("name", ["merge-sz", "sum-osc"])

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
-from recsolve.checker import SolverConfig, resolve_solver
-from recsolve.expr import to_text
+from recsolve.checker import BUILTIN, SolverConfig, resolve_solver
+from recsolve.expr import Var, single_piece, to_text
 from recsolve.parser import parse_recurrence
 from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solve
-from recsolve.recurrence import Value, eval_fun
+from recsolve.recurrence import Value, eval_fun, inline_function
 from recsolve.recurrence import eval_closed_form
+from recsolve.regression import guess
+from recsolve.sampling import default_base_set
 
 from conftest import grid_points, load_bench
 
@@ -131,3 +133,26 @@ def test_unresolved_foreign_call_fails_validation(solver):
     assert report.verdict_reason == "validation-failed"
     assert report.error == "UnknownFunction: s"
     assert report.closed_form is None
+
+
+class TestCoveredPiecesAbsorbed:
+    """Every exact candidate loses the base pieces its main piece covers,
+    before the check and whichever solver is configured."""
+
+    @pytest.mark.parametrize("name,text", [("merge-sz", "x + y"), ("div-ceil", "ceil(x/y)")])
+    def test_candidate_does_not_depend_on_the_solver(self, name, text):
+        rdef = load_bench(name)
+        solvers = [None, SolverConfig(("/nonexistent/solver",)), SolverConfig((BUILTIN,))]
+        reports = [solve(rdef, config(s)) for s in solvers]
+        assert [r.closed_form.to_text() for r in reports] == [text] * 3
+        assert [r.verdict_reason for r in reports] == \
+            ["solver-unavailable", "solver-unavailable", ""]
+
+    def test_inexact_and_untranslatable_candidates_unchanged(self, solver):
+        size = single_piece(Var("x"), ("x",), load_bench("size").precondition)
+        for rdef in (load_bench("fib"), inline_function(load_bench("cost"), "s", size)):
+            cfg = config(solver).seeded()
+            guessed = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                            cfg.regression, cfg.sample, cfg.limits)
+            assert solve(rdef, cfg).closed_form == guessed.closed_form
+            assert len(guessed.closed_form.pieces) == 2

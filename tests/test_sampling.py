@@ -38,6 +38,10 @@ class TestDefaultBaseSet:
         names = set(default_base_set(3, ("x", "y", "z")).names())
         assert {"x*y", "x*z", "y*z", "2^x", "z^2"} <= names
 
+    def test_built_once_per_tuple_of_names(self):
+        assert default_base_set(2, ["a", "b"]) is default_base_set(2, ("a", "b"))
+        assert default_base_set(2) is default_base_set(2, ("x", "y"))
+
     def test_duplicates_rejected(self):
         from recsolve.expr import Var
         f = BaseFunction("x", Var("x"))
