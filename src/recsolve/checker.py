@@ -161,16 +161,18 @@ _ENTAILMENT_CACHE: dict = {}
 
 def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -> bool:
     """True iff hypothesis and not(conclusion) is unsatisfiable over the
-    integers.  Solver timeouts and unknowns count as not entailed."""
-    names = sorted(constraint_free_vars(hypothesis) | constraint_free_vars(conclusion))
-    lines = [f"(set-logic {LOGIC})"]
-    lines += [f"(declare-const {n} Int)" for n in names]
-    lines.append(f"(assert {emit_constraint(hypothesis)})")
-    lines.append(f"(assert (not {emit_constraint(conclusion)}))")
-    lines.append("(check-sat)")
-    script = "\n".join(lines) + "\n"
-    key = (cfg.argv, script)
+    integers.  Solver timeouts and unknowns count as not entailed.  The
+    answer is cached per solver and pair of constraints, so a repeated
+    query is neither emitted nor sent again."""
+    key = (cfg.argv, hypothesis, conclusion)
     if key not in _ENTAILMENT_CACHE:
+        names = sorted(constraint_free_vars(hypothesis) | constraint_free_vars(conclusion))
+        lines = [f"(set-logic {LOGIC})"]
+        lines += [f"(declare-const {n} Int)" for n in names]
+        lines.append(f"(assert {emit_constraint(hypothesis)})")
+        lines.append(f"(assert (not {emit_constraint(conclusion)}))")
+        lines.append("(check-sat)")
+        script = "\n".join(lines) + "\n"
         _ENTAILMENT_CACHE[key] = run_solver(script, cfg).status == "unsat"
     return _ENTAILMENT_CACHE[key]
 
@@ -365,6 +367,9 @@ def _smt_int(v: Fraction) -> str:
     return str(n) if n >= 0 else f"(- {-n})"
 
 
+_PICK = {Max: ">=", Min: "<="}  # max and min as ite: the test that picks lhs
+
+
 def emit_term(e: Expr) -> str:
     if isinstance(e, Const):
         return _smt_int(e.value)
@@ -387,12 +392,9 @@ def emit_term(e: Expr) -> str:
         return base if n == 1 else f"(* {' '.join([base] * n)})"
     if isinstance(e, (Floor, Ceil)):
         return _emit_floor_ceil(e)
-    if isinstance(e, Max):
+    if type(e) in _PICK:
         a, b = emit_term(e.lhs), emit_term(e.rhs)
-        return f"(ite (>= {a} {b}) {a} {b})"
-    if isinstance(e, Min):
-        a, b = emit_term(e.lhs), emit_term(e.rhs)
-        return f"(ite (<= {a} {b}) {a} {b})"
+        return f"(ite ({_PICK[type(e)]} {a} {b}) {a} {b})"
     if isinstance(e, Ite):
         return f"(ite {emit_constraint(e.cond)} {emit_term(e.then)} {emit_term(e.other)})"
     if isinstance(e, Div):

@@ -8,6 +8,11 @@ not.  Evaluation compiles a tree once into a closure over an argument
 tuple (`compile_expr`, `compile_constraint`), for code that evaluates one
 expression at many points; `eval_expr` and `eval_constraint` compile and
 apply in one call.
+
+Each operator has one row per table: its arithmetic in `OPS`, its
+children in `_CHILDREN` (the walker), its syntax in `INFIX` or `FUNCTIONS`
+(the printer and the parser) and its rewrite in `_RULES`.  `simplify`
+folds constants through `OPS` and has no arithmetic of its own.
 """
 from __future__ import annotations
 
@@ -44,33 +49,6 @@ class UnexpandedCall(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __pow__(self, other):
-        return Pow(self, _as_expr(other))
-
-    def __neg__(self):
-        return Sub(Const(Fraction(0)), self)
-
     def __str__(self):
         return to_text(self)
 
@@ -173,20 +151,8 @@ class Ite(Expr):
     other: Expr
 
 
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Const(Fraction(v))
-    raise TypeError(f"cannot coerce {v!r} to Expr")
-
-
 def con(v: Rational) -> Const:
     return Const(Fraction(v))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +277,8 @@ def _ceil(v):
 
 
 # The exact arithmetic of every operator node (binary or unary), applied to
-# its evaluated children in `children` order.  Shared by `compile_expr` and
-# the recurrence evaluator, so each operator is defined once.
+# its evaluated children in `children` order.  Shared by `compile_expr`,
+# the recurrence evaluator and `simplify`, so each operator is defined once.
 OPS = {
     Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: exact_div,
     Pow: exact_pow, Max: max, Min: min,
@@ -438,6 +404,8 @@ def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
         then, other = f(e.then), f(e.other)
         return Ite(map_constraint(e.cond, f), then, other)
     kids = children(e)
+    if len(kids) == 2:  # the common case, without building an argument tuple
+        return t(f(kids[0]), f(kids[1]))
     return t(*map(f, kids)) if kids else e
 
 
@@ -507,69 +475,63 @@ def substitute_constraint(c: Constraint, mapping: Mapping[str, Expr]) -> Constra
 # ---------------------------------------------------------------------------
 # Simplification
 #
-# A fixed rewrite-rule set: constant folding, neutral elements, like-term
-# collection over a linear normal form, add/sub cancellation, max/min
-# idempotence, floor/ceil of syntactically integer arguments.  Idempotent.
+# Bottom-up: each node is rebuilt from its simplified children, folded
+# through `OPS` when every child is a constant, and then rewritten by the
+# one rule its type has in `_RULES`: like-term collection over a linear
+# normal form, neutral exponents, floor/ceil of syntactically integer
+# arguments, max/min idempotence and Ite folding.  Idempotent.
 # ---------------------------------------------------------------------------
+
+# Integer-valued whenever every child is (a power also needs a
+# non-negative constant exponent).
+_INTEGER_CLOSED = {Add, Sub, Mul, Max, Min, Pow}
+
 
 def is_syntactically_integer(e: Expr) -> bool:
     """Conservative: true only when every evaluation yields an integer."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return e.value.denominator == 1
-    if isinstance(e, (Floor, Ceil, Log2Ceil)):
+    if t is Floor or t is Ceil or t is Log2Ceil:
         return True
-    if isinstance(e, (Add, Sub, Mul)):
-        return is_syntactically_integer(e.lhs) and is_syntactically_integer(e.rhs)
-    if isinstance(e, (Max, Min)):
-        return is_syntactically_integer(e.lhs) and is_syntactically_integer(e.rhs)
-    if isinstance(e, Pow):
-        return (is_syntactically_integer(e.base)
-                and isinstance(e.exponent, Const)
-                and e.exponent.value.denominator == 1
-                and e.exponent.value >= 0)
-    if isinstance(e, Ite):
+    if t is Ite:
         return is_syntactically_integer(e.then) and is_syntactically_integer(e.other)
-    return False
-
-
-def _is_const(e: Expr) -> bool:
-    return isinstance(e, Const)
+    if t is Pow and not (type(e.exponent) is Const and e.exponent.value >= 0):
+        return False
+    return t in _INTEGER_CLOSED and all(map(is_syntactically_integer, children(e)))
 
 
 def _linear_form(e: Expr) -> tuple:
     """Decompose into (constant, {atom: coefficient}) treating non-linear
     subterms as opaque atoms.  Atoms are already simplified."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return e.value, {}
-    if isinstance(e, Add):
+    if t is Add:
         c1, t1 = _linear_form(e.lhs)
         c2, t2 = _linear_form(e.rhs)
         return c1 + c2, _merge_terms(t1, t2, 1)
-    if isinstance(e, Sub):
+    if t is Sub:
         c1, t1 = _linear_form(e.lhs)
         c2, t2 = _linear_form(e.rhs)
         return c1 - c2, _merge_terms(t1, t2, -1)
-    if isinstance(e, Mul):
-        if _is_const(e.lhs):
-            c, t = _linear_form(e.rhs)
-            k = e.lhs.value
-            return c * k, {a: v * k for a, v in t.items()}
-        if _is_const(e.rhs):
-            c, t = _linear_form(e.lhs)
-            k = e.rhs.value
-            return c * k, {a: v * k for a, v in t.items()}
-        return Fraction(0), {e: Fraction(1)}
-    if isinstance(e, Div) and _is_const(e.rhs):
-        c, t = _linear_form(e.lhs)
+    if t is Mul and (type(e.lhs) is Const or type(e.rhs) is Const):
+        k, other = (e.lhs.value, e.rhs) if type(e.lhs) is Const else (e.rhs.value, e.lhs)
+        c, terms = _linear_form(other)
+        return c * k, {a: v * k for a, v in terms.items()}
+    if t is Div and type(e.rhs) is Const:
+        c, terms = _linear_form(e.lhs)
         k = e.rhs.value
-        return c / k, {a: v / k for a, v in t.items()}
+        return c / k, {a: v / k for a, v in terms.items()}
     return Fraction(0), {e: Fraction(1)}
 
 
 def _merge_terms(t1: dict, t2: dict, sign: int) -> dict:
     out = dict(t1)
     for a, v in t2.items():
-        out[a] = out.get(a, Fraction(0)) + sign * v
+        v = v if sign > 0 else -v
+        prev = out.get(a)
+        out[a] = v if prev is None else prev + v
     return {a: v for a, v in out.items() if v != 0}
 
 
@@ -583,12 +545,8 @@ def _rebuild_linear(const: Fraction, terms: dict) -> Expr:
     if const > 0 and (not parts or parts[0][1] < 0):
         expr, const = Const(const), Fraction(0)
     for atom, coef in parts:
-        if coef == 1:
-            piece, negative = atom, False
-        elif coef == -1:
-            piece, negative = atom, True
-        else:
-            piece, negative = Mul(Const(abs(coef)), atom), coef < 0
+        piece = atom if coef in (1, -1) else Mul(Const(abs(coef)), atom)
+        negative = coef < 0
         if expr is None:
             expr = Sub(Const(Fraction(0)), piece) if negative else piece
         else:
@@ -602,109 +560,99 @@ def _rebuild_linear(const: Fraction, terms: dict) -> Expr:
     return expr
 
 
-def simplify(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var)):
+def _linear(e: Expr) -> Expr:
+    if type(e) is Div and type(e.rhs) is not Const:
         return e
-    if isinstance(e, (Add, Sub)) or (isinstance(e, Mul)) or (isinstance(e, Div) and _is_const(e.rhs)):
-        # simplify children first so atoms inside the linear form are normal
-        if isinstance(e, (Add, Sub, Mul)):
-            node = type(e)(simplify(e.lhs), simplify(e.rhs))
-        else:
-            node = Div(simplify(e.lhs), e.rhs)
-        const, terms = _linear_form(node)
-        return _rebuild_linear(const, terms)
-    if isinstance(e, Div):
-        lhs, rhs = simplify(e.lhs), simplify(e.rhs)
-        if _is_const(rhs):
-            return simplify(Div(lhs, rhs))
-        return Div(lhs, rhs)
-    if isinstance(e, Pow):
-        base, exp = simplify(e.base), simplify(e.exponent)
-        if _is_const(base) and _is_const(exp) and exp.value.denominator == 1:
-            if not (base.value == 0 and exp.value < 0):
-                return Const(base.value ** int(exp.value))
-        if _is_const(exp):
-            if exp.value == 1:
-                return base
-            if exp.value == 0:
-                return Const(Fraction(1))
-        return Pow(base, exp)
-    if isinstance(e, Floor):
-        arg = simplify(e.arg)
-        if _is_const(arg):
-            return Const(Fraction(math.floor(arg.value)))
-        if is_syntactically_integer(arg):
-            return arg
-        return Floor(arg)
-    if isinstance(e, Ceil):
-        arg = simplify(e.arg)
-        if _is_const(arg):
-            return Const(Fraction(math.ceil(arg.value)))
-        if is_syntactically_integer(arg):
-            return arg
-        return Ceil(arg)
-    if isinstance(e, Log2Ceil):
-        arg = simplify(e.arg)
-        if _is_const(arg):
-            return Const(Fraction(ceil_log2(arg.value)))
-        return Log2Ceil(arg)
-    if isinstance(e, (Max, Min)):
-        lhs, rhs = simplify(e.lhs), simplify(e.rhs)
-        if _is_const(lhs) and _is_const(rhs):
-            pick = max if isinstance(e, Max) else min
-            return Const(pick(lhs.value, rhs.value))
-        if lhs == rhs:
-            return lhs
-        return type(e)(lhs, rhs)
-    if isinstance(e, Call):
-        return Call(e.fname, tuple(simplify(a) for a in e.args))
-    if isinstance(e, Ite):
-        cond = simplify_constraint(e.cond)
-        then, other = simplify(e.then), simplify(e.other)
-        if cond == TRUE:
-            return then
-        if cond == FALSE:
-            return other
-        if then == other:
-            return then
-        return Ite(cond, then, other)
-    raise TypeError(f"unknown expression node {e!r}")
+    return _rebuild_linear(*_linear_form(e))
 
 
-def simplify_constraint(c: Constraint) -> Constraint:
-    if isinstance(c, BoolLit):
+def _neutral_exponent(e: Pow) -> Expr:
+    k = e.exponent
+    if type(k) is Const:
+        if k.value == 1:
+            return e.base
+        if k.value == 0:
+            return Const(Fraction(1))
+    return e
+
+
+def _integer_argument(e: Expr) -> Expr:
+    return e.arg if is_syntactically_integer(e.arg) else e
+
+
+def _equal_operands(e: Expr) -> Expr:
+    return e.lhs if e.lhs == e.rhs else e
+
+
+def _fold_ite(e: Ite) -> Expr:
+    cond = _fold_constraint(e.cond)
+    if cond == TRUE:
+        return e.then
+    if cond == FALSE:
+        return e.other
+    if e.then == e.other:
+        return e.then
+    return Ite(cond, e.then, e.other)
+
+
+# The rewrite of each node type, applied once its children are simplified
+# and it did not fold to a constant.
+_RULES = {
+    Add: _linear, Sub: _linear, Mul: _linear, Div: _linear,
+    Pow: _neutral_exponent, Floor: _integer_argument, Ceil: _integer_argument,
+    Max: _equal_operands, Min: _equal_operands, Ite: _fold_ite,
+}
+
+
+def simplify(e: Expr) -> Expr:
+    t = type(e)
+    if t is Const or t is Var:
+        return e
+    e = map_children(e, simplify)
+    op = OPS.get(t)
+    if op is not None:
+        kids = children(e)  # one or two
+        if type(kids[0]) is Const and type(kids[-1]) is Const:
+            try:
+                return Const(op(*[k.value for k in kids]))
+            except ExprError:
+                pass  # left as written, as 0^-1 or a non-integer exponent
+    rule = _RULES.get(t)
+    return e if rule is None else rule(e)
+
+
+def _fold_constraint(c: Constraint) -> Constraint:
+    """Fold the boolean structure of `c`, whose Cmp sides are already
+    simplified: constant comparisons, true/false operands, double negation."""
+    t = type(c)
+    if t is BoolLit:
         return c
-    if isinstance(c, Cmp):
-        lhs, rhs = simplify(c.lhs), simplify(c.rhs)
-        if _is_const(lhs) and _is_const(rhs):
-            return BoolLit(CMP[c.op](lhs.value, rhs.value))
-        return Cmp(c.op, lhs, rhs)
-    if isinstance(c, And):
-        lhs, rhs = simplify_constraint(c.lhs), simplify_constraint(c.rhs)
-        if lhs == FALSE or rhs == FALSE:
-            return FALSE
-        if lhs == TRUE:
+    if t is Cmp:
+        if type(c.lhs) is Const and type(c.rhs) is Const:
+            return BoolLit(CMP[c.op](c.lhs.value, c.rhs.value))
+        return c
+    if t is And or t is Or:
+        absorbing, neutral = (FALSE, TRUE) if t is And else (TRUE, FALSE)
+        lhs, rhs = _fold_constraint(c.lhs), _fold_constraint(c.rhs)
+        if lhs == absorbing or rhs == absorbing:
+            return absorbing
+        if lhs == neutral:
             return rhs
-        if rhs == TRUE:
+        if rhs == neutral:
             return lhs
-        return And(lhs, rhs)
-    if isinstance(c, Or):
-        lhs, rhs = simplify_constraint(c.lhs), simplify_constraint(c.rhs)
-        if lhs == TRUE or rhs == TRUE:
-            return TRUE
-        if lhs == FALSE:
-            return rhs
-        if rhs == FALSE:
-            return lhs
-        return Or(lhs, rhs)
-    if isinstance(c, Not):
-        arg = simplify_constraint(c.arg)
-        if isinstance(arg, BoolLit):
+        return t(lhs, rhs)
+    if t is Not:
+        arg = _fold_constraint(c.arg)
+        if type(arg) is BoolLit:
             return BoolLit(not arg.value)
-        if isinstance(arg, Not):
+        if type(arg) is Not:
             return arg.arg
         return Not(arg)
     raise TypeError(f"unknown constraint node {c!r}")
+
+
+def simplify_constraint(c: Constraint) -> Constraint:
+    return _fold_constraint(map_constraint(c, simplify))
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +736,9 @@ def replace_calls(e: Expr, fname: str, fhat: ClosedForm, pre: Constraint,
         pre(x) and guard(x)  entails  fhat.precondition(args)
 
     holds (decided by `domain_checker`).  Calls whose side condition fails,
-    or whose arguments still contain calls, are left in place.
+    or whose arguments still contain calls, are left in place.  One
+    post-order pass is a fixpoint: a replacement is call-free, and a call
+    left in place would meet the same side condition again.
     """
     hyp = conj([pre, guard])
 
@@ -800,29 +750,37 @@ def replace_calls(e: Expr, fname: str, fhat: ClosedForm, pre: Constraint,
             return fhat.instantiate(node.args)
         return node
 
-    prev, out = None, e
-    while out != prev:  # innermost-first pass, repeated to fixpoint
-        prev, out = out, walk(out)
-    return out
+    return walk(e)
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing, shared with the parser's concrete syntax
+# Concrete syntax: one table for the printer and the parser
 # ---------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
+# The left-associative infix operators: symbol and precedence.  The
+# additive ones print with spaces around the symbol.  `^` (right-associative,
+# binding tighter than unary minus) and the comparisons (`CMP`) are not here.
+INFIX = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
+         Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+
+# The named functions, written `name(arg, ...)` with one argument per
+# field of the node.
+FUNCTIONS = {"floor": Floor, "ceil": Ceil, "log2ceil": Log2Ceil,
+             "max": Max, "min": Min}
+_FUNCTION_NAMES = {node: name for name, node in FUNCTIONS.items()}
+
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Pow):
+    t = type(e)
+    if t in INFIX:
+        return INFIX[t][1]
+    if t is Pow:
         return _PREC_POW
-    if isinstance(e, Const) and e.value < 0:
+    if t is Const and e.value < 0:
         return _PREC_UNARY
-    if isinstance(e, Const) and e.value.denominator != 1:
+    if t is Const and e.value.denominator != 1:
         return _PREC_MUL  # prints as p/q
     return _PREC_ATOM
 
@@ -833,36 +791,24 @@ def _paren(e: Expr, minimum: int) -> str:
 
 
 def to_text(e: Expr) -> str:
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(e, Var):
+    if t is Var:
         return e.name
-    if isinstance(e, Add):
-        return f"{_paren(e.lhs, _PREC_ADD)} + {_paren(e.rhs, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_paren(e.lhs, _PREC_ADD)} - {_paren(e.rhs, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_paren(e.lhs, _PREC_MUL)}*{_paren(e.rhs, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_paren(e.lhs, _PREC_MUL)}/{_paren(e.rhs, _PREC_MUL + 1)}"
-    if isinstance(e, Pow):
+    if t in INFIX:
+        symbol, prec = INFIX[t]
+        lhs, rhs = _paren(e.lhs, prec), _paren(e.rhs, prec + 1)
+        return f"{lhs} {symbol} {rhs}" if prec == _PREC_ADD else f"{lhs}{symbol}{rhs}"
+    if t is Pow:
         return f"{_paren(e.base, _PREC_ATOM)}^{_paren(e.exponent, _PREC_UNARY)}"
-    if isinstance(e, Floor):
-        return f"floor({to_text(e.arg)})"
-    if isinstance(e, Ceil):
-        return f"ceil({to_text(e.arg)})"
-    if isinstance(e, Log2Ceil):
-        return f"log2ceil({to_text(e.arg)})"
-    if isinstance(e, Max):
-        return f"max({to_text(e.lhs)}, {to_text(e.rhs)})"
-    if isinstance(e, Min):
-        return f"min({to_text(e.lhs)}, {to_text(e.rhs)})"
-    if isinstance(e, Call):
-        return f"{e.fname}({', '.join(to_text(a) for a in e.args)})"
-    if isinstance(e, Ite):
+    if t is Ite:
         return f"ite({constraint_to_text(e.cond)}, {to_text(e.then)}, {to_text(e.other)})"
-    raise TypeError(f"unknown expression node {e!r}")
+    name = e.fname if t is Call else _FUNCTION_NAMES.get(t)
+    if name is None:
+        raise TypeError(f"unknown expression node {e!r}")
+    return f"{name}({', '.join(map(to_text, children(e)))})"
 
 
 def constraint_to_text(c: Constraint, parent: str = "or") -> str:
@@ -871,8 +817,7 @@ def constraint_to_text(c: Constraint, parent: str = "or") -> str:
     if isinstance(c, Cmp):
         return f"{to_text(c.lhs)} {c.op} {to_text(c.rhs)}"
     if isinstance(c, And):
-        text = f"{constraint_to_text(c.lhs, 'and')} and {constraint_to_text(c.rhs, 'and')}"
-        return text
+        return f"{constraint_to_text(c.lhs, 'and')} and {constraint_to_text(c.rhs, 'and')}"
     if isinstance(c, Or):
         text = f"{constraint_to_text(c.lhs, 'or')} or {constraint_to_text(c.rhs, 'or')}"
         return f"({text})" if parent == "and" else text

@@ -5,19 +5,23 @@ Grammar (one definition per `.rec` file, `#` comments):
     recdef    := "def" name "(" args ")" ";" "pre" constraint ";" case+
     case      := name "(" args ")" "=" expr "if" constraint ";"
 
-Expressions use infix `+ - * /`, `^` for powers, `floor(e)`, `ceil(e)`,
-`log2ceil(e)`, `max(e,e)`, `min(e,e)`, `ite(c,e,e)`, function application
-`f(e,...)` and rational literals `p/q`.  Constraints combine comparisons
-(`= != < <= > >=`) with `and`, `or`, `not`, `true`, `false`.
+Expressions use the infix operators of `expr.INFIX` (`+ - * /`, with
+their precedence), `^` for powers, the functions of `expr.FUNCTIONS`
+(`floor(e)`, `ceil(e)`, `log2ceil(e)`, `max(e,e)`, `min(e,e)`; the arity is
+the node's field count), `ite(c,e,e)`, function application `f(e,...)`
+and rational literals `p/q`.  Constraints combine the comparisons of
+`expr.CMP` (`= != < <= > >=`) with `and`, `or`, `not`, `true`, `false`.
+The printer (`expr.to_text`) reads the same tables, so printing and
+parsing agree on every operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .expr import (
-    Add, And, BoolLit, Call, Ceil, Cmp, Const, Constraint, Div, Expr, Floor,
-    Ite, Log2Ceil, Max, Min, Mul, Not, Or, Pow, Sub, Var,
+    CMP, FUNCTIONS, INFIX, And, BoolLit, Call, Cmp, Const, Constraint, Div,
+    Expr, Ite, Not, Or, Pow, Sub, Var,
 )
 
 
@@ -39,7 +43,10 @@ class Token:
 _TWO_CHAR = ("<=", ">=", "!=")
 _ONE_CHAR = "+-*/^(),;=<>"
 _KEYWORDS = {"def", "pre", "if", "and", "or", "not", "true", "false"}
-_BUILTINS = {"floor", "ceil", "log2ceil", "max", "min", "ite"}
+_INFIX = {symbol: (node, prec) for node, (symbol, prec) in INFIX.items()}
+_LOOSEST = min(prec for _, prec in _INFIX.values())
+_TIGHTEST = max(prec for _, prec in _INFIX.values())
+_ARGUMENTS = {1: "one argument", 2: "two arguments"}
 
 
 def tokenize(text: str) -> list:
@@ -128,29 +135,25 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def expression(self) -> Expr:
-        e = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.at("*") or self.at("/"):
-            op = self.next().text
-            rhs = self.unary()
-            if op == "/":
-                if isinstance(e, Const) and isinstance(rhs, Const):
-                    if rhs.value == 0:
-                        self.fail("division by the literal constant zero")
-                    e = Const(e.value / rhs.value)  # rational literal p/q
-                else:
-                    e = Div(e, rhs)
+    def expression(self, prec: int = _LOOSEST) -> Expr:
+        """Operands joined left-associatively by the INFIX operators of
+        precedence `prec`; each operand binds tighter.  Past the tightest
+        infix precedence, a unary expression."""
+        if prec > _TIGHTEST:
+            return self.unary()
+        e = self.expression(prec + 1)
+        while True:
+            node, p = _INFIX.get(self.peek().text, (None, None))
+            if p != prec:
+                return e
+            self.next()
+            rhs = self.expression(prec + 1)
+            if node is Div and isinstance(e, Const) and isinstance(rhs, Const):
+                if rhs.value == 0:
+                    self.fail("division by the literal constant zero")
+                e = Const(e.value / rhs.value)  # rational literal p/q
             else:
-                e = Mul(e, rhs)
-        return e
+                e = node(e, rhs)
 
     def unary(self) -> Expr:
         if self.at("-"):
@@ -200,21 +203,14 @@ class _Parser:
                 self.next()
                 args.append(self.expression())
             self.expect(")")
-            if name in _BUILTINS:
-                return self._builtin(name, args, t)
-            return Call(name, tuple(args))
+            if name not in FUNCTIONS:
+                return Call(name, tuple(args))
+            node = FUNCTIONS[name]
+            arity = len(fields(node))
+            if len(args) != arity:
+                raise ParseError(f"{name} takes {_ARGUMENTS[arity]}", t.line, t.col)
+            return node(*args)
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
-
-    def _builtin(self, name: str, args: list, t: Token) -> Expr:
-        unary = {"floor": Floor, "ceil": Ceil, "log2ceil": Log2Ceil}
-        binary = {"max": Max, "min": Min}
-        if name in unary:
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one argument", t.line, t.col)
-            return unary[name](args[0])
-        if len(args) != 2:
-            raise ParseError(f"{name} takes two arguments", t.line, t.col)
-        return binary[name](args[0], args[1])
 
     # -- constraints ---------------------------------------------------------
 
@@ -240,12 +236,9 @@ class _Parser:
 
     def constraint_atom(self) -> Constraint:
         t = self.peek()
-        if t.text == "true":
+        if t.text in ("true", "false"):
             self.next()
-            return BoolLit(True)
-        if t.text == "false":
-            self.next()
-            return BoolLit(False)
+            return BoolLit(t.text == "true")
         if t.text == "(":
             # either a parenthesised constraint or a parenthesised expression
             # starting a comparison; try the constraint reading first
@@ -254,7 +247,7 @@ class _Parser:
                 self.next()
                 c = self.constraint()
                 self.expect(")")
-                if self.peek().text in ("=", "!=", "<", "<=", ">", ">="):
+                if self.peek().text in CMP:
                     raise ParseError("comparison of constraints", t.line, t.col)
                 return c
             except ParseError:
@@ -264,7 +257,7 @@ class _Parser:
     def comparison(self) -> Constraint:
         lhs = self.expression()
         t = self.peek()
-        if t.text not in ("=", "!=", "<", "<=", ">", ">="):
+        if t.text not in CMP:
             self.fail(f"expected a comparison operator, found {t.text or 'end of input'!r}")
         op = self.next().text
         rhs = self.expression()

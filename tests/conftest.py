@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,18 @@ def bench_sidecar(name: str) -> dict:
 @pytest.fixture(scope="session")
 def solver() -> SolverConfig:
     return resolve_solver()
+
+
+def stub_solver(main_query: str, timeout_ms: int = 10_000) -> SolverConfig:
+    """An external solver that is a Python subprocess: it answers `unsat`
+    to every entailment query and runs the statement `main_query` on the
+    main query, the only script that asks `(get-model)`."""
+    code = ("import sys, time\n"
+            "if '(get-model)' not in sys.stdin.read():\n"
+            "    print('unsat')\n"
+            "else:\n"
+            f"    {main_query}\n")
+    return SolverConfig((sys.executable, "-c", code), timeout_ms)
 
 
 def grid_points(constraint, arg_names, lo=0, hi=12):

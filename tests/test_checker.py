@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import recsolve.checker as checker
 from recsolve.checker import (
     BUILTIN, EncodedFormula, Implication, Refuted, ResidualCall, SolverConfig,
     Unknown,
@@ -16,11 +17,12 @@ from recsolve.expr import (
     ClosedForm,
 )
 from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
+from recsolve.pipeline import SolveConfig, solve
 from recsolve.recurrence import Value, eval_closed_form, eval_fun
 from recsolve.regression import RegressionConfig, guess
 from recsolve.sampling import SampleConfig, default_base_set
 
-from conftest import bench_sidecar, brute_entails, grid_points, load_bench
+from conftest import bench_sidecar, brute_entails, grid_points, load_bench, stub_solver
 
 X, Y = Var("x"), Var("y")
 
@@ -256,6 +258,16 @@ class TestEntails(object):
             assert entails(hyp, concl, solver) == brute_entails(hyp, concl), hyp_text
 
 
+def test_entailment_cache_hit_emits_nothing(monkeypatch):
+    hyp, concl = parse_constraint("x > 3 and y = x + 7"), parse_constraint("y > 10")
+    cfg = SolverConfig((BUILTIN,))
+    assert entails(hyp, concl, cfg)
+    emitted = []
+    monkeypatch.setattr(checker, "emit_constraint", lambda c: emitted.append(c) or "")
+    assert entails(hyp, concl, cfg)
+    assert emitted == []
+
+
 class TestCheckSolution:
     def test_verified(self, solver):
         rdef = load_bench("nested")
@@ -338,6 +350,38 @@ class TestCheckSolution:
         rdef = load_bench("nested")
         with pytest.raises(SolverProcessFailure):
             check_solution(rdef, cf_for(rdef, "x"), cfg)
+
+
+class TestExternalSolver:
+    """`run_solver`'s output scan and every verdict it leads to, on nested,
+    through a stub solver process; no SMT solver needs to be installed."""
+    MODEL = "print('sat'); print('(model (define-fun x () Int 3))')"
+
+    @pytest.mark.parametrize("main_query,candidate,verdict", [
+        ("print('unsat')", "x", Verified()),
+        ("print('unknown')", "x", Unknown("solver-unknown")),
+        (MODEL, "x + 1", Refuted((3,), 3, 4)),
+        (MODEL, "x", Unknown("solver-unknown",
+                             "model (3,) did not yield a confirmed counterexample")),
+    ], ids=["unsat", "unknown", "sat-refuted", "sat-unconfirmed"])
+    def test_verdicts(self, main_query, candidate, verdict):
+        rdef = load_bench("nested")
+        assert check_solution(rdef, cf_for(rdef, candidate), stub_solver(main_query)) == verdict
+
+    def test_timeout(self):
+        rdef = load_bench("nested")
+        cfg = stub_solver("time.sleep(30)", timeout_ms=500)
+        assert check_solution(rdef, cf_for(rdef, "x"), cfg) == Unknown("solver-timeout")
+
+    def test_no_verdict_is_a_process_failure(self):
+        rdef = load_bench("nested")
+        cfg = stub_solver("print('no verdict here')")
+        with pytest.raises(SolverProcessFailure, match="solver produced no verdict"):
+            check_solution(rdef, cf_for(rdef, "x"), cfg)
+        report = solve(rdef, SolveConfig(solver=cfg))
+        assert (report.verdict, report.verdict_reason) == ("skipped", "solver-unavailable")
+        assert report.error.startswith("SolverProcessFailure: solver produced no verdict")
+        assert to_text(report.closed_form.pieces[0].expr) == "x"
 
 
 class TestSoundness:

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from recsolve.cli import main
 
 from conftest import BENCH_DIR
@@ -57,6 +59,17 @@ class TestCheckCommand:
                                  "--cf", "x+1")
         assert status == 3
         assert "refuted at (0,)" in out
+
+    @pytest.mark.parametrize("candidate,doc", [
+        ("x+1", {"closed_form": "x + 1", "verdict": "refuted", "counterexample": {
+            "point": [0], "recurrence_value": "0", "candidate_value": "1"}}),
+        ("2^x", {"closed_form": "2^x", "verdict": "unknown",
+                 "reason": "unsupported-operator"}),
+    ], ids=["refuted", "unknown"])
+    def test_json_lines(self, capsys, solver, candidate, doc):
+        status, out, err = run_cli(capsys, "check", bench_file("nested"),
+                                   "--cf", candidate, "--format", "json-lines")
+        assert (status, json.loads(out), err) == (3, doc, "")
 
     def test_unsupported(self, capsys, solver):
         status, out, err = run_cli(capsys, "check", bench_file("nested"), "--cf", "2^x")

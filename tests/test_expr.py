@@ -11,7 +11,7 @@ from recsolve.expr import (
     compile_constraint, compile_expr, con, constraint_exprs, contains_calls,
     eval_constraint, eval_expr, free_vars, is_syntactically_integer,
     map_children, map_constraint, nodes, replace_calls, simplify,
-    single_piece, substitute, to_text, FALSE, TRUE,
+    simplify_constraint, single_piece, substitute, to_text, FALSE, TRUE,
 )
 from recsolve.parser import parse_constraint, parse_expression
 
@@ -219,9 +219,24 @@ class TestSimplify:
         ("5 - 3*x + y - 2*y^2", "y - 3*x - 2*y^2 + 5"),
         ("0 - x - 1", "0 - x - 1"),
         ("0 - 4*x - 4*y", "0 - 4*x - 4*y"),
+        # folded through OPS; an evaluation error leaves the node as written
+        ("max(3, 1/2) + min(-1, 2)", "2"),
+        ("(1/2)^-2", "4"),
+        ("0^-1", "0^-1"),
+        ("2^(1/2)", "2^(1/2)"),
+        ("ceil(floor(x/y))", "floor(x/y)"),
+        ("log2ceil(x)^1", "log2ceil(x)"),
+        ("ite(1 < 2 and not 0 = 1, x, y)", "x"),
+        ("ite(x + 0 > 1 - 1, y, y)", "y"),
+        ("ite(x + 0 > 1 - 1, f(2*x - x), y)", "ite(x > 0, f(x), y)"),
     ])
     def test_rules(self, text, expected):
         assert to_text(simplify(parse_expression(text))) == expected
+
+    def test_simplify_constraint(self):
+        c = parse_constraint("x + 0 > 1 - 1 and not not (1 < 2 or y = 0)")
+        assert simplify_constraint(c) == Cmp(">", X, con(0))
+        assert simplify_constraint(parse_constraint("not (x - x = 0)")) == FALSE
 
     def test_max_idempotence(self):
         assert simplify(Max(X, X)) == X
@@ -309,6 +324,21 @@ class TestReplaceCalls:
                             lambda h, c: brute_entails(h, c, lo=-2, hi=10))
         assert not contains_calls(out)
         assert ev(out, x=7, y=2) == ev(Floor(Div(Sub(X, Y), Y)), x=7, y=2) + 1 == 3
+
+    def test_one_pass(self):
+        # f(x-1) is replaced and f(x-2) left in place; neither call is
+        # offered to the domain checker twice
+        body = parse_expression("f(x-1) + f(x-2)")
+        fhat = single_piece(X, ("x",), parse_constraint("x >= 0"))
+        queries = []
+
+        def first_only(hyp, concl):
+            queries.append(to_text(concl.lhs))
+            return concl == parse_constraint("x - 1 >= 0")
+
+        out = replace_calls(body, "f", fhat, TRUE, TRUE, first_only)
+        assert out == parse_expression("(x - 1) + f(x-2)")
+        assert queries == ["x - 1", "x - 2"]
 
     def test_failed_side_condition_leaves_call(self):
         # guard does not restrict x, so x-1 may fall outside the domain

@@ -1,11 +1,13 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from recsolve.expr import (
-    Add, And, Call, Cmp, Const, Div, Floor, Max, Mul, Or, Pow, Sub, Var, con,
-    eval_expr, to_text, simplify,
+    CMP, FALSE, FUNCTIONS, INFIX, OPS, TRUE, Add, And, Call, Cmp, Const, Div,
+    Floor, Ite, Max, Mul, Not, Or, Pow, Sub, Var, _CHILDREN, con, eval_expr,
+    simplify, to_text,
 )
 from recsolve.parser import (
     ParseError, parse_constraint, parse_expression, parse_recurrence,
@@ -150,25 +152,54 @@ class TestRecurrenceDefs:
         assert again == rdef
 
 
-# round-trip property: printing then parsing reproduces the tree
+# round-trip property: printing then parsing reproduces the tree, for every
+# operator of the shared syntax table, ^, ite and calls
 _leaf = st.one_of(
-    st.integers(0, 9).map(con),
+    st.integers(-9, 9).map(con),
     st.sampled_from([X, Y]),
 )
 
 
-def _combine(children):
-    # constant/constant division is excluded: its text "p/q" re-parses as a
-    # single rational literal by design
+_OPERATORS = [*INFIX, *FUNCTIONS.values()]
+
+
+def _apply(drawn):
+    # a constant/constant division is drawn as a product: its text "p/q"
+    # re-parses as a single rational literal by design; so is a divisor that
+    # simplifies to 0, which simplify would turn into the rejected literal
+    # x/0 (a filter here would make hypothesis print the whole strategy)
+    node, *args = drawn
+    if node is Div and (all(isinstance(a, Const) for a in args)
+                        or simplify(args[1]) == con(0)):
+        node = Mul
+    return node(*args)
+
+
+def _arithmetic(children):
+    def applied(arity):
+        nodes = [n for n in _OPERATORS if len(fields(n)) == arity]
+        return st.tuples(st.sampled_from(nodes), *[children] * arity).map(_apply)
+
     return st.one_of(
-        st.tuples(children, children).map(lambda t: Add(*t)),
-        st.tuples(children, children).map(lambda t: Sub(*t)),
-        st.tuples(children, children).map(lambda t: Mul(*t)),
-        st.tuples(children.filter(lambda e: not isinstance(e, Const)),
-                  st.integers(1, 9)).map(lambda t: Div(t[0], con(t[1]))),
+        applied(1), applied(2),
         st.tuples(children, st.integers(0, 3)).map(lambda t: Pow(t[0], con(t[1]))),
-        st.tuples(children, children).map(lambda t: Max(*t)),
-        children.map(Floor),
+        st.sampled_from([X, Y]).map(lambda v: Pow(con(2), v)),  # no constant towers
+    )
+
+
+_call_free = st.recursive(_leaf, _arithmetic, max_leaves=6)
+_cmp = st.builds(Cmp, st.sampled_from(sorted(CMP)), _call_free, _call_free)
+_conditions = st.one_of(
+    _cmp, st.builds(And, _cmp, _cmp), st.builds(Or, _cmp, _cmp), st.builds(Not, _cmp),
+    st.sampled_from([TRUE, FALSE]),
+)
+
+
+def _combine(children):
+    return st.one_of(
+        _arithmetic(children),
+        st.builds(Ite, _conditions, children, children),
+        st.lists(children, min_size=1, max_size=3).map(lambda a: Call("f", tuple(a))),
     )
 
 
@@ -186,3 +217,13 @@ def test_pretty_print_parse_roundtrip(e):
 def test_simplified_forms_roundtrip(e):
     s = simplify(e)
     assert parse_expression(to_text(s)) == s
+
+
+def test_every_operator_has_arithmetic_and_one_printed_form():
+    operators = set(_CHILDREN) - {Const, Var, Call, Ite}
+    assert operators == set(OPS)
+    for node in operators:
+        forms = (node in INFIX) + (node in FUNCTIONS.values()) + (node is Pow)
+        assert forms == 1, node.__name__
+    assert len({symbol for symbol, _ in INFIX.values()}) == len(INFIX)
+    assert len(set(FUNCTIONS.values())) == len(FUNCTIONS)

@@ -156,3 +156,28 @@ class TestCoveredPiecesAbsorbed:
                             cfg.regression, cfg.sample, cfg.limits)
             assert solve(rdef, cfg).closed_form == guessed.closed_form
             assert len(guessed.closed_form.pieces) == 2
+
+
+STEP40 = parse_recurrence(
+    "def f(x);\npre x >= 0;\n"
+    "f(x) = 0 if x = 0;\n"
+    "f(x) = f(x-1) + 1 if x > 0 and x <= 40;\n"
+    "f(x) = f(x-1) + 2 if x > 40;\n")
+
+
+class TestRetry:
+    """A refuted candidate earns exactly one retry, with a fresh seed and
+    twice the samples.  step40's slope changes past the sampled box, so
+    both attempts guess x and both are refuted at 41."""
+
+    def test_refuted_candidate_is_retried_once(self, tmp_path):
+        cfg = SolveConfig(solver=SolverConfig((BUILTIN,)), emit_dir=str(tmp_path))
+        report = solve(STEP40, cfg, name="step40")
+        assert to_text(report.closed_form.pieces[0].expr) == "x"
+        assert (report.verdict, report.counterexample) == (
+            "refuted", {"point": [41], "recurrence_value": "42", "candidate_value": "41"})
+        assert report.retried
+        assert report.exit_status() == 3
+        assert {"retry_guess", "retry_simplify", "retry_check"} <= set(report.timings_ms)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["step40-retry.smt2", "step40.smt2"]
