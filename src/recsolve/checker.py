@@ -8,14 +8,16 @@ of `prover.py` (`builtin`), which reads and answers the same text.
 point where evaluation terminates); a model is turned into a concrete
 counterexample, at the model itself or at the arguments of a recursive
 call made there, and confirmed by direct evaluation before reporting
-Refuted.  Everything the solver sees is integer arithmetic: rational
-coefficients are cleared by multiplying each equation through by the
-least common denominator, carried through constant factors into max,
-min, ite and constant powers; floors and ceilings of divisions become
-integer `div` (with the sign-correct ceiling encoding -((-a) div b),
-valid for divisors entailed positive), and max/min/piecewise terms become `ite`.
-An equation the emitter cannot translate is reported as
-`unsupported-operator`.
+Refuted.  Everything the solver sees is integer arithmetic.  One walk,
+`_clear`, decides where clearing reaches (through + - max min ite, into
+the operand of a constant factor and into the base of a positive integer
+power) and returns the least factor that makes every constant there whole
+together with the expression multiplied by it; each equation, comparison
+and floor or ceiling argument is cleared that way.  Floors and ceilings of
+divisions become integer `div` (with the sign-correct ceiling encoding
+-((-a) div b), valid for divisors entailed positive), and max/min/piecewise
+terms become `ite`.  An equation the emitter cannot translate is reported
+as `unsupported-operator`.
 """
 from __future__ import annotations
 
@@ -167,12 +169,8 @@ def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -
     key = (cfg.argv, hypothesis, conclusion)
     if key not in _ENTAILMENT_CACHE:
         names = sorted(constraint_free_vars(hypothesis) | constraint_free_vars(conclusion))
-        lines = [f"(set-logic {LOGIC})"]
-        lines += [f"(declare-const {n} Int)" for n in names]
-        lines.append(f"(assert {emit_constraint(hypothesis)})")
-        lines.append(f"(assert (not {emit_constraint(conclusion)}))")
-        lines.append("(check-sat)")
-        script = "\n".join(lines) + "\n"
+        script = _script(names, (emit_constraint(hypothesis),
+                                 f"(not {emit_constraint(conclusion)})"))
         _ENTAILMENT_CACHE[key] = run_solver(script, cfg).status == "unsat"
     return _ENTAILMENT_CACHE[key]
 
@@ -216,17 +214,11 @@ class Implication:
 
 @dataclass(frozen=True)
 class EncodedFormula:
-    """The implications and, aligned with them, their SMT-LIB2 text
-    (`emit_implication`), which is computed here unless `encode` already
-    has it."""
+    """The implications and, aligned with them, the SMT-LIB2 text that
+    `encode` emitted for each (`emit_implication`)."""
     variables: tuple
     implications: tuple
-    emitted: tuple | None = None
-
-    def __post_init__(self):
-        if self.emitted is None:
-            object.__setattr__(self, "emitted",
-                               tuple(emit_implication(i) for i in self.implications))
+    emitted: tuple
 
 
 def encode(rdef: RecurrenceDef, fhat: ClosedForm,
@@ -285,79 +277,94 @@ def _check_divisor_positivity(antecedent: Constraint, sides, domain_checker):
 # SMT-LIB2 emission
 # ---------------------------------------------------------------------------
 
-def _denominators(e: Expr) -> list:
-    """Denominators of rational coefficients at positions the
-    equation-level clearing can reach (mirrors `_scale`).  Coefficients
-    that multiply compose their denominators multiplicatively, so the lcm
-    of the result clears them; base^k needs d^k if d clears the base."""
-    if isinstance(e, Const):
-        return [e.value.denominator]
-    if isinstance(e, (Add, Sub, Max, Min)):
-        return _denominators(e.lhs) + _denominators(e.rhs)
-    if isinstance(e, Mul):
-        if isinstance(e.lhs, Const):
-            d = e.lhs.value.denominator
-            return [d] + [d * x for x in _denominators(e.rhs)]
-        if isinstance(e.rhs, Const):
-            d = e.rhs.value.denominator
-            return [d] + [d * x for x in _denominators(e.lhs)]
-        return []
-    if isinstance(e, Div) and isinstance(e.rhs, Const):
-        d = (1 / e.rhs.value).denominator
-        return [d] + [d * x for x in _denominators(e.lhs)]
-    if isinstance(e, Ite):
-        return _denominators(e.then) + _denominators(e.other)
-    if isinstance(e, Pow) and isinstance(e.exponent, Const) \
-            and e.exponent.value.denominator == 1 and e.exponent.value > 0:
-        return [lcm(1, *_denominators(e.base)) ** int(e.exponent.value)]
-    return []
+def _linear(e: Expr):
+    """(operands, rebuild) when a positive factor distributes over `e`:
+    both sides of + - max min (it keeps the order) and both branches of
+    an ite."""
+    t = type(e)
+    if t is Add or t is Sub or t is Max or t is Min:
+        return (e.lhs, e.rhs), t
+    if t is Ite:
+        return (e.then, e.other), lambda then, other: Ite(e.cond, then, other)
+    return None
 
 
-def _scale(e: Expr, s: int) -> Expr:
-    """Multiply by a positive integer, distributing where this is exact.
-    A constant factor whose product with `s` is a nonzero integer k is
-    carried into its operand as `_scale(operand, |k|)`, negated when k is
-    negative, so the clearing factor reaches the constants under max, min
-    and ite (`_denominators` already counts them)."""
-    if s == 1:
+def _factor(e: Expr):
+    """(c, operand) when `e` is the constant c times `operand`."""
+    t = type(e)
+    if t is Mul:
+        if type(e.lhs) is Const:
+            return e.lhs.value, e.rhs
+        if type(e.rhs) is Const:
+            return e.rhs.value, e.lhs
+    elif t is Div and type(e.rhs) is Const:
+        return 1 / e.rhs.value, e.lhs
+    return None
+
+
+def _clear(e: Expr) -> tuple:
+    """(d*e, d) for the least d that makes whole every constant the
+    clearing reaches: the operands of `_linear`, the operand of a constant
+    factor (whose denominator multiplies the operand's d) and the base of
+    a positive integer power (d^k).  With d = 1, `e` comes back as written,
+    so a whole factor is carried into its operand only by `_times`."""
+    t = type(e)
+    if t is Var:
+        return e, 1
+    if t is Const:
+        d = e.value.denominator
+        return (e, 1) if d == 1 else (Const(Fraction(e.value.numerator)), d)
+    linear = _linear(e)
+    if linear is not None:
+        operands, rebuild = linear
+        (x, a), (y, b) = map(_clear, operands)
+        d = lcm(a, b)
+        return (e, 1) if d == 1 else (rebuild(_times(x, d // a), _times(y, d // b)), d)
+    factor = _factor(e)
+    if factor is not None:
+        c, operand = factor
+        x, a = _clear(operand)
+        d = c.denominator * a
+        return (e, 1) if d == 1 else (_carry(c.numerator, x), d)
+    if t is Pow and type(e.exponent) is Const and e.exponent.value.denominator == 1 \
+            and e.exponent.value > 0:
+        base, d = _clear(e.base)
+        return (e, 1) if d == 1 else (Pow(base, e.exponent), d ** int(e.exponent.value))
+    return e, 1
+
+
+def _times(e: Expr, k) -> Expr:
+    """`k * e` for a positive k: spread over the operands of `_linear` and
+    carried into the operand of a constant factor; any other node is
+    multiplied as a whole."""
+    if k == 1:
         return e
-    if isinstance(e, Const):
-        return Const(e.value * s)
-    if isinstance(e, (Add, Sub)):
-        return type(e)(_scale(e.lhs, s), _scale(e.rhs, s))
-    if isinstance(e, Mul):
-        if isinstance(e.lhs, Const):
-            return _scale_product(e.lhs.value * s, e.rhs)
-        if isinstance(e.rhs, Const):
-            return _scale_product(e.rhs.value * s, e.lhs)
-        return Mul(Const(Fraction(s)), e)
-    if isinstance(e, Div) and isinstance(e.rhs, Const):
-        return _scale(Mul(Const(1 / e.rhs.value), e.lhs), s)
-    if isinstance(e, (Max, Min)):  # s > 0 preserves the order
-        return type(e)(_scale(e.lhs, s), _scale(e.rhs, s))
-    if isinstance(e, Ite):
-        return Ite(e.cond, _scale(e.then, s), _scale(e.other, s))
-    if isinstance(e, Pow) and _denominators(e):  # to a positive integer constant
-        d = lcm(1, *_denominators(e.base))
-        q, r = divmod(s, d ** int(e.exponent.value))
-        if r == 0:
-            return Mul(Const(Fraction(q)), Pow(_scale(e.base, d), e.exponent))
-    return Mul(Const(Fraction(s)), e)
+    if type(e) is Const:
+        return Const(e.value * k)
+    linear = _linear(e)
+    if linear is not None:
+        operands, rebuild = linear
+        return rebuild(*(_times(x, k) for x in operands))
+    factor = _factor(e)
+    if factor is not None:
+        return _carry(factor[0] * k, factor[1])
+    return Mul(Const(Fraction(k)), e)
 
 
-def _scale_product(k: Fraction, operand: Expr) -> Expr:
-    """`k * operand`, the factor carried into the operand when it is a
-    nonzero integer."""
-    if k.denominator != 1 or k == 0:
-        return Mul(Const(k), operand)
+def _carry(k, operand: Expr) -> Expr:
+    """`k * operand`, the factor carried into the operand unless it is 0."""
+    if k == 0:
+        return Mul(Const(Fraction(0)), operand)
     if k < 0:
-        return Sub(Const(Fraction(0)), _scale(operand, int(-k)))
-    return _scale(operand, int(k))
+        return Sub(Const(Fraction(0)), _times(operand, -k))
+    return _times(operand, k)
 
 
 def _cleared(lhs: Expr, rhs: Expr) -> tuple:
-    denom = lcm(*(_denominators(lhs) + _denominators(rhs) + [1, 1]))
-    return simplify(_scale(lhs, denom)), simplify(_scale(rhs, denom))
+    """Both sides of an equation or comparison times the one factor that
+    clears them."""
+    both, _ = _clear(Sub(lhs, rhs))
+    return simplify(both.lhs), simplify(both.rhs)
 
 
 def _smt_int(v: Fraction) -> str:
@@ -412,11 +419,11 @@ def _emit_floor_ceil(e: Expr) -> str:
     if isinstance(arg, Div) and not isinstance(arg.rhs, Const):
         num, den = emit_term(simplify(arg.lhs)), emit_term(simplify(arg.rhs))
     else:
-        q = lcm(*(_denominators(arg) + [1, 1]))
-        num_expr = simplify(_scale(arg, q))
+        num_expr, q = _clear(arg)
+        num = emit_term(simplify(num_expr))
         if q == 1:
-            return emit_term(num_expr)  # integer-valued argument
-        num, den = emit_term(num_expr), str(q)
+            return num  # integer-valued argument
+        den = str(q)
     if ceil:
         return f"(- (div (- {num}) {den}))"  # ceil(a/b) = -((-a) div b), b > 0
     return f"(div {num} {den})"
@@ -455,13 +462,16 @@ def emit_implication(impl: Implication) -> str:
 def emit_smtlib(ef: EncodedFormula) -> str:
     """Deterministic SMT-LIB2 script asserting the negation of the encoded
     conjunction of implications."""
-    lines = [f"(set-logic {LOGIC})"]
-    lines += [f"(declare-const {n} Int)" for n in ef.variables]
     impls = ef.emitted
     body = impls[0] if len(impls) == 1 else "(and " + " ".join(impls) + ")"
-    lines.append(f"(assert (not {body}))")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
+    return _script(ef.variables, (f"(not {body})",), "(get-model)")
+
+
+def _script(names, assertions, *tail: str) -> str:
+    """The layout of every script: the logic, one integer constant per
+    name, the assertions, `check-sat`, then `tail`."""
+    lines = [f"(set-logic {LOGIC})", *(f"(declare-const {n} Int)" for n in names),
+             *(f"(assert {a})" for a in assertions), "(check-sat)", *tail]
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 
 from .checker import SolverProcessFailure, check_solution, resolve_solver
-from .expr import compile_constraint, single_piece
+from .expr import compile_constraint, simplify, single_piece
 from .parser import ParseError, parse_expression
 from .pipeline import SolveConfig, SolveReport, solve, verdict_fields
 from .recurrence import (
@@ -124,10 +124,8 @@ def cmd_check(args) -> int:
     try:
         rdef = load_recurrence(args.file)
         expr = parse_expression(args.cf)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ParseError, RecurrenceError) as err:
+        simplify(expr)  # raises on a divisor that folds to 0, as in x/(1-1)
+    except (OSError, ParseError, RecurrenceError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     cfg = build_config(args)

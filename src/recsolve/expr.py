@@ -778,10 +778,10 @@ def _prec(e: Expr) -> int:
         return INFIX[t][1]
     if t is Pow:
         return _PREC_POW
+    if t is Const and e.value.denominator != 1:
+        return _PREC_MUL  # prints as p/q, -p/q included
     if t is Const and e.value < 0:
         return _PREC_UNARY
-    if t is Const and e.value.denominator != 1:
-        return _PREC_MUL  # prints as p/q
     return _PREC_ATOM
 
 

@@ -30,6 +30,7 @@ The answers are never guesses:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -82,10 +83,12 @@ def _sexprs(text: str) -> list:
 
 
 class _Reader:
-    """Turns s-expressions into term and formula tuples:
-    terms ("num", n), ("var", name), ("add", args), ("mul", args),
-    ("neg", t), ("div", a, b), ("ite", f, a, b); formulas ("bool", b),
-    ("and", args), ("or", args), ("not", f), ("cmp", op, a, b)."""
+    """Turns s-expressions into term and formula tuples.  A leaf is
+    (kind, value): ("num", n), ("var", name), ("bool", b).  Every other
+    node is (kind, *children): terms ("add", *terms), ("mul", *terms),
+    ("neg", t), ("div", a, b), ("ite", f, a, b); formulas ("and", *fs),
+    ("or", *fs), ("not", f), and the comparison ("cmp", op, a, b), whose
+    operator comes first."""
 
     def __init__(self):
         self.names: list = []
@@ -103,10 +106,9 @@ class _Reader:
         if head == "-" and len(args) == 1:
             return ("neg", self.term(args[0]))
         if head == "-" and len(args) > 1:
-            return ("add", (self.term(args[0]),)
-                    + tuple(("neg", self.term(a)) for a in args[1:]))
+            return ("add", self.term(args[0]), *(("neg", self.term(a)) for a in args[1:]))
         if head in ("+", "*") and args:
-            return ("add" if head == "+" else "mul", tuple(self.term(a) for a in args))
+            return ("add" if head == "+" else "mul", *map(self.term, args))
         if head == "div" and len(args) == 2:
             return ("div", self.term(args[0]), self.term(args[1]))
         if head == "ite" and len(args) == 3:
@@ -120,11 +122,11 @@ class _Reader:
             raise Unsupported(f"bad formula {s}")
         head, args = s[0], s[1:]
         if head in ("and", "or"):
-            return (head, tuple(self.formula(a) for a in args))
+            return (head, *map(self.formula, args))
         if head == "not" and len(args) == 1:
             return ("not", self.formula(args[0]))
         if head == "=>" and len(args) == 2:
-            return ("or", (("not", self.formula(args[0])), self.formula(args[1])))
+            return ("or", ("not", self.formula(args[0])), self.formula(args[1]))
         if head in _CMP_OPS and len(args) == 2:
             return ("cmp", head, self.term(args[0]), self.term(args[1]))
         raise Unsupported(f"unsupported formula {head}")
@@ -140,24 +142,19 @@ def _div(a: int, b: int) -> int:
     return a // b if b > 0 else -(a // -b)
 
 
+_LEAVES = ("num", "var")
+_APPLY = {"add": sum, "mul": math.prod, "neg": lambda a: -a[0], "div": lambda a: _div(*a)}
+
+
 def _eval_term(t, env) -> int:
     kind = t[0]
     if kind == "num":
         return t[1]
     if kind == "var":
         return env[t[1]]
-    if kind == "add":
-        return sum(_eval_term(a, env) for a in t[1])
-    if kind == "mul":
-        out = 1
-        for a in t[1]:
-            out *= _eval_term(a, env)
-        return out
-    if kind == "neg":
-        return -_eval_term(t[1], env)
-    if kind == "div":
-        return _div(_eval_term(t[1], env), _eval_term(t[2], env))
-    return _eval_term(t[2] if _eval_formula(t[1], env) else t[3], env)
+    if kind == "ite":  # only the branch taken: the other may divide by zero
+        return _eval_term(t[2] if _eval_formula(t[1], env) else t[3], env)
+    return _APPLY[kind]([_eval_term(a, env) for a in t[1:]])
 
 
 def _eval_formula(f, env) -> bool:
@@ -165,9 +162,9 @@ def _eval_formula(f, env) -> bool:
     if kind == "bool":
         return f[1]
     if kind == "and":
-        return all(_eval_formula(a, env) for a in f[1])
+        return all(_eval_formula(a, env) for a in f[1:])
     if kind == "or":
-        return any(_eval_formula(a, env) for a in f[1])
+        return any(_eval_formula(a, env) for a in f[1:])
     if kind == "not":
         return not _eval_formula(f[1], env)
     a, b = _eval_term(f[2], env), _eval_term(f[3], env)
@@ -253,7 +250,7 @@ def _and(items) -> tuple:
     if _FALSE in items:
         return _FALSE
     items = tuple(i for i in items if i != _TRUE)
-    return items[0] if len(items) == 1 else ("and", items) if items else _TRUE
+    return items[0] if len(items) == 1 else ("and", *items) if items else _TRUE
 
 
 def _or(items) -> tuple:
@@ -261,7 +258,7 @@ def _or(items) -> tuple:
     if _TRUE in items:
         return _TRUE
     items = tuple(i for i in items if i != _FALSE)
-    return items[0] if len(items) == 1 else ("or", items) if items else _FALSE
+    return items[0] if len(items) == 1 else ("or", *items) if items else _FALSE
 
 
 def _compare(op: str, p: dict):
@@ -282,18 +279,11 @@ _ZERO = ("num", 0)
 
 def _first_ite(t):
     """The outermost ite of a term (not looking into conditions), or None."""
-    kind = t[0]
-    if kind == "ite":
+    if t[0] == "ite":
         return t
-    if kind in ("add", "mul"):
-        args = t[1]
-    elif kind == "neg":
-        args = (t[1],)
-    elif kind == "div":
-        args = t[1:]
-    else:
+    if t[0] in _LEAVES:
         return None
-    for a in args:
+    for a in t[1:]:
         found = _first_ite(a)
         if found is not None:
             return found
@@ -301,17 +291,13 @@ def _first_ite(t):
 
 
 def _replace(t, old, new):
-    """The term with every occurrence of the subterm `old` replaced."""
+    """The term with every occurrence of the subterm `old` replaced,
+    looking into no other ite."""
     if t == old:
         return new
-    kind = t[0]
-    if kind in ("add", "mul"):
-        return (kind, tuple(_replace(a, old, new) for a in t[1]))
-    if kind == "neg":
-        return ("neg", _replace(t[1], old, new))
-    if kind == "div":
-        return ("div", _replace(t[1], old, new), _replace(t[2], old, new))
-    return t
+    if t[0] in _LEAVES or t[0] == "ite":
+        return t
+    return (t[0], *(_replace(a, old, new) for a in t[1:]))
 
 
 class _Normalizer:
@@ -331,21 +317,19 @@ class _Normalizer:
             return _const(t[1]), []
         if kind == "var":
             return _var(t[1]), []
+        polys, conds = [], []
+        for child in t[1:]:
+            p, c = self.poly(child)
+            polys.append(p)
+            conds += c
         if kind == "neg":
-            p, conds = self.poly(t[1])
-            return _padd({}, p, -1), conds
-        if kind in ("add", "mul"):
-            combine = _padd if kind == "add" else _pmul
-            out, conds = ({} if kind == "add" else _const(1)), []
-            for arg in t[1]:
-                p, c = self.poly(arg)
-                out = combine(out, p)
-                conds += c
-            return out, conds
-        a, ca = self.poly(t[1])
-        b, cb = self.poly(t[2])
-        cd, p = self.div(a, b)
-        return p, ca + cb + list(cd)
+            return _padd({}, polys[0], -1), conds
+        if kind == "add":
+            return functools.reduce(_padd, polys, {}), conds
+        if kind == "mul":
+            return functools.reduce(_pmul, polys, _const(1)), conds
+        cd, p = self.div(*polys)
+        return p, conds + list(cd)
 
     def div(self, a: dict, b: dict):
         """(conditions, polynomial) for div(a, b)."""
@@ -615,7 +599,7 @@ class _Cell:
 class _Problem:
     def __init__(self, names: list, assertions: list, deadline: float):
         self.names = names
-        self.formula = ("and", tuple(assertions))
+        self.formula = ("and", *assertions)
         self.deadline = deadline
 
     def holds(self, env) -> bool:
@@ -650,18 +634,18 @@ class _Problem:
         ('unknown', model or None), the model coming from a cell decided by
         enumeration."""
         self.norm = _Normalizer()
-        self.memo: dict = {}     # atoms -> closed
+        self.cells: dict = {}    # frozenset of atoms -> _Cell
         self.model = None
         self.all_closed = True
         self.expand([(self.formula, True)], [], [])
-        self.memo = None
+        self.cells = None
         return ("unsat", None) if self.all_closed else ("unknown", self.model)
 
-    def closed(self, atoms) -> bool:
+    def cell(self, atoms) -> _Cell:
         key = frozenset(atoms)
-        if key not in self.memo:
-            self.memo[key] = _Cell(key, self.norm.defs, self.deadline).closed
-        return self.memo[key]
+        if key not in self.cells:
+            self.cells[key] = _Cell(key, self.norm.defs, self.deadline)
+        return self.cells[key]
 
     def expand(self, todo: list, atoms: list, branches: list):
         """Explore the cells depth first.  A pending item is a parsed
@@ -682,12 +666,12 @@ class _Problem:
                 todo.append((f[1], not positive))
             elif kind in ("and", "or"):
                 if (kind == "and") == positive:
-                    todo += [(g, positive) for g in f[1]]
+                    todo += [(g, positive) for g in f[1:]]
                 else:
-                    branches.append([[(g, positive)] for g in f[1]])
+                    branches.append([[(g, positive)] for g in f[1:]])
             else:
                 op = f[1] if positive else _NEGATED[f[1]]
-                diff = ("add", (f[2], ("neg", f[3])))
+                diff = ("add", f[2], ("neg", f[3]))
                 ite = _first_ite(diff)
                 if ite is None:
                     p, conds = self.norm.poly(diff)
@@ -698,13 +682,13 @@ class _Problem:
                     branches.append([
                         [(cond, True), (("cmp", op, _replace(diff, ite, then), _ZERO), True)],
                         [(cond, False), (("cmp", op, _replace(diff, ite, other), _ZERO), True)]])
-        if self.closed(atoms):
+        cell = self.cell(atoms)
+        if cell.closed:
             return
         if branches:
             for alternative in branches[0]:
                 self.expand(alternative, atoms, branches[1:])
             return
-        cell = _Cell(frozenset(atoms), self.norm.defs, self.deadline)
         status, env = cell.enumerate_box(self.deadline)
         if status == "closed":
             return

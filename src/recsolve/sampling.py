@@ -163,16 +163,12 @@ _ENUMERATION_LIMIT = 200_000  # boxes up to this size are enumerated
 _MAX_ATTEMPTS = 200_000       # draws of rejection sampling in a larger box
 
 
-def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
-                  count: int | None = None, arg_names: Sequence[str] | None = None,
-                  strict: bool = True) -> list:
-    """Draw `count` distinct integer tuples within bounds satisfying `pre`,
-    deterministically for a given seed.  Small boxes are enumerated and
-    shuffled; large ones use rejection sampling capped at `_MAX_ATTEMPTS`."""
-    if count is None:
-        count = cfg.n_train
-    if arg_names is None:
-        arg_names = [f"x{i+1}" for i in range(arity)]
+def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig, count: int,
+                  arg_names: Sequence[str]) -> list:
+    """Draw up to `count` distinct integer tuples within bounds satisfying
+    `pre`, deterministically for a given seed.  Small boxes are enumerated
+    and shuffled; large ones use rejection sampling capped at
+    `_MAX_ATTEMPTS`, so fewer points come back when few satisfy `pre`."""
     satisfies = compile_constraint(pre, arg_names)
     lo, hi = cfg.bounds
     rng = random.Random(cfg.seed)
@@ -181,8 +177,6 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
         points = list(filter(satisfies,
                              itertools.product(range(lo, hi + 1), repeat=arity)))
         rng.shuffle(points)
-        if len(points) < count and strict:
-            raise SamplingExhausted(count, len(points))
         return points[:count]
     found: list = []
     seen: set = set()
@@ -195,18 +189,16 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig,
             found.append(p)
             if len(found) == count:
                 return found
-    if strict:
-        raise SamplingExhausted(count, len(found))
     return found
 
 
 def sample_train_test(pre: Constraint, arity: int, cfg: SampleConfig,
-                      arg_names: Sequence[str] | None = None) -> tuple:
+                      arg_names: Sequence[str]) -> tuple:
     """Disjoint train/test inputs from one seeded stream.  When the
     satisfying set is smaller than the requested total, the split is scaled
-    down proportionally instead of failing."""
+    down proportionally; below 8 points it raises SamplingExhausted."""
     total = cfg.n_train + cfg.n_test
-    points = sample_inputs(pre, arity, cfg, count=total, arg_names=arg_names, strict=False)
+    points = sample_inputs(pre, arity, cfg, count=total, arg_names=arg_names)
     if len(points) < 8:
         raise SamplingExhausted(total, len(points))
     if len(points) >= total:

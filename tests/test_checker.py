@@ -1,7 +1,9 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import recsolve.checker as checker
 from recsolve.checker import (
@@ -9,10 +11,11 @@ from recsolve.checker import (
     Unknown,
     UnsupportedOperator, Verified, absorb_covered_pieces, check_solution,
     emit_smtlib, encode, emit_implication, entails, parse_model,
-    SolverProcessFailure, _cleared,
+    SolverProcessFailure, _clear, _cleared,
 )
 from recsolve.cli import BENCHMARKS
 from recsolve.expr import (
+    Add, Const, Div, ExprError, Ite, Max, Min, Mul, Pow, Sub,
     Piece, TRUE, Var, con, eval_expr, simplify, single_piece, to_text,
     ClosedForm,
 )
@@ -23,12 +26,23 @@ from recsolve.regression import RegressionConfig, guess
 from recsolve.sampling import SampleConfig, default_base_set
 
 from conftest import bench_sidecar, brute_entails, grid_points, load_bench, stub_solver
+from test_acceptance import reference_closed_form
+from test_parser import _call_free
 
 X, Y = Var("x"), Var("y")
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
 def cf_for(rdef, text):
     return single_piece(parse_expression(text), rdef.arg_names, rdef.precondition)
+
+
+def formula(variables, implications):
+    """The encoded formula of `implications`, emitted as `encode` does."""
+    return EncodedFormula(variables, implications,
+                          tuple(map(emit_implication, implications)))
 
 
 class TestSupportedSmt:
@@ -117,31 +131,30 @@ class TestEncode:
 
 class TestEmission:
     def test_deterministic_and_golden(self):
-        rdef = load_bench("nested")
-        ef = encode(rdef, cf_for(rdef, "x"), brute_entails)
-        text1 = emit_smtlib(ef)
-        text2 = emit_smtlib(ef)
-        assert text1 == text2
-        assert text1 == (
-            "(set-logic QF_NIA)\n"
-            "(declare-const x Int)\n"
-            "(assert (not (and "
-            "(=> (and (>= x 0) (= x 0)) (= x 0)) "
-            "(=> (and (>= x 0) (and (not (= x 0)) (> x 0))) (= x x)))))\n"
-            "(check-sat)\n"
-            "(get-model)\n")
+        # the main query of each corpus reference candidate, byte for byte
+        for name in BENCHMARKS:
+            rdef = load_bench(name)
+            ef = encode(rdef, reference_closed_form(rdef, name), brute_entails)
+            text = emit_smtlib(ef)
+            assert text == emit_smtlib(ef), name
+            with open(os.path.join(GOLDEN_DIR, f"{name}.smt2"), encoding="utf-8") as fh:
+                assert text == fh.read(), name
 
-    def test_encode_emits_each_implication_once(self):
+    def test_encode_emits_each_implication_once(self, monkeypatch):
         # the text `encode` keeps is what emission of the bare implications
-        # gives, so the script is the same either way
+        # gives, and the script is assembled from it without emitting again
+        calls = []
+        emit = checker.emit_implication
+        monkeypatch.setattr(checker, "emit_implication",
+                            lambda i: calls.append(i) or emit(i))
         rdef = load_bench("sum-osc")
         ef = encode(rdef, cf_for(rdef, "x + y^2/2 + 3*y/2 + 1"), brute_entails)
-        assert ef.emitted == tuple(emit_implication(i) for i in ef.implications)
-        assert emit_smtlib(ef) == emit_smtlib(
-            EncodedFormula(ef.variables, ef.implications))
+        emit_smtlib(ef)
+        assert calls == list(ef.implications)
+        assert ef.emitted == tuple(emit(i) for i in ef.implications)
 
     def test_rational_coefficients_cleared(self):
-        ef = EncodedFormula(("x", "y"), (Implication(
+        ef = formula(("x", "y"), (Implication(
             parse_constraint("y > 0"),
             parse_expression("x + y^2/2 + 3*y/2"),
             parse_expression("x + 2")),))
@@ -150,25 +163,25 @@ class TestEmission:
         assert "(* 2 x)" in text  # both sides multiplied through by 2
 
     def test_ceiling_encoding_is_sign_correct(self):
-        ef = EncodedFormula(("x", "y"), (Implication(
+        ef = formula(("x", "y"), (Implication(
             parse_constraint("y > 0"), parse_expression("ceil(x/y)"), con(0)),))
         text = emit_smtlib(ef)
         assert "(- (div (- x) y))" in text
 
     def test_floor_of_constant_denominator(self):
-        ef = EncodedFormula(("x",), (Implication(
+        ef = formula(("x",), (Implication(
             TRUE, parse_expression("floor(x/2)"), con(0)),))
         assert "(div x 2)" in emit_smtlib(ef)
 
     def test_max_min_as_ite(self):
-        ef = EncodedFormula(("x", "y"), (Implication(
+        ef = formula(("x", "y"), (Implication(
             TRUE, parse_expression("max(x, y)"), parse_expression("min(x, y)")),))
         text = emit_smtlib(ef)
         assert "(ite (>= x y) x y)" in text
         assert "(ite (<= x y) x y)" in text
 
     def test_negative_literals(self):
-        ef = EncodedFormula(("x",), (Implication(
+        ef = formula(("x",), (Implication(
             TRUE, parse_expression("x - 5"), parse_expression("-5")),))
         assert "(- 5)" in emit_smtlib(ef)
 
@@ -218,6 +231,40 @@ class TestClearing:
         for p in itertools.product(range(-3, 4), repeat=2):
             env = dict(zip(("x", "y"), p))
             assert eval_expr(clhs, env) == factor * eval_expr(e, env), p
+
+
+    @given(_call_free)
+    @settings(max_examples=300, deadline=None)
+    def test_clear_multiplies_through_to_whole_constants(self, e):
+        cleared, d = _clear(e)
+        for p in itertools.product(range(-3, 4), repeat=2):
+            env = dict(zip(("x", "y"), map(Fraction, p)))
+            try:
+                want = d * eval_expr(e, env)
+            except ExprError:
+                continue  # e is undefined here
+            assert eval_expr(cleared, env) == want, p
+        assert all(c.denominator == 1 for c in reached_constants(cleared))
+
+
+def reached_constants(e):
+    """The constants at the positions clearing reaches, a constant factor
+    of a division counted as its reciprocal."""
+    t = type(e)
+    if t is Const:
+        return [e.value]
+    if t in (Add, Sub, Max, Min):
+        return reached_constants(e.lhs) + reached_constants(e.rhs)
+    if t is Ite:
+        return reached_constants(e.then) + reached_constants(e.other)
+    if t is Mul and Const in (type(e.lhs), type(e.rhs)):
+        return reached_constants(e.lhs) + reached_constants(e.rhs)
+    if t is Div and type(e.rhs) is Const:
+        return [1 / e.rhs.value] + reached_constants(e.lhs)
+    if t is Pow and type(e.exponent) is Const and e.exponent.value > 0 \
+            and e.exponent.value.denominator == 1:
+        return reached_constants(e.base)
+    return []
 
 
 class TestModelParsing:

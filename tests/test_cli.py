@@ -92,6 +92,11 @@ class TestCheckCommand:
         assert status == 3 and err == ""
         assert out.startswith("refuted at (")
 
+    @pytest.mark.parametrize("candidate", ["x/(1-1)", "1/(x-x)"])
+    def test_divisor_that_folds_to_zero(self, capsys, candidate):
+        status, out, err = run_cli(capsys, "check", bench_file("nested"), "--cf", candidate)
+        assert (status, out, err) == (1, "", "error: division by the literal constant zero\n")
+
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),
                                  "--cf", "ite(x > 0 and y > 0, x + y - 1, 0)")

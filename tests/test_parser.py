@@ -155,7 +155,7 @@ class TestRecurrenceDefs:
 # round-trip property: printing then parsing reproduces the tree, for every
 # operator of the shared syntax table, ^, ite and calls
 _leaf = st.one_of(
-    st.integers(-9, 9).map(con),
+    st.builds(lambda n, d: con(Fraction(n, d)), st.integers(-9, 9), st.integers(1, 4)),
     st.sampled_from([X, Y]),
 )
 

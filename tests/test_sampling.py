@@ -65,8 +65,8 @@ class TestSampleInputs:
 
     def test_unsatisfiable_raises(self):
         with pytest.raises(SamplingExhausted):
-            sample_inputs(parse_constraint("x < 0"), 1, SampleConfig(seed=0),
-                          count=5, arg_names=("x",))
+            sample_train_test(parse_constraint("x < 0"), 1, SampleConfig(seed=0),
+                              arg_names=("x",))
 
     def test_deterministic(self):
         pre = parse_constraint("x >= 0")
