@@ -16,8 +16,10 @@ together with the expression multiplied by it; each equation, comparison
 and floor or ceiling argument is cleared that way.  Floors and ceilings of
 divisions become integer `div` (with the sign-correct ceiling encoding
 -((-a) div b), valid for divisors entailed positive), and max/min/piecewise
-terms become `ite`.  An equation the emitter cannot translate is reported
-as `unsupported-operator`.
+terms become `ite`.  One emitter, `emit_term`, writes terms and
+constraints alike.  An equation the emitter cannot translate, or one
+with a divisor that folds to 0 once the candidate is substituted, is
+reported as `unsupported-operator`.
 """
 from __future__ import annotations
 
@@ -34,9 +36,8 @@ from typing import Callable, Sequence
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
     Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, Var,
-    compile_constraint, compile_expr, conj, constraint_exprs,
-    constraint_free_vars, contains_calls, nodes, replace_calls, simplify,
-    to_text,
+    children, compile_expr, conj, contains_calls, free_vars, nodes,
+    replace_calls, simplify, to_text,
 )
 from .recurrence import (
     EvalLimits, GuardFallthroughError, RecurrenceDef, Value, eval_closed_form,
@@ -168,9 +169,8 @@ def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -
     query is neither emitted nor sent again."""
     key = (cfg.argv, hypothesis, conclusion)
     if key not in _ENTAILMENT_CACHE:
-        names = sorted(constraint_free_vars(hypothesis) | constraint_free_vars(conclusion))
-        script = _script(names, (emit_constraint(hypothesis),
-                                 f"(not {emit_constraint(conclusion)})"))
+        names = sorted(free_vars(hypothesis) | free_vars(conclusion))
+        script = _script(names, (emit_term(hypothesis), f"(not {emit_term(conclusion)})"))
         _ENTAILMENT_CACHE[key] = run_solver(script, cfg).status == "unsat"
     return _ENTAILMENT_CACHE[key]
 
@@ -192,7 +192,7 @@ def absorb_covered_pieces(cf: ClosedForm) -> ClosedForm:
         hypothesis = conj([cf.precondition, piece.guard])
         covered = conj([Cmp("=", main.expr, piece.expr)] + [Not(k.guard) for k in kept])
         try:
-            _check_divisor_positivity(hypothesis, constraint_exprs(covered), prover)
+            _check_divisor_positivity(hypothesis, (covered,), prover)
             absorbed = prover(hypothesis, covered)
         except UnsupportedOperator:
             absorbed = False
@@ -227,8 +227,9 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     precondition plus the negations of the earlier guards plus the case
     guard; the consequent equates the candidate at the arguments with the
     case body after every call has been replaced by the candidate.  An
-    implication that `emit_implication` cannot translate, or whose
-    divisors the antecedent does not prove positive, raises
+    implication that `emit_implication` cannot translate, one with a
+    divisor that folds to 0 once the candidate is substituted, or one
+    whose divisors the antecedent does not prove positive, raises
     UnsupportedOperator."""
     arg_vars = tuple(Var(n) for n in rdef.arg_names)
     implications = []
@@ -237,16 +238,18 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     for i, case in enumerate(rdef.cases):
         antecedent = conj([rdef.precondition] + previous + [case.guard])
         equation = Sub(Call(rdef.name, arg_vars), case.body)
-        replaced = replace_calls(equation, rdef.name, fhat,
-                                 rdef.precondition, case.guard, domain_checker)
-        if contains_calls(replaced):
-            raise ResidualCall(
-                f"case {i + 1}: could not replace every call in {to_text(case.body)}")
-        assert isinstance(replaced, Sub)
-        impl = Implication(antecedent, simplify(replaced.lhs), simplify(replaced.rhs))
         try:
+            replaced = replace_calls(equation, rdef.name, fhat,
+                                     rdef.precondition, case.guard, domain_checker)
+            if contains_calls(replaced):
+                raise ResidualCall(
+                    f"case {i + 1}: could not replace every call in {to_text(case.body)}")
+            assert isinstance(replaced, Sub)
+            impl = Implication(antecedent, simplify(replaced.lhs), simplify(replaced.rhs))
             text = emit_implication(impl)  # emission decides the solver fragment
-        except UnsupportedOperator as err:
+        except (UnsupportedOperator, ValueError) as err:
+            # ValueError: a divisor that becomes the literal 0 once a call's
+            # arguments are substituted (y - y at y = x - 1) and simplified
             raise UnsupportedOperator(f"case {i + 1}: {err}") from None
         _check_divisor_positivity(antecedent, (impl.lhs, impl.rhs), domain_checker)
         implications.append(impl)
@@ -265,8 +268,7 @@ def _nonconst_divisors(e: Expr) -> list:
 def _check_divisor_positivity(antecedent: Constraint, sides, domain_checker):
     # the div/ceil encodings assume positive divisors; demand the antecedent
     # proves it for every non-constant divisor
-    divisors = [d for e in (*sides, *constraint_exprs(antecedent))
-                for d in _nonconst_divisors(e)]
+    divisors = [d for e in (*sides, antecedent) for d in _nonconst_divisors(e)]
     for d in divisors:
         if not domain_checker(antecedent, Cmp(">", d, Const(Fraction(0)))):
             raise UnsupportedOperator(
@@ -374,49 +376,56 @@ def _smt_int(v: Fraction) -> str:
     return str(n) if n >= 0 else f"(- {-n})"
 
 
+# The nodes written as the SMT-LIB2 operator of the same meaning applied
+# to their children.
+_APPLY = {Add: "+", Sub: "-", Mul: "*", And: "and", Or: "or", Not: "not"}
 _PICK = {Max: ">=", Min: "<="}  # max and min as ite: the test that picks lhs
 
 
 def emit_term(e: Expr) -> str:
-    if isinstance(e, Const):
+    """`e`, an expression or a constraint, as an SMT-LIB2 term; each
+    comparison is cleared of rational coefficients."""
+    t = type(e)
+    if t in _APPLY:
+        return f"({_APPLY[t]} {' '.join(map(emit_term, children(e)))})"
+    if t is Const:
         return _smt_int(e.value)
-    if isinstance(e, Var):
+    if t is Var:
         return e.name
-    if isinstance(e, Add):
-        return f"(+ {emit_term(e.lhs)} {emit_term(e.rhs)})"
-    if isinstance(e, Sub):
-        return f"(- {emit_term(e.lhs)} {emit_term(e.rhs)})"
-    if isinstance(e, Mul):
-        return f"(* {emit_term(e.lhs)} {emit_term(e.rhs)})"
-    if isinstance(e, Pow):
+    if t is Pow:
         k = e.exponent
-        if not isinstance(k, Const) or k.value.denominator != 1 or k.value < 0:
+        if type(k) is not Const or k.value.denominator != 1 or k.value < 0:
             raise UnsupportedOperator(to_text(e))
         n = int(k.value)
         if n == 0:
             return "1"
         base = emit_term(e.base)
         return base if n == 1 else f"(* {' '.join([base] * n)})"
-    if isinstance(e, (Floor, Ceil)):
+    if t is Floor or t is Ceil:
         return _emit_floor_ceil(e)
-    if type(e) in _PICK:
+    if t in _PICK:
         a, b = emit_term(e.lhs), emit_term(e.rhs)
-        return f"(ite ({_PICK[type(e)]} {a} {b}) {a} {b})"
-    if isinstance(e, Ite):
-        return f"(ite {emit_constraint(e.cond)} {emit_term(e.then)} {emit_term(e.other)})"
-    if isinstance(e, Div):
+        return f"(ite ({_PICK[t]} {a} {b}) {a} {b})"
+    if t is Ite:
+        return f"(ite {emit_term(e.cond)} {emit_term(e.then)} {emit_term(e.other)})"
+    if t is Cmp:
+        a, b = map(emit_term, _cleared(simplify(e.lhs), simplify(e.rhs)))
+        return f"(not (= {a} {b}))" if e.op == "!=" else f"({e.op} {a} {b})"
+    if t is BoolLit:
+        return "true" if e.value else "false"
+    if t is Div:
         raise UnsupportedOperator(f"bare division {to_text(e)}")
-    if isinstance(e, Log2Ceil):
+    if t is Log2Ceil:
         raise UnsupportedOperator(to_text(e))
-    if isinstance(e, Call):
+    if t is Call:
         raise UnsupportedOperator(f"unreplaced call {to_text(e)}")
     raise TypeError(f"unknown expression node {e!r}")
 
 
 def _emit_floor_ceil(e: Expr) -> str:
-    ceil = isinstance(e, Ceil)
+    ceil = type(e) is Ceil
     arg = e.arg
-    if isinstance(arg, Div) and not isinstance(arg.rhs, Const):
+    if type(arg) is Div and type(arg.rhs) is not Const:
         num, den = emit_term(simplify(arg.lhs)), emit_term(simplify(arg.rhs))
     else:
         num_expr, q = _clear(arg)
@@ -429,33 +438,13 @@ def _emit_floor_ceil(e: Expr) -> str:
     return f"(div {num} {den})"
 
 
-def emit_constraint(c: Constraint) -> str:
-    if isinstance(c, BoolLit):
-        return "true" if c.value else "false"
-    if isinstance(c, Cmp):
-        lhs, rhs = _cleared(simplify(c.lhs), simplify(c.rhs))
-        a, b = emit_term(lhs), emit_term(rhs)
-        if c.op == "=":
-            return f"(= {a} {b})"
-        if c.op == "!=":
-            return f"(not (= {a} {b}))"
-        return f"({c.op} {a} {b})"
-    if isinstance(c, And):
-        return f"(and {emit_constraint(c.lhs)} {emit_constraint(c.rhs)})"
-    if isinstance(c, Or):
-        return f"(or {emit_constraint(c.lhs)} {emit_constraint(c.rhs)})"
-    if isinstance(c, Not):
-        return f"(not {emit_constraint(c.arg)})"
-    raise TypeError(f"unknown constraint node {c!r}")
-
-
 def emit_implication(impl: Implication) -> str:
     """One implication as an SMT-LIB2 term, its equation cleared of
     rational coefficients.  Raises UnsupportedOperator outside the solver
     fragment: integer arithmetic with constant powers, floor/ceil over
     divisions, ite-encoded max/min and conditionals."""
     lhs, rhs = _cleared(impl.lhs, impl.rhs)
-    return (f"(=> {emit_constraint(impl.antecedent)}"
+    return (f"(=> {emit_term(impl.antecedent)}"
             f" (= {emit_term(lhs)} {emit_term(rhs)}))")
 
 
@@ -547,11 +536,10 @@ def _call_sites(rdef: RecurrenceDef, point: tuple) -> list:
     candidate is right at the model but wrong at a call's arguments,
     which then confirm the refutation."""
     names = rdef.arg_names
-    case = next((c for c in rdef.cases if compile_constraint(c.guard, names)(point)),
-                None)
+    case = next((c for c in rdef.cases if compile_expr(c.guard, names)(point)), None)
     if case is None:
         return []
-    pre = compile_constraint(rdef.precondition, names)
+    pre = compile_expr(rdef.precondition, names)
     sites = []
     for node in nodes(case.body):
         if isinstance(node, Call) and node.fname == rdef.name \

@@ -2,17 +2,20 @@
 
 Everything here is immutable and evaluated with ints and
 `fractions.Fraction`, so no floating point can leak into guards,
-recurrence values or candidate coefficients.  Expressions may contain
-`Call` nodes (references to a recurrence being solved); constraints may
-not.  Evaluation compiles a tree once into a closure over an argument
-tuple (`compile_expr`, `compile_constraint`), for code that evaluates one
-expression at many points; `eval_expr` and `eval_constraint` compile and
-apply in one call.
+recurrence values or candidate coefficients.  A constraint (a boolean
+literal, a comparison, `and`, `or` or `not`) is an expression whose value
+is a bool, so one walker, simplifier, compiler and printer serve both.
+Expressions may contain `Call` nodes (references to a recurrence being
+solved); comparisons may not.  Evaluation compiles a tree once into a
+closure over an argument tuple (`compile_expr`), for code that evaluates
+one expression at many points; `eval_expr` compiles and applies in one
+call.
 
-Each operator has one row per table: its arithmetic in `OPS`, its
-children in `_CHILDREN` (the walker), its syntax in `INFIX` or `FUNCTIONS`
-(the printer and the parser) and its rewrite in `_RULES`.  `simplify`
-folds constants through `OPS` and has no arithmetic of its own.
+Each node has one row per table: its children in `_CHILDREN` (the
+walker) and its rewrite in `_RULES`; an arithmetic operator also has its
+arithmetic in `OPS` and its syntax in `INFIX` or `FUNCTIONS` (the printer
+and the parser).  `simplify` folds constants through `OPS` and
+comparisons through `CMP`, and has no arithmetic of its own.
 """
 from __future__ import annotations
 
@@ -165,9 +168,9 @@ CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 
 @dataclass(frozen=True)
-class Constraint:
-    def __str__(self):
-        return constraint_to_text(self)
+class Constraint(Expr):
+    """A bool-valued expression; comparisons of call-free expressions are
+    its atoms."""
 
 
 @dataclass(frozen=True)
@@ -292,12 +295,13 @@ def _raiser(error: type, name: str):
     return fail
 
 
-def compile_expr(e: Expr, arg_names: Sequence[str]) -> Callable[[tuple], Rational]:
+def compile_expr(e: Expr, arg_names: Sequence[str]) -> Callable[[tuple], Rational | bool]:
     """`e` as a closure over an argument tuple whose values are bound to
     `arg_names` in order.  Values are int or Fraction (both exact
-    rationals), never floats; operands are evaluated left to right.  An
-    unbound variable, a Call or an arithmetic error raises only when the
-    node holding it is evaluated, so an untaken Ite branch raises nothing."""
+    rationals), never floats, and a constraint's are bools; operands are
+    evaluated left to right, and `and`/`or` short-circuit.  An unbound
+    variable, a Call or an arithmetic error raises only when the node
+    holding it is evaluated, so an untaken Ite branch raises nothing."""
     index = {n: i for i, n in enumerate(arg_names)}
 
     def comp(e: Expr):
@@ -312,11 +316,22 @@ def compile_expr(e: Expr, arg_names: Sequence[str]) -> Callable[[tuple], Rationa
         if t is Call:
             return _raiser(UnexpandedCall, e.fname)
         if t is Ite:
-            test = compile_constraint(e.cond, arg_names)
-            then, other = comp(e.then), comp(e.other)
+            test, then, other = comp(e.cond), comp(e.then), comp(e.other)
             return lambda a: then(a) if test(a) else other(a)
+        if t is BoolLit:
+            v = e.value
+            return lambda a: v
+        if t is And or t is Or:
+            f, g = comp(e.lhs), comp(e.rhs)
+            if t is And:
+                return lambda a: f(a) and g(a)
+            return lambda a: f(a) or g(a)
+        if t is Not:
+            f = comp(e.arg)
+            return lambda a: not f(a)
         kids = children(e)
-        op, f = OPS[t], comp(kids[0])
+        op = CMP[e.op] if t is Cmp else OPS[t]
+        f = comp(kids[0])
         if len(kids) == 1:
             return lambda a: op(f(a))
         g = comp(kids[1])
@@ -325,35 +340,12 @@ def compile_expr(e: Expr, arg_names: Sequence[str]) -> Callable[[tuple], Rationa
     return comp(e)
 
 
-def compile_constraint(c: Constraint, arg_names: Sequence[str]) -> Callable[[tuple], bool]:
-    """`c` as a closure over an argument tuple, as `compile_expr`; And and
-    Or short-circuit left to right."""
-    t = type(c)
-    if t is Cmp:
-        f, g = compile_expr(c.lhs, arg_names), compile_expr(c.rhs, arg_names)
-        op = CMP[c.op]
-        return lambda a: op(f(a), g(a))
-    if t is And or t is Or:
-        f, g = compile_constraint(c.lhs, arg_names), compile_constraint(c.rhs, arg_names)
-        if t is And:
-            return lambda a: f(a) and g(a)
-        return lambda a: f(a) or g(a)
-    if t is Not:
-        f = compile_constraint(c.arg, arg_names)
-        return lambda a: not f(a)
-    if t is BoolLit:
-        v = c.value
-        return lambda a: v
-    raise TypeError(f"unknown constraint node {c!r}")
-
-
 def eval_expr(e: Expr, env: Env):
     """Exact evaluation of call-free `e` with the variables bound by `env`."""
     return compile_expr(e, tuple(env))(tuple(env.values()))
 
 
-def eval_constraint(c: Constraint, env: Env) -> bool:
-    return compile_constraint(c, tuple(env))(tuple(env.values()))
+eval_constraint = eval_expr  # the older name, still imported by perfbench
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +360,21 @@ def _arg(e):
     return (e.arg,)
 
 
-def _ite_children(e):
-    return (e.then, e.other, *constraint_exprs(e.cond))
-
-
 _lhs_rhs = operator.attrgetter("lhs", "rhs")
 _CHILDREN = {
-    Const: _no_children, Var: _no_children,
+    Const: _no_children, Var: _no_children, BoolLit: _no_children,
     Add: _lhs_rhs, Sub: _lhs_rhs, Mul: _lhs_rhs, Div: _lhs_rhs,
-    Max: _lhs_rhs, Min: _lhs_rhs,
+    Max: _lhs_rhs, Min: _lhs_rhs, Cmp: _lhs_rhs, And: _lhs_rhs, Or: _lhs_rhs,
     Pow: operator.attrgetter("base", "exponent"),
-    Floor: _arg, Ceil: _arg, Log2Ceil: _arg,
+    Floor: _arg, Ceil: _arg, Log2Ceil: _arg, Not: _arg,
     Call: operator.attrgetter("args"),
-    Ite: _ite_children,
+    Ite: operator.attrgetter("then", "other", "cond"),
 }
 
 
 def children(e: Expr) -> tuple:
-    """The direct subexpressions of `e`, in constructor order; an Ite gives
-    its two branches followed by every Cmp side inside its condition."""
+    """The direct subexpressions of `e`, in constructor order, except that
+    an Ite gives its two branches before its condition."""
     try:
         get = _CHILDREN[type(e)]
     except KeyError:
@@ -395,45 +383,19 @@ def children(e: Expr) -> tuple:
 
 
 def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """Rebuild `e` with `f` applied to each child expression, in `children`
-    order (for an Ite, also to every Cmp side inside its condition)."""
+    """Rebuild `e` with `f` applied to each child, in `children` order."""
     t = type(e)
     if t is Call:
         return Call(e.fname, tuple(map(f, e.args)))
     if t is Ite:
         then, other = f(e.then), f(e.other)
-        return Ite(map_constraint(e.cond, f), then, other)
+        return Ite(f(e.cond), then, other)
+    if t is Cmp:
+        return Cmp(e.op, f(e.lhs), f(e.rhs))
     kids = children(e)
     if len(kids) == 2:  # the common case, without building an argument tuple
         return t(f(kids[0]), f(kids[1]))
     return t(*map(f, kids)) if kids else e
-
-
-def constraint_exprs(c: Constraint) -> list:
-    """All expression operands appearing inside a constraint."""
-    if isinstance(c, BoolLit):
-        return []
-    if isinstance(c, Cmp):
-        return [c.lhs, c.rhs]
-    if isinstance(c, (And, Or)):
-        return constraint_exprs(c.lhs) + constraint_exprs(c.rhs)
-    if isinstance(c, Not):
-        return constraint_exprs(c.arg)
-    raise TypeError(f"unknown constraint node {c!r}")
-
-
-def map_constraint(c: Constraint, f: Callable[[Expr], Expr]) -> Constraint:
-    """Rebuild `c` with `f` applied to each Cmp side, in
-    `constraint_exprs` order."""
-    if isinstance(c, BoolLit):
-        return c
-    if isinstance(c, Cmp):
-        return Cmp(c.op, f(c.lhs), f(c.rhs))
-    if isinstance(c, (And, Or)):
-        return type(c)(map_constraint(c.lhs, f), map_constraint(c.rhs, f))
-    if isinstance(c, Not):
-        return Not(map_constraint(c.arg, f))
-    raise TypeError(f"unknown constraint node {c!r}")
 
 
 def nodes(e: Expr) -> Iterator[Expr]:
@@ -455,21 +417,10 @@ def free_vars(e: Expr) -> set:
     return {n.name for n in nodes(e) if type(n) is Var}
 
 
-def constraint_free_vars(c: Constraint) -> set:
-    out: set = set()
-    for e in constraint_exprs(c):
-        out |= free_vars(e)
-    return out
-
-
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if type(e) is Var:
         return mapping.get(e.name, e)
     return map_children(e, lambda c: substitute(c, mapping))
-
-
-def substitute_constraint(c: Constraint, mapping: Mapping[str, Expr]) -> Constraint:
-    return map_constraint(c, lambda e: substitute(e, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +430,9 @@ def substitute_constraint(c: Constraint, mapping: Mapping[str, Expr]) -> Constra
 # through `OPS` when every child is a constant, and then rewritten by the
 # one rule its type has in `_RULES`: like-term collection over a linear
 # normal form, neutral exponents, floor/ceil of syntactically integer
-# arguments, max/min idempotence and Ite folding.  Idempotent.
+# arguments, max/min idempotence, Ite folding, constant comparisons,
+# true/false operands of and/or, and negation of literals and of
+# negations.  Idempotent.
 # ---------------------------------------------------------------------------
 
 # Integer-valued whenever every child is (a power also needs a
@@ -585,14 +538,32 @@ def _equal_operands(e: Expr) -> Expr:
 
 
 def _fold_ite(e: Ite) -> Expr:
-    cond = _fold_constraint(e.cond)
-    if cond == TRUE:
-        return e.then
-    if cond == FALSE:
-        return e.other
-    if e.then == e.other:
-        return e.then
-    return Ite(cond, e.then, e.other)
+    if type(e.cond) is BoolLit:
+        return e.then if e.cond.value else e.other
+    return e.then if e.then == e.other else e
+
+
+def _compare_constants(e: Cmp) -> Expr:
+    if type(e.lhs) is Const and type(e.rhs) is Const:
+        return BoolLit(CMP[e.op](e.lhs.value, e.rhs.value))
+    return e
+
+
+def _drop_literals(e: Expr) -> Expr:
+    # an and/or with a literal operand: the absorbing one decides, the
+    # neutral one drops out
+    absorbing, neutral = (FALSE, TRUE) if type(e) is And else (TRUE, FALSE)
+    if e.lhs == absorbing or e.rhs == absorbing:
+        return absorbing
+    if e.lhs == neutral:
+        return e.rhs
+    return e.lhs if e.rhs == neutral else e
+
+
+def _negate(e: Not) -> Expr:
+    if type(e.arg) is BoolLit:
+        return BoolLit(not e.arg.value)
+    return e.arg.arg if type(e.arg) is Not else e
 
 
 # The rewrite of each node type, applied once its children are simplified
@@ -601,6 +572,7 @@ _RULES = {
     Add: _linear, Sub: _linear, Mul: _linear, Div: _linear,
     Pow: _neutral_exponent, Floor: _integer_argument, Ceil: _integer_argument,
     Max: _equal_operands, Min: _equal_operands, Ite: _fold_ite,
+    Cmp: _compare_constants, And: _drop_literals, Or: _drop_literals, Not: _negate,
 }
 
 
@@ -619,40 +591,6 @@ def simplify(e: Expr) -> Expr:
                 pass  # left as written, as 0^-1 or a non-integer exponent
     rule = _RULES.get(t)
     return e if rule is None else rule(e)
-
-
-def _fold_constraint(c: Constraint) -> Constraint:
-    """Fold the boolean structure of `c`, whose Cmp sides are already
-    simplified: constant comparisons, true/false operands, double negation."""
-    t = type(c)
-    if t is BoolLit:
-        return c
-    if t is Cmp:
-        if type(c.lhs) is Const and type(c.rhs) is Const:
-            return BoolLit(CMP[c.op](c.lhs.value, c.rhs.value))
-        return c
-    if t is And or t is Or:
-        absorbing, neutral = (FALSE, TRUE) if t is And else (TRUE, FALSE)
-        lhs, rhs = _fold_constraint(c.lhs), _fold_constraint(c.rhs)
-        if lhs == absorbing or rhs == absorbing:
-            return absorbing
-        if lhs == neutral:
-            return rhs
-        if rhs == neutral:
-            return lhs
-        return t(lhs, rhs)
-    if t is Not:
-        arg = _fold_constraint(c.arg)
-        if type(arg) is BoolLit:
-            return BoolLit(not arg.value)
-        if type(arg) is Not:
-            return arg.arg
-        return Not(arg)
-    raise TypeError(f"unknown constraint node {c!r}")
-
-
-def simplify_constraint(c: Constraint) -> Constraint:
-    return _fold_constraint(map_constraint(c, simplify))
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +625,7 @@ class ClosedForm:
     def compiled_pieces(self) -> tuple:
         """Each piece as (guard, expr) closures over an argument tuple, built
         on first use."""
-        return tuple((compile_constraint(p.guard, self.arg_names),
+        return tuple((compile_expr(p.guard, self.arg_names),
                       compile_expr(p.expr, self.arg_names)) for p in self.pieces)
 
     def single_region_body(self) -> Expr:
@@ -707,12 +645,12 @@ class ClosedForm:
 
     def domain_at(self, args: Sequence[Expr]) -> Constraint:
         mapping = dict(zip(self.arg_names, args))
-        return substitute_constraint(self.precondition, mapping)
+        return substitute(self.precondition, mapping)
 
     def to_text(self) -> str:
         if len(self.pieces) == 1 and self.pieces[0].guard == TRUE:
             return to_text(self.pieces[0].expr)
-        return "; ".join(f"{to_text(p.expr)} if {constraint_to_text(p.guard)}"
+        return "; ".join(f"{to_text(p.expr)} if {to_text(p.guard)}"
                          for p in self.pieces)
 
 
@@ -771,18 +709,24 @@ FUNCTIONS = {"floor": Floor, "ceil": Ceil, "log2ceil": Log2Ceil,
              "max": Max, "min": Min}
 _FUNCTION_NAMES = {node: name for name, node in FUNCTIONS.items()}
 
+# The connectives, on a scale of their own below every comparison: an
+# operand takes parentheses only when it binds looser than its connective
+# (an `or` under an `and`), or than `not`, which binds as tight as unary
+# minus.  A right-nested chain prints flat and parses back left-nested.
+_CONNECTIVES = {Or: ("or", 1), And: ("and", 2)}
+
+_PRECEDENCE = {node: prec for node, (_, prec) in (*INFIX.items(), *_CONNECTIVES.items())}
+_PRECEDENCE[Pow] = _PREC_POW
+
 
 def _prec(e: Expr) -> int:
     t = type(e)
-    if t in INFIX:
-        return INFIX[t][1]
-    if t is Pow:
-        return _PREC_POW
-    if t is Const and e.value.denominator != 1:
-        return _PREC_MUL  # prints as p/q, -p/q included
-    if t is Const and e.value < 0:
-        return _PREC_UNARY
-    return _PREC_ATOM
+    if t is Const:
+        if e.value.denominator != 1:
+            return _PREC_MUL  # prints as p/q, -p/q included
+        if e.value < 0:
+            return _PREC_UNARY
+    return _PRECEDENCE.get(t, _PREC_ATOM)
 
 
 def _paren(e: Expr, minimum: int) -> str:
@@ -804,26 +748,17 @@ def to_text(e: Expr) -> str:
     if t is Pow:
         return f"{_paren(e.base, _PREC_ATOM)}^{_paren(e.exponent, _PREC_UNARY)}"
     if t is Ite:
-        return f"ite({constraint_to_text(e.cond)}, {to_text(e.then)}, {to_text(e.other)})"
+        return f"ite({to_text(e.cond)}, {to_text(e.then)}, {to_text(e.other)})"
+    if t is Cmp:
+        return f"{to_text(e.lhs)} {e.op} {to_text(e.rhs)}"
+    if t in _CONNECTIVES:
+        word, prec = _CONNECTIVES[t]
+        return f"{_paren(e.lhs, prec)} {word} {_paren(e.rhs, prec)}"
+    if t is Not:
+        return f"not {_paren(e.arg, _PREC_UNARY)}"
+    if t is BoolLit:
+        return "true" if e.value else "false"
     name = e.fname if t is Call else _FUNCTION_NAMES.get(t)
     if name is None:
         raise TypeError(f"unknown expression node {e!r}")
     return f"{name}({', '.join(map(to_text, children(e)))})"
-
-
-def constraint_to_text(c: Constraint, parent: str = "or") -> str:
-    if isinstance(c, BoolLit):
-        return "true" if c.value else "false"
-    if isinstance(c, Cmp):
-        return f"{to_text(c.lhs)} {c.op} {to_text(c.rhs)}"
-    if isinstance(c, And):
-        return f"{constraint_to_text(c.lhs, 'and')} and {constraint_to_text(c.rhs, 'and')}"
-    if isinstance(c, Or):
-        text = f"{constraint_to_text(c.lhs, 'or')} or {constraint_to_text(c.rhs, 'or')}"
-        return f"({text})" if parent == "and" else text
-    if isinstance(c, Not):
-        inner = constraint_to_text(c.arg, "not")
-        if isinstance(c.arg, (And, Or)):
-            return f"not ({inner})"
-        return f"not {inner}"
-    raise TypeError(f"unknown constraint node {c!r}")

@@ -42,6 +42,7 @@ class Token:
 
 _TWO_CHAR = ("<=", ">=", "!=")
 _ONE_CHAR = "+-*/^(),;=<>"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes digits int() rejects, as ²
 _KEYWORDS = {"def", "pre", "if", "and", "or", "not", "true", "false"}
 _INFIX = {symbol: (node, prec) for node, (symbol, prec) in INFIX.items()}
 _LOOSEST = min(prec for _, prec in _INFIX.values())
@@ -73,9 +74,9 @@ def tokenize(text: str) -> list:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i

@@ -16,7 +16,7 @@ from .checker import (
     CheckVerdict, Refuted, SolverConfig, SolverProcessFailure, Unknown,
     Verified, absorb_covered_pieces, check_solution, make_domain_checker,
 )
-from .expr import ClosedForm, constraint_to_text, to_text
+from .expr import ClosedForm, to_text
 from .recurrence import (
     EvalLimits, RecurrenceDef, UnknownFunction, foreign_names, validate_coverage,
 )
@@ -82,7 +82,7 @@ class SolveReport:
             "recurrence": self.recurrence,
             "closed_form": self.closed_form.to_text() if self.closed_form else None,
             "closed_form_pieces": (
-                [[to_text(p.expr), constraint_to_text(p.guard)]
+                [[to_text(p.expr), to_text(p.guard)]
                  for p in self.closed_form.pieces] if self.closed_form else None),
             "score": self.score,
             "raw_score": self.raw_score,
@@ -199,7 +199,7 @@ def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
         except (SamplingError, RegressionError) as err:
             timings[prefix + "guess"] = (time.monotonic() - t0) * 1000
             report.error = f"{type(err).__name__}: {err}"
-            report.verdict_reason = _reason_for(err)
+            report.verdict_reason = err.reason
             return None, None
         timings[prefix + "guess"] = (time.monotonic() - t0) * 1000
 
@@ -235,12 +235,3 @@ def _unchecked(result: GuessResult, report: SolveReport, failure: Exception | No
     if failure is not None:
         report.error = f"SolverProcessFailure: {failure}"
     return result, None
-
-
-def _reason_for(err: Exception) -> str:
-    name = type(err).__name__
-    return {
-        "LikelyNonterminating": "likely-nonterminating",
-        "SamplingExhausted": "sampling-exhausted",
-        "DegenerateDesign": "degenerate-design",
-    }.get(name, "guess-error")

@@ -3,8 +3,9 @@
 Evaluation follows the first-matching-guard order of the cases (a nested
 if-then-else).  On the first `eval_fun` call on a definition, each case's
 guard and body are compiled into Python closures over the argument tuple,
-and the definition keeps them: guards and Ite conditions by
-`expr.compile_constraint`, bodies here, since their calls read the memo.
+and the definition keeps them: guards and Ite conditions (bool-valued
+expressions) by `expr.compile_expr`, bodies here, since their calls read
+the memo.
 The evaluator is iterative with memoization on concrete argument tuples,
 so deeply recursive or non-terminating definitions hit the configured
 limits instead of exhausting the Python stack: a body that reaches a
@@ -24,8 +25,8 @@ from typing import Callable, Sequence
 
 from .expr import (
     OPS, Call, ClosedForm, Const, Constraint, Expr, Ite, Not, Var, children,
-    compile_constraint, conj, constraint_free_vars, constraint_to_text,
-    contains_calls, disj, free_vars, map_children, nodes, to_text,
+    compile_expr, conj, contains_calls, disj, free_vars, map_children, nodes,
+    to_text,
 )
 
 
@@ -82,12 +83,12 @@ class RecurrenceDef:
                 rec = True
             else:
                 closed = True
-            loose = (free_vars(case.body) | constraint_free_vars(case.guard)) - declared
+            loose = (free_vars(case.body) | free_vars(case.guard)) - declared
             if loose:
                 raise RecurrenceError(
                     f"case {i + 1} uses variables {sorted(loose)} that are not arguments")
             _check_call_arities(case.body, arities)
-        loose = constraint_free_vars(self.precondition) - declared
+        loose = free_vars(self.precondition) - declared
         if loose:
             raise RecurrenceError(f"precondition uses non-argument variables {sorted(loose)}")
         if not rec:
@@ -113,9 +114,9 @@ class RecurrenceDef:
 
     def to_text(self) -> str:
         head = f"def {self.name}({', '.join(self.arg_names)});"
-        pre = f"pre {constraint_to_text(self.precondition)};"
+        pre = f"pre {to_text(self.precondition)};"
         cases = [f"{self.name}({', '.join(self.arg_names)}) = {to_text(c.body)}"
-                 f" if {constraint_to_text(c.guard)};" for c in self.cases]
+                 f" if {to_text(c.guard)};" for c in self.cases]
         return "\n".join([head, pre] + cases)
 
 
@@ -268,7 +269,7 @@ def _tuple_of(fs: list):
 
 def _compile_cases(rdef: RecurrenceDef) -> tuple:
     """Each case as (guard, body, size).  `guard(a)` is the guard from
-    `expr.compile_constraint`; `body(a, memo, acc)` evaluates at the
+    `expr.compile_expr`; `body(a, memo, acc)` evaluates at the
     argument tuple `a` with the arithmetic of `expr.OPS`, operands left
     to right.  `size` is the number of body nodes a finished evaluation
     visits, each Ite counting as one.  The steps of the Ite branch taken
@@ -309,7 +310,7 @@ def _compile_cases(rdef: RecurrenceDef) -> tuple:
                     raise _NeedCall(key, visited) from None
             return call, size
         if t is Ite:
-            test = compile_constraint(e.cond, rdef.arg_names)
+            test = compile_expr(e.cond, rdef.arg_names)
             then, n_then = expr(e.then, pos + 1)
             other, n_other = expr(e.other, pos + 1)
 
@@ -330,7 +331,7 @@ def _compile_cases(rdef: RecurrenceDef) -> tuple:
         g, ng = expr(kids[1], pos + 1 + nf)
         return (lambda a, m, acc: op(f(a, m, acc), g(a, m, acc))), 1 + nf + ng
 
-    return tuple((compile_constraint(case.guard, rdef.arg_names), *expr(case.body, 0))
+    return tuple((compile_expr(case.guard, rdef.arg_names), *expr(case.body, 0))
                  for case in rdef.cases)
 
 

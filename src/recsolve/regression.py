@@ -39,11 +39,11 @@ from .sampling import (
 
 
 class RegressionError(Exception):
-    pass
+    reason = "guess-error"  # the verdict reason of a report this error ends
 
 
 class DegenerateDesign(RegressionError):
-    pass
+    reason = "degenerate-design"
 
 
 def lambda_grid(count: int = 100, lo: float = 0.001, hi: float = 1.0) -> tuple:

@@ -21,17 +21,18 @@ from typing import Sequence
 
 from .expr import (
     Ceil, Const, Constraint, Div, Expr, ExprError, Floor, Log2Ceil, Max, Mul,
-    Pow, Var, compile_constraint, compile_expr, contains_calls, simplify,
-    to_text,
+    Pow, Var, compile_expr, contains_calls, simplify, to_text,
 )
 from .recurrence import EvalLimits, RecurrenceDef, Value, eval_fun
 
 
 class SamplingError(Exception):
-    pass
+    reason = "guess-error"  # the verdict reason of a report this error ends
 
 
 class SamplingExhausted(SamplingError):
+    reason = "sampling-exhausted"
+
     def __init__(self, wanted: int, found: int):
         super().__init__(f"found only {found} of {wanted} distinct satisfying inputs")
         self.wanted = wanted
@@ -42,6 +43,8 @@ class LikelyNonterminating(SamplingError):
     """More than half of the sampled inputs hit evaluation limits.  The
     inputs after the one that settled this were not evaluated, so `kept +
     dropped` may be less than `sampled`."""
+
+    reason = "likely-nonterminating"
 
     def __init__(self, kept: int, dropped: int, sampled: int | None = None):
         evaluated = kept + dropped
@@ -169,7 +172,7 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig, count: int,
     `pre`, deterministically for a given seed.  Small boxes are enumerated
     and shuffled; large ones use rejection sampling capped at
     `_MAX_ATTEMPTS`, so fewer points come back when few satisfy `pre`."""
-    satisfies = compile_constraint(pre, arg_names)
+    satisfies = compile_expr(pre, arg_names)
     lo, hi = cfg.bounds
     rng = random.Random(cfg.seed)
     box = (hi - lo + 1) ** arity

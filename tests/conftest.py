@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from recsolve.checker import SolverConfig, resolve_solver
-from recsolve.expr import compile_constraint, constraint_free_vars
+from recsolve.expr import compile_expr, free_vars
 from recsolve.parser import parse_recurrence
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "recsolve", "bench")
@@ -44,7 +44,7 @@ def stub_solver(main_query: str, timeout_ms: int = 10_000) -> SolverConfig:
 def grid_points(constraint, arg_names, lo=0, hi=12):
     """All integer tuples in the box satisfying the constraint: the
     brute-force domain used by sweep oracles."""
-    satisfies = compile_constraint(constraint, arg_names)
+    satisfies = compile_expr(constraint, arg_names)
     return [p for p in itertools.product(range(lo, hi + 1), repeat=len(arg_names))
             if satisfies(tuple(map(Fraction, p)))]
 
@@ -52,8 +52,8 @@ def grid_points(constraint, arg_names, lo=0, hi=12):
 def brute_entails(hyp, concl, lo=-4, hi=16):
     """Entailment by enumeration over a small integer box; an independent
     stand-in for the SMT-backed domain checker in unit tests."""
-    names = sorted(constraint_free_vars(hyp) | constraint_free_vars(concl))
-    hyp, concl = compile_constraint(hyp, names), compile_constraint(concl, names)
+    names = sorted(free_vars(hyp) | free_vars(concl))
+    hyp, concl = compile_expr(hyp, names), compile_expr(concl, names)
     return not any(hyp(p) and not concl(p)
                    for p in itertools.product(map(Fraction, range(lo, hi + 1)),
                                               repeat=len(names)))

@@ -122,6 +122,21 @@ class TestEncode:
         with pytest.raises(UnsupportedOperator):
             encode(rdef, cf_for(rdef, "2^x"), brute_entails)
 
+    @pytest.mark.parametrize("call, candidate", [
+        ("f(x - 1, x - 1)", "x + 0*floor(x/(x - y))"),
+        ("f(x - 1, 0)", "x + 0*floor(x/y)"),
+    ], ids=["folds", "literal"])
+    def test_divisor_zero_after_substitution(self, call, candidate):
+        # the candidate's divisor is 0 only at the call's arguments
+        rdef = parse_recurrence(f"def f(x, y);\npre x >= 0 and y >= 0;\n"
+                                f"f(x, y) = 0 if x = 0;\nf(x, y) = {call} + 1 if x > 0;\n")
+        cf = cf_for(rdef, candidate)
+        message = "case 2: division by the literal constant zero"
+        with pytest.raises(UnsupportedOperator, match=message):
+            encode(rdef, cf, brute_entails)
+        verdict = check_solution(rdef, cf, SolverConfig((BUILTIN,)))
+        assert verdict == Unknown("unsupported-operator", message)
+
     def test_divisor_positivity_demanded(self):
         # candidate floor(x/y) for a recurrence whose domain admits y = 0
         rdef = load_bench("s-max")
@@ -310,7 +325,7 @@ def test_entailment_cache_hit_emits_nothing(monkeypatch):
     cfg = SolverConfig((BUILTIN,))
     assert entails(hyp, concl, cfg)
     emitted = []
-    monkeypatch.setattr(checker, "emit_constraint", lambda c: emitted.append(c) or "")
+    monkeypatch.setattr(checker, "emit_term", lambda c: emitted.append(c) or "")
     assert entails(hyp, concl, cfg)
     assert emitted == []
 

@@ -97,6 +97,18 @@ class TestCheckCommand:
         status, out, err = run_cli(capsys, "check", bench_file("nested"), "--cf", candidate)
         assert (status, out, err) == (1, "", "error: division by the literal constant zero\n")
 
+    @pytest.mark.parametrize("call, candidate", [
+        ("f(x - 1, x - 1)", "x + 0*floor(x/(x - y))"),
+        ("f(x - 1, 0)", "x + 0*floor(x/y)"),
+    ], ids=["folds", "literal"])
+    def test_divisor_zero_after_substitution(self, capsys, tmp_path, call, candidate):
+        rec = tmp_path / "f.rec"
+        rec.write_text("def f(x, y);\npre x >= 0 and y >= 0;\n"
+                       f"f(x, y) = 0 if x = 0;\nf(x, y) = {call} + 1 if x > 0;\n")
+        status, out, err = run_cli(capsys, "check", str(rec), "--cf", candidate,
+                                   "--solver", "builtin")
+        assert (status, out, err) == (3, "unknown (unsupported-operator)\n", "")
+
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),
                                  "--cf", "ite(x > 0 and y > 0, x + y - 1, 0)")
@@ -125,6 +137,16 @@ class TestEvalCommand:
         status, out, err = run_cli(capsys, "eval", bench_file("cost"), "3")
         assert status == 1 and out == ""
         assert err.strip() == "error: UnknownFunction: s"
+
+    @pytest.mark.parametrize("command", [["solve"], ["eval", "3"]])
+    def test_unicode_digit(self, capsys, tmp_path, command):
+        rec = tmp_path / "sq.rec"
+        rec.write_text("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                       "f(x) = f(x - 1) + 2² if x > 0;\n")
+        status, out, err = run_cli(capsys, command[0], str(rec), *command[1:])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("4:20: unexpected character '²'\n")
 
     def test_domain_violation(self, capsys):
         status, _, err = run_cli(capsys, "eval", bench_file("div"), "5", "0")

@@ -8,10 +8,9 @@ from recsolve.expr import (
     CMP, Add, And, Call, Ceil, Cmp, Const, Div, DivisionByZero, Expr, ExprError,
     Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub,
     UnboundVariable, UnexpandedCall, Var, ClosedForm, ceil_log2, children,
-    compile_constraint, compile_expr, con, constraint_exprs, contains_calls,
-    eval_constraint, eval_expr, free_vars, is_syntactically_integer,
-    map_children, map_constraint, nodes, replace_calls, simplify,
-    simplify_constraint, single_piece, substitute, to_text, FALSE, TRUE,
+    compile_expr, con, contains_calls, eval_expr, free_vars,
+    is_syntactically_integer, map_children, nodes, replace_calls, simplify,
+    single_piece, substitute, to_text, FALSE, TRUE,
 )
 from recsolve.parser import parse_constraint, parse_expression
 
@@ -77,11 +76,11 @@ class TestEval:
 
 class TestConstraints:
     def test_examples(self):
-        assert eval_constraint(parse_constraint("x = 0"), {"x": Fraction(0)})
+        assert eval_expr(parse_constraint("x = 0"), {"x": Fraction(0)})
         env = {"x": Fraction(3), "y": Fraction(0)}
-        assert not eval_constraint(parse_constraint("x > 0 and y > 0"), env)
+        assert not eval_expr(parse_constraint("x > 0 and y > 0"), env)
         env = {"x": Fraction(7), "y": Fraction(2)}
-        assert eval_constraint(parse_constraint("x >= y and y > 0"), env)
+        assert eval_expr(parse_constraint("x >= y and y > 0"), env)
 
     def test_guards_reject_calls(self):
         with pytest.raises(ValueError):
@@ -115,8 +114,10 @@ class TestStructure:
 
 
 _LT, _EQ = Cmp("<", X, con(1)), Cmp("=", Y, con(0))
+_COND = And(_LT, Not(_EQ))
 
-# one example of every expression node type, with its children in order
+# one example of every node type, constraints included, with its children
+# in order
 EXPR_NODES = [
     (con(3), ()),
     (X, ()),
@@ -131,7 +132,12 @@ EXPR_NODES = [
     (Max(X, Y), (X, Y)),
     (Min(X, Y), (X, Y)),
     (Call("f", (X, Y)), (X, Y)),
-    (Ite(And(_LT, Not(_EQ)), X, Y), (X, Y, X, con(1), Y, con(0))),
+    (Ite(_COND, X, Y), (X, Y, _COND)),
+    (TRUE, ()),
+    (_LT, (X, con(1))),
+    (And(_LT, _EQ), (_LT, _EQ)),
+    (Or(_EQ, _LT), (_EQ, _LT)),
+    (Not(_LT), (_LT,)),
 ]
 
 # one example of every constraint node type, with its Cmp sides in order
@@ -146,6 +152,11 @@ CONSTRAINT_NODES = [
 
 def _rename(e):
     return substitute(e, {"x": Var("z")})
+
+
+def _cmp_sides(c):
+    # the comparison sides in the order `nodes` reaches them
+    return tuple(side for n in nodes(c) if type(n) is Cmp for side in children(n))
 
 
 class TestWalker:
@@ -164,14 +175,10 @@ class TestWalker:
     @pytest.mark.parametrize("node, sides", CONSTRAINT_NODES,
                              ids=[type(n).__name__ for n, _ in CONSTRAINT_NODES])
     def test_constraint_node(self, node, sides):
-        assert tuple(constraint_exprs(node)) == sides
-        assert map_constraint(node, lambda e: e) == node
-        seen = []
-        map_constraint(node, lambda e: seen.append(e) or e)
-        assert tuple(seen) == sides
-        out = map_constraint(node, _rename)
+        assert _cmp_sides(node) == sides
+        out = _rename(node)
         assert type(out) is type(node)
-        assert tuple(constraint_exprs(out)) == tuple(map(_rename, sides))
+        assert _cmp_sides(out) == tuple(map(_rename, sides))
 
     def test_nodes_in_preorder(self):
         e = Add(Mul(X, Y), Floor(X))
@@ -235,8 +242,8 @@ class TestSimplify:
 
     def test_simplify_constraint(self):
         c = parse_constraint("x + 0 > 1 - 1 and not not (1 < 2 or y = 0)")
-        assert simplify_constraint(c) == Cmp(">", X, con(0))
-        assert simplify_constraint(parse_constraint("not (x - x = 0)")) == FALSE
+        assert simplify(c) == Cmp(">", X, con(0))
+        assert simplify(parse_constraint("not (x - x = 0)")) == FALSE
 
     def test_max_idempotence(self):
         assert simplify(Max(X, X)) == X
@@ -441,8 +448,8 @@ def outcome(thunk):
 
 
 class TestCompiler:
-    """`compile_expr`/`compile_constraint` against the oracle's walker,
-    which has its own arithmetic."""
+    """`compile_expr` against the oracle's walker, which has its own
+    arithmetic."""
 
     @given(exprs_with_calls, points)
     @settings(max_examples=300, deadline=None)
@@ -456,11 +463,11 @@ class TestCompiler:
     @given(conditions, points)
     @settings(max_examples=200, deadline=None)
     def test_constraint_matches_walker(self, c, point):
-        f = compile_constraint(c, ("x", "y"))
+        f = compile_expr(c, ("x", "y"))
         env = dict(zip(("x", "y"), point))
         expected = outcome(lambda: eval_constraint_naive(c, env))
         assert outcome(lambda: f(point)) == expected
-        assert outcome(lambda: eval_constraint(c, env)) == expected
+        assert outcome(lambda: eval_expr(c, env)) == expected
 
     def test_untaken_branches_raise_nothing(self):
         positive = Cmp(">", X, con(0))
@@ -471,7 +478,7 @@ class TestCompiler:
         short = [(Or(TRUE, Cmp("=", Z, con(0))), True),
                  (And(FALSE, Cmp("=", Div(X, Sub(X, X)), con(0))), False)]
         for c, value in short:
-            assert compile_constraint(c, ("x",))((1,)) is value
+            assert compile_expr(c, ("x",))((1,)) is value
 
     def test_taken_branches_raise(self):
         with pytest.raises(UnboundVariable):

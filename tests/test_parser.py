@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 from fractions import Fraction
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recsolve.expr import (
-    CMP, FALSE, FUNCTIONS, INFIX, OPS, TRUE, Add, And, Call, Cmp, Const, Div,
-    Floor, Ite, Max, Mul, Not, Or, Pow, Sub, Var, _CHILDREN, con, eval_expr,
-    simplify, to_text,
+    CMP, FALSE, FUNCTIONS, INFIX, OPS, TRUE, Add, And, BoolLit, Call, Cmp,
+    Const, Constraint, Div, ExprError, Floor, Ite, Max, Mul, Not, Or, Pow, Sub,
+    Var, _CHILDREN, compile_expr, con, eval_expr, simplify, to_text,
 )
 from recsolve.parser import (
     ParseError, parse_constraint, parse_expression, parse_recurrence,
@@ -55,6 +56,13 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expression("1/0")
 
+    def test_only_ascii_digits_are_literals(self):
+        # str.isdigit accepts '²', which int() rejects
+        with pytest.raises(ParseError) as err:
+            parse_expression("x +\n 2²")
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert "unexpected character '²'" in str(err.value)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_expression("x + 1 junk oops")
@@ -77,9 +85,8 @@ class TestConstraints:
     def test_not(self):
         c = parse_constraint("not x = 0")
         assert eval_expr(con(1), {}) == 1  # smoke: parser returned
-        from recsolve.expr import eval_constraint
-        assert eval_constraint(c, {"x": Fraction(1)})
-        assert not eval_constraint(c, {"x": Fraction(0)})
+        assert eval_expr(c, {"x": Fraction(1)})
+        assert not eval_expr(c, {"x": Fraction(0)})
 
 
 class TestRecurrenceDefs:
@@ -219,11 +226,54 @@ def test_simplified_forms_roundtrip(e):
     assert parse_expression(to_text(s)) == s
 
 
+def _nested(depth):
+    # and/or/not nested up to `depth` over comparisons
+    if depth == 0:
+        return _cmp
+    inner = _nested(depth - 1)
+    return st.one_of(_cmp, st.builds(And, inner, inner), st.builds(Or, inner, inner),
+                     st.builds(Not, inner))
+
+
+def _outcomes(c):
+    f = compile_expr(c, ("x", "y"))
+    out = []
+    for point in itertools.product(range(-3, 4), repeat=2):
+        try:
+            out.append(f(point))
+        except ExprError as err:
+            out.append(type(err))
+    return out
+
+
+@given(_nested(3))
+@settings(max_examples=200, deadline=None)
+def test_nested_constraints_print_parse_and_evaluate_alike(c):
+    # compared as text: a right-nested `and` prints flat and parses back
+    # left-nested, by design
+    text = to_text(c)
+    again = parse_constraint(text)
+    assert to_text(again) == text
+    assert _outcomes(again) == _outcomes(c)
+
+
+_BOOLEAN = {BoolLit, Cmp, And, Or, Not}
+
+
 def test_every_operator_has_arithmetic_and_one_printed_form():
-    operators = set(_CHILDREN) - {Const, Var, Call, Ite}
+    operators = set(_CHILDREN) - {Const, Var, Call, Ite} - _BOOLEAN
     assert operators == set(OPS)
     for node in operators:
         forms = (node in INFIX) + (node in FUNCTIONS.values()) + (node is Pow)
         assert forms == 1, node.__name__
     assert len({symbol for symbol, _ in INFIX.values()}) == len(INFIX)
     assert len(set(FUNCTIONS.values())) == len(FUNCTIONS)
+
+
+def test_every_boolean_node_is_walked_and_printed():
+    assert _BOOLEAN == {node for node in _CHILDREN if issubclass(node, Constraint)}
+    assert not _BOOLEAN & set(OPS)
+    lt, eq = Cmp("<", X, con(1)), Cmp("=", Y, con(0))
+    for c in (TRUE, FALSE, lt, And(lt, eq), Or(lt, eq), Not(lt), Not(Or(lt, eq)),
+              And(Or(lt, eq), Not(And(eq, lt)))):
+        assert parse_constraint(to_text(c)) == c

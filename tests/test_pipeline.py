@@ -39,6 +39,13 @@ class TestSolve:
         assert report.closed_form is None
         assert "LikelyNonterminating" in report.error
 
+    def test_empty_sampling_region_reports_its_reason(self):
+        rdef = parse_recurrence("def f(x);\npre x > 100;\n"
+                                "f(x) = 0 if x = 101;\nf(x) = f(x - 1) + 1 if x > 101;\n")
+        report = solve(rdef, SolveConfig(seed=0))
+        assert (report.verdict, report.verdict_reason) == ("skipped", "sampling-exhausted")
+        assert report.error.startswith("SamplingExhausted: found only 0 of ")
+
     def test_fib_is_an_unverified_approximation(self, solver):
         report = solve(load_bench("fib"), config(solver))
         assert report.verdict == "skipped"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recsolve.expr import Piece, TRUE, con, contains_calls, eval_constraint, Var
+from recsolve.expr import Piece, TRUE, con, contains_calls, eval_expr, Var
 from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.recurrence import (
     ArityMismatch, ClosedForm, EvalLimits, GuardFallthrough,
@@ -283,15 +283,15 @@ class TestRecursiveRegion:
         region = rdef.recursive_region()
         env0 = {"x": Fraction(0)}
         env1 = {"x": Fraction(1)}
-        assert not eval_constraint(region, env0)
-        assert eval_constraint(region, env1)
+        assert not eval_expr(region, env0)
+        assert eval_expr(region, env1)
 
     def test_region_of_sum_osc_spans_both_recursive_cases(self):
         rdef = load_bench("sum-osc")
         region = rdef.recursive_region()
-        assert eval_constraint(region, {"x": Fraction(0), "y": Fraction(2)})
-        assert eval_constraint(region, {"x": Fraction(3), "y": Fraction(2)})
-        assert not eval_constraint(region, {"x": Fraction(3), "y": Fraction(0)})
+        assert eval_expr(region, {"x": Fraction(0), "y": Fraction(2)})
+        assert eval_expr(region, {"x": Fraction(3), "y": Fraction(2)})
+        assert not eval_expr(region, {"x": Fraction(3), "y": Fraction(0)})
 
 
 @given(st.integers(0, 8), st.integers(0, 8))
