@@ -9,7 +9,8 @@ Expressions use the infix operators of `expr.INFIX` (`+ - * /`, with
 their precedence), `^` for powers, the functions of `expr.FUNCTIONS`
 (`floor(e)`, `ceil(e)`, `log2ceil(e)`, `max(e,e)`, `min(e,e)`; the arity is
 the node's field count), `ite(c,e,e)`, function application `f(e,...)`
-and rational literals `p/q`.  Constraints combine the comparisons of
+and rational literals `p/q`.  Names are ASCII, `[A-Za-z_][A-Za-z0-9_]*`,
+and literals ASCII digits.  Constraints combine the comparisons of
 `expr.CMP` (`= != < <= > >=`) with `and`, `or`, `not`, `true`, `false`.
 The printer (`expr.to_text`) reads the same tables, so printing and
 parsing agree on every operator.
@@ -42,7 +43,11 @@ class Token:
 
 _TWO_CHAR = ("<=", ">=", "!=")
 _ONE_CHAR = "+-*/^(),;=<>"
-_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes digits int() rejects, as ²
+# Literals and names are ASCII only: str.isdigit also takes digits int()
+# rejects, as ², and a solver model names its variables in ASCII
+_DIGITS = "0123456789"
+_NAME_START = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_NAME_CHARS = _NAME_START + _DIGITS
 _KEYWORDS = {"def", "pre", "if", "and", "or", "not", "true", "false"}
 _INFIX = {symbol: (node, prec) for node, (symbol, prec) in INFIX.items()}
 _LOOSEST = min(prec for _, prec in _INFIX.values())
@@ -82,9 +87,9 @@ def tokenize(text: str) -> list:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             toks.append(Token("NAME", text[i:j], line, col))
             col += j - i

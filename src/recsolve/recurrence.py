@@ -1,11 +1,13 @@
 """Recurrence definitions and their deterministic evaluation semantics.
 
 Evaluation follows the first-matching-guard order of the cases (a nested
-if-then-else).  On the first `eval_fun` call on a definition, each case's
-guard and body are compiled into Python closures over the argument tuple,
-and the definition keeps them: guards and Ite conditions (bool-valued
-expressions) by `expr.compile_expr`, bodies here, since their calls read
-the memo.
+if-then-else).  On the first `eval_fun` call on a definition, its cases
+are generated as the Python source of one `step` function, which tries
+the guards in order and evaluates the first matching body inline; the
+definition keeps the function.  The compiled code is cached by its
+source, which holds no constant and no name of the definition, so a
+definition parsed again, or one that differs only in constants, reuses
+it; each definition binds its own constants.
 The evaluator is iterative with memoization on concrete argument tuples,
 so deeply recursive or non-terminating definitions hit the configured
 limits instead of exhausting the Python stack: a body that reaches a
@@ -17,16 +19,17 @@ evaluates many points of one recurrence may pass one memo to every
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .expr import (
-    OPS, Call, ClosedForm, Const, Constraint, Expr, Ite, Not, Var, children,
-    compile_expr, conj, contains_calls, disj, free_vars, map_children, nodes,
-    to_text,
+    CMP, OPS, And, BoolLit, Call, ClosedForm, Cmp, Const, Constraint, Expr,
+    Ite, Not, Or, Var, children, conj, contains_calls, disj, free_vars,
+    map_children, nodes, to_text,
 )
 
 
@@ -105,8 +108,8 @@ class RecurrenceDef:
                     + [Not(c.guard) for c in self.base_cases()])
 
     @cached_property
-    def _compiled(self) -> tuple:
-        """The cases compiled for `eval_fun`, built on its first call."""
+    def _compiled(self) -> Callable:
+        """The step function of `eval_fun`, generated on its first call."""
         return _compile_cases(self)
 
     def guard_disjunction(self) -> Constraint:
@@ -201,22 +204,20 @@ def _canon(v):
 
 
 class _NeedCall(Exception):
-    """A recursive call whose value is not in the memo yet.  `steps` is
-    the number of body nodes visited up to and including the call's
-    arguments, except those inside Ite branches that finished before the
-    call (the step accumulator holds those)."""
-
-    def __init__(self, key: tuple, steps: int):
-        self.key = key
-        self.steps = steps
+    """A recursive call whose value is not in the memo yet, raised with
+    its key and the number of steps taken up to and including the call's
+    arguments: the guards tried and the body nodes visited, except those
+    inside Ite branches that finished before the call (the step
+    accumulator holds those)."""
 
 
-def _run(cases: tuple, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutcome:
-    """Evaluate one point against compiled cases: step, depth and time
-    accounting against the limits, over a memo of completed values.  The
-    memo maps argument tuples to values and holds nothing else, so a run
-    that stops at a limit leaves only correct entries and the memo may be
-    shared by later runs on the same recurrence.
+def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutcome:
+    """Evaluate one point with a definition's `step` function: step,
+    depth and time accounting against the limits, over a memo of
+    completed values.  The memo maps argument tuples to values and holds
+    nothing else, so a run that stops at a limit leaves only correct
+    entries and the memo may be shared by later runs on the same
+    recurrence.
 
     A body that needs a call missing from the memo pushes the call and is
     restarted, guards included, once the call's value is in the memo.  A
@@ -225,7 +226,7 @@ def _run(cases: tuple, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutc
     max_depth, max_steps = limits.max_depth, limits.max_steps
     deadline = time.monotonic() + limits.timeout_ms / 1000.0
     steps = 0
-    acc = [0]  # steps of finished Ite branches, added by the closures
+    acc = [0]  # steps of finished Ite branches, added by the step function
     pending = [point]
     while pending:
         if len(pending) > max_depth:
@@ -238,101 +239,157 @@ def _run(cases: tuple, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutc
         if top in memo:
             pending.pop()
             continue
-        for guard, body, size in cases:
-            steps += 1
-            if guard(top):
-                break
-        else:
-            return GuardFallthrough(top)
         try:
-            memo[top] = body(top, memo, acc)
+            done = step(top, memo, acc)
         except _NeedCall as need:
-            steps += need.steps
-            pending.append(need.key)
-        else:
-            steps += size
-            pending.pop()
+            key, n = need.args
+            steps += n
+            pending.append(key)
+            continue
+        if done is None:
+            return GuardFallthrough(top)
+        memo[top], n = done
+        steps += n
+        pending.pop()
     return Value(memo[point])
 
 
-def _tuple_of(fs: list):
-    """A closure evaluating each of `fs` into a tuple, in order (unrolled
-    for the usual one or two arguments)."""
-    if len(fs) == 1:
-        f0, = fs
-        return lambda a, m, acc: (f0(a, m, acc),)
-    if len(fs) == 2:
-        f0, f1 = fs
-        return lambda a, m, acc: (f0(a, m, acc), f1(a, m, acc))
-    return lambda a, m, acc: tuple([f(a, m, acc) for f in fs])
+# ---------------------------------------------------------------------------
+# Compilation: one generated `step` function per definition
+# ---------------------------------------------------------------------------
+
+def _need(key: tuple, steps: int):
+    raise _NeedCall(key, steps)
 
 
-def _compile_cases(rdef: RecurrenceDef) -> tuple:
-    """Each case as (guard, body, size).  `guard(a)` is the guard from
-    `expr.compile_expr`; `body(a, memo, acc)` evaluates at the
-    argument tuple `a` with the arithmetic of `expr.OPS`, operands left
-    to right.  `size` is the number of body nodes a finished evaluation
-    visits, each Ite counting as one.  The steps of the Ite branch taken
-    are added to `acc[0]` when the branch finishes, and a call missing
-    from `memo` raises `_NeedCall`."""
+def _branch(value, acc: list, steps: int):
+    """The value of a finished Ite branch, once its steps are counted."""
+    acc[0] += steps
+    return value
+
+
+def _unknown(name: str):
+    raise UnknownFunction(name)
+
+
+# What generated code reads besides its own constants: the helpers above
+# and, under `_` plus the node's class name, every `OPS` entry.
+_NAMESPACE = {"_need": _need, "_branch": _branch, "_unknown": _unknown,
+              **{"_" + t.__name__: op for t, op in OPS.items()}}
+
+# Operators written inline, keyed by their `OPS` or `CMP` entry: the
+# Python symbol and its binding power.  Generated text carries the
+# binding power of its loosest operator, so that it is parenthesized only
+# where Python would read it otherwise (a long sum stays flat).
+_COND, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _ATOM = range(8)
+_INLINE = {operator.add: ("+", _ADD), operator.sub: ("-", _ADD),
+           operator.mul: ("*", _MUL),
+           **{op: ("==" if sym == "=" else sym, _CMP)
+              for sym, op in CMP.items()}}
+_CONNECTIVE = {And: ("and", _AND), Or: ("or", _OR)}
+
+
+def _generate(rdef: RecurrenceDef) -> tuple:
+    """The source of `step(a, m, acc)` for `rdef`, and the constants it
+    reads as `c0, c1, ...` in the order they occur.  `step` tries the
+    guards in order and returns `(value, steps)` for the first that holds,
+    where steps counts the guards tried and the body nodes a finished
+    evaluation visits (each Ite as one), or None when no guard holds.
+    Arguments are the locals `a0, a1, ...`; no name of the definition
+    appears in the source, so definitions that differ only in constants,
+    names or foreign function names have the same source.
+
+    In a body, the steps of the Ite branch taken are added to `acc[0]`
+    once the branch finishes, and a call missing from `m` raises
+    `_NeedCall` with the steps taken up to and including its arguments.
+    Operands are evaluated left to right, with the arithmetic of
+    `expr.OPS`: `+ - *` and the comparisons inline, the other operators
+    called.  Conditions (guards, Ite conditions) count no steps."""
     index = {n: i for i, n in enumerate(rdef.arg_names)}
+    consts = []
 
-    def expr(e: Expr, pos: int) -> tuple:
-        # (closure, size); `pos` is the number of body nodes visited
-        # before `e`, finished Ite branches excepted
+    def operand(e: Expr, pos: int | None, minimum: int) -> tuple:
+        # (text, size), parenthesized if it binds less tightly than `minimum`
+        text, power, size = emit(e, pos)
+        return (text if power >= minimum else f"({text})"), size
+
+    def emit(e: Expr, pos: int | None) -> tuple:
+        # (text, binding power, size); `pos` is the number of steps taken
+        # before `e` (finished Ite branches excepted), None in a condition
         t = type(e)
-        if t is Const:
-            v = e.value.numerator if e.value.denominator == 1 else e.value
-            return (lambda a, m, acc: v), 1
+        if t is Const or t is BoolLit:
+            v = e.value
+            if t is Const and v.denominator == 1:
+                v = v.numerator
+            consts.append(v)
+            return f"c{len(consts) - 1}", _ATOM, 1
         if t is Var:
-            i = index[e.name]
-            return (lambda a, m, acc: a[i]), 1
+            return f"a{index[e.name]}", _ATOM, 1
         if t is Call:
             if e.fname != rdef.name:
-                name = e.fname
-
-                def foreign(a, m, acc):
-                    raise UnknownFunction(name)
-                return foreign, 1
-            fs, size = [], 1
+                consts.append(e.fname)
+                return f"_unknown(c{len(consts) - 1})", _ATOM, 1
+            texts, size = [], 1
             for arg in e.args:
-                f, n = expr(arg, pos + size)
-                fs.append(f)
+                text, n = operand(arg, pos + size, _COND)
+                texts.append(text)
                 size += n
-            visited = pos + size
-            args = _tuple_of(fs)
-
-            def call(a, m, acc):
-                key = args(a, m, acc)
-                try:
-                    return m[key]
-                except KeyError:
-                    raise _NeedCall(key, visited) from None
-            return call, size
+            key = ", ".join(texts) + ("," if len(texts) == 1 else "")
+            return (f"m[k] if (k := ({key})) in m else _need(k, {pos + size})",
+                    _COND, size)
         if t is Ite:
-            test = compile_expr(e.cond, rdef.arg_names)
-            then, n_then = expr(e.then, pos + 1)
-            other, n_other = expr(e.other, pos + 1)
+            cond, _ = operand(e.cond, None, _OR)
+            if pos is None:
+                then, _ = operand(e.then, None, _OR)
+                other, _ = operand(e.other, None, _COND)
+                return f"{then} if {cond} else {other}", _COND, 1
+            then, n_then = operand(e.then, pos + 1, _COND)
+            other, n_other = operand(e.other, pos + 1, _COND)
+            return (f"_branch({then}, acc, {n_then}) if {cond}"
+                    f" else _branch({other}, acc, {n_other})"), _COND, 1
+        if t is Not:
+            arg, _ = operand(e.arg, None, _NOT)
+            return f"not {arg}", _NOT, 1
+        if t in _CONNECTIVE:
+            word, power = _CONNECTIVE[t]
+            lhs, rhs = (operand(k, None, power + i)[0] for i, k in enumerate(children(e)))
+            return f"{lhs} {word} {rhs}", power, 1
+        op = CMP[e.op] if t is Cmp else OPS[t]
+        sym, power = _INLINE.get(op, (None, _ATOM))
+        texts, size = [], 1
+        for i, kid in enumerate(children(e)):
+            text, n = operand(kid, None if pos is None else pos + size,
+                              _COND if sym is None else power + i)
+            texts.append(text)
+            size += n
+        if sym is None:
+            return f"_{t.__name__}({', '.join(texts)})", _ATOM, size
+        return f"{texts[0]} {sym} {texts[1]}", power, size
 
-            def ite(a, m, acc):
-                if test(a):
-                    v = then(a, m, acc)
-                    acc[0] += n_then
-                else:
-                    v = other(a, m, acc)
-                    acc[0] += n_other
-                return v
-            return ite, 1
-        op = OPS[t]
-        kids = children(e)
-        f, nf = expr(kids[0], pos + 1)
-        if len(kids) == 1:
-            return (lambda a, m, acc: op(f(a, m, acc))), 1 + nf
-        g, ng = expr(kids[1], pos + 1 + nf)
-        return (lambda a, m, acc: op(f(a, m, acc), g(a, m, acc))), 1 + nf + ng
+    names = ", ".join(f"a{i}" for i in range(rdef.arity))
+    lines = ["def step(a, m, acc):", f"    [{names}] = a"]
+    for tried, case in enumerate(rdef.cases, 1):
+        guard, _ = operand(case.guard, None, _COND)
+        body, size = operand(case.body, tried, _COND)
+        lines += [f"    if {guard}:", f"        return {body}, {tried + size}"]
+    return "\n".join(lines) + "\n", consts
 
-    return tuple((compile_expr(case.guard, rdef.arg_names), *expr(case.body, 0))
-                 for case in rdef.cases)
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """The compiled code of a generated source, shared by every definition
+    that generates it."""
+    return compile(source, "<recurrence step>", "exec")
+
+
+def _compile_cases(rdef: RecurrenceDef) -> Callable:
+    """The `step` function of `rdef` (see `_generate`), in a namespace of
+    its own, so that definitions sharing code keep their own constants."""
+    source, consts = _generate(rdef)
+    namespace = dict(_NAMESPACE)
+    namespace.update((f"c{i}", v) for i, v in enumerate(consts))
+    exec(_code(source), namespace)
+    return namespace["step"]
 
 
 def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits(),

@@ -124,8 +124,8 @@ def eval_fun_naive(rdef, point, limits=EvalLimits()):
             return eval_expr_naive(e, env)
         kids = children(e)
         if len(kids) == 2:
-            return _apply(e, ev_body(kids[0], env, depth), ev_body(kids[1], env, depth))
-        return _apply(e, ev_body(kids[0], env, depth))
+            return _apply_exact(e, ev_body(kids[0], env, depth), ev_body(kids[1], env, depth))
+        return _apply_exact(e, ev_body(kids[0], env, depth))
 
     def ev_call(args, depth):
         if depth > limits.max_depth:

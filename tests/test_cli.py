@@ -109,6 +109,16 @@ class TestCheckCommand:
                                    "--solver", "builtin")
         assert (status, out, err) == (3, "unknown (unsupported-operator)\n", "")
 
+    def test_non_ascii_name(self, capsys, tmp_path):
+        # a solver model names variables in ASCII, so the parser does too
+        rec = tmp_path / "e.rec"
+        rec.write_text("def f(é);\npre é >= 0;\nf(é) = 0 if é = 0;\n"
+                       "f(é) = f(é - 1) + 1 if é > 0;\n")
+        status, out, err = run_cli(capsys, "check", str(rec),
+                                   "--cf", "é + ite(é = 3, 1, 0)", "--solver", "builtin")
+        assert (status, out) == (1, "")
+        assert err == "error: 1:7: unexpected character 'é'\n"
+
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),
                                  "--cf", "ite(x > 0 and y > 0, x + y - 1, 0)")

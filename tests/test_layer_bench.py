@@ -7,8 +7,12 @@ They time one layer each: sampling merge-sz's recursive region, its
 dictionary columns alone on the 130 sampled points, `build_training_set`
 on those points, the CV-Lasso path on its training rows, `encode` and
 the whole `check_solution` of its candidate on the in-process prover,
-cold `eval_fun` calls (each with a fresh memo), and a grid sweep through
-one shared memo."""
+cold `eval_fun` calls (each with a fresh memo), a grid sweep through
+one shared memo, and what one `recsolve eval` op does with its fresh
+definition (parse, compile, evaluate a small point) with the generated
+code cached and not."""
+import os
+
 import pytest
 
 from recsolve.checker import (
@@ -16,13 +20,14 @@ from recsolve.checker import (
     make_domain_checker,
 )
 from recsolve.expr import compile_expr
-from recsolve.recurrence import EvalLimits, Value, eval_fun
+from recsolve.parser import parse_recurrence
+from recsolve.recurrence import EvalLimits, Value, _code, eval_fun
 from recsolve.regression import RegressionConfig, cv_lasso_regression, guess
 from recsolve.sampling import (
     SampleConfig, build_training_set, default_base_set, sample_train_test,
 )
 
-from conftest import grid_points, load_bench
+from conftest import BENCH_DIR, grid_points, load_bench
 
 pytestmark = pytest.mark.layerbench
 
@@ -110,3 +115,16 @@ def test_eval_merge_sz_grid_shared_memo(benchmark):
         return [eval_fun(rdef, p, EvalLimits(), memo) for p in points]
 
     assert benchmark(sweep) == [Value(x + y) for x, y in points]
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_eval_op_fresh_definition_merge(benchmark, cache):
+    with open(os.path.join(BENCH_DIR, "merge.rec"), encoding="utf-8") as fh:
+        text = fh.read()
+
+    def op():
+        if cache == "cold":
+            _code.cache_clear()
+        return eval_fun(parse_recurrence(text), (3, 4))
+
+    assert benchmark(op) == Value(6)

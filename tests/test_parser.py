@@ -63,6 +63,13 @@ class TestExpressions:
         assert (err.value.line, err.value.col) == (2, 3)
         assert "unexpected character '²'" in str(err.value)
 
+    @pytest.mark.parametrize("text, col", [("x +\n é", 2), ("x +\n xé1", 3)])
+    def test_only_ascii_names(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.col) == (2, col)
+        assert "unexpected character 'é'" in str(err.value)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_expression("x + 1 junk oops")

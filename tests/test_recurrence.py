@@ -1,15 +1,19 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recsolve.expr import Piece, TRUE, con, contains_calls, eval_expr, Var
+from recsolve.expr import (
+    Add, Call, Cmp, Div, ExprError, Floor, Ite, Max, Min, Mul, Piece, Sub, TRUE,
+    Var, con, contains_calls, eval_expr,
+)
 from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.recurrence import (
-    ArityMismatch, ClosedForm, EvalLimits, GuardFallthrough,
-    GuardFallthroughError, LimitExceeded, PreconditionNotCovering, Value,
-    eval_closed_form, eval_fun, foreign_names, inline_function,
-    validate_coverage,
+    ArityMismatch, Case, ClosedForm, EvalLimits, GuardFallthrough,
+    GuardFallthroughError, LimitExceeded, PreconditionNotCovering,
+    RecurrenceDef, RecurrenceError, Value, eval_closed_form, eval_fun,
+    foreign_names, inline_function, validate_coverage,
 )
 
 from conftest import brute_entails, grid_points, load_bench, bench_sidecar
@@ -184,6 +188,139 @@ class TestLimitAccounting:
         assert eval_fun(rdef, point, EvalLimits(max_depth=depth)) == Value(v)
         assert eval_fun(rdef, point, EvalLimits(max_depth=depth - 1)) \
             == LimitExceeded("depth")
+
+
+def smallest_limits(rdef, point) -> tuple:
+    """The smallest max_steps and max_depth at which a cold eval_fun
+    finishes at `point`, each with the other limit at its default."""
+    def smallest(make):
+        lo, hi = 1, 1
+        while isinstance(eval_fun(rdef, point, make(hi)), LimitExceeded):
+            lo, hi = hi + 1, hi * 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if isinstance(eval_fun(rdef, point, make(mid)), LimitExceeded):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+    return (smallest(lambda n: EvalLimits(max_steps=n)),
+            smallest(lambda n: EvalLimits(max_depth=n)))
+
+
+# Two arguments, nested and conditional calls, and operators written
+# inline and called; `f`, `x` and `y` are replaced by other names below
+NAMED = ("def f(x, y);\npre x >= 0 and y >= 0;\n"
+         "f(x, y) = y if x = 0;\n"
+         "f(x, y) = ite(x > y, f(x - 1, y + 1), max(f(x - 1, y), x))"
+         " + floor(y/2) * f(x - 1, f(x - 1, 0) - x + 1) if x > 0;\n")
+
+
+def renamed(text, names):
+    return re.sub(r"\b[fxy]\b", lambda m: names[m.group()], text)
+
+
+class TestGeneratedCode:
+    @pytest.mark.parametrize("f, x, y", [
+        ("f", "a", "m"), ("g", "acc", "k"), ("step", "step", "a"),
+        ("k", "m", "acc"), ("a", "k", "step"),
+    ])
+    def test_names_of_the_generated_code_are_free(self, f, x, y):
+        plain = parse_recurrence(NAMED)
+        other = parse_recurrence(renamed(NAMED, {"f": f, "x": x, "y": y}))
+        assert other.arg_names == (x, y)
+        for point in [(3, 2), (6, 1), (5, 5)]:
+            assert eval_fun(other, point) == eval_fun(plain, point)
+            assert smallest_limits(other, point) == smallest_limits(plain, point)
+
+    def test_constants_differ_code_is_shared(self):
+        text = ("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                "f(x) = f(x - 1) + {} if x > 0;\n")
+        two = parse_recurrence(text.format("2"))
+        third = parse_recurrence(text.format("1/3"))
+        assert two._compiled.__code__ is third._compiled.__code__
+        memo_two, memo_third = {}, {}
+        for x in range(8):  # alternately, each on its own memo
+            assert eval_fun(two, (x,), memo=memo_two) == Value(2 * x)
+            assert eval_fun(third, (x,), memo=memo_third) == Value(Fraction(x, 3))
+
+    def test_second_parse_reuses_the_code(self):
+        first, again = parse_recurrence(NAMED), parse_recurrence(NAMED)
+        assert first is not again
+        assert again._compiled.__code__ is first._compiled.__code__
+        for limits in (EvalLimits(), EvalLimits(max_steps=60), EvalLimits(max_depth=4)):
+            for point in [(3, 2), (6, 1), (9, 4)]:
+                assert eval_fun(again, point, limits) == eval_fun(first, point, limits)
+        assert eval_fun(first, (9, 4), EvalLimits(max_depth=4)) == LimitExceeded("depth")
+
+    def test_operands_keep_their_grouping(self):
+        # sums as right operands of - and *, in a base case, a call's
+        # argument and an ite branch
+        rdef = parse_recurrence(
+            "def f(x, y);\npre x >= 0 and y >= 0;\n"
+            "f(x, y) = y - (x - 1) if x = 0;\n"
+            "f(x, y) = x - (y - f(x - 1, y - (x - x))) * (2 - (x + y))"
+            " - (1 - ite(x > y, x - (y - 1), 0)) if x > 0;\n")
+        for p in grid_points(rdef.precondition, rdef.arg_names, 0, 5):
+            assert eval_fun(rdef, p) == eval_fun_naive(rdef, p), p
+
+    def test_long_sum_is_flat(self):
+        # deeper than Python's limit of 200 nested parentheses
+        terms = " + ".join(["x"] * 300)
+        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                                f"f(x) = f(x - 1) + {terms} if x > 0;\n")
+        assert eval_fun(rdef, (3,)) == Value(300 * 6)
+
+
+# Random one-argument bodies against the naive oracle.  Calls are on
+# x - c; c = 0 never returns, so the depth limit is reached.  The points
+# are small enough that no terminating call chain reaches that limit,
+# though the oracle re-walks what the memo skips.
+X = Var("x")
+ORACLE_LIMITS = EvalLimits(max_depth=12, max_steps=200_000)
+_leaves = st.one_of(
+    st.integers(-2, 3).map(con),
+    st.just(X),
+    st.sampled_from([1, 1, 1, 2, 0]).map(lambda c: Call("f", (Sub(X, con(c)),))),
+    st.just(Call("g", (X,))),
+)
+_conditions = st.builds(Cmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+                        st.just(X), st.integers(-1, 4).map(con))
+_divisors = st.one_of(st.sampled_from([-2, 2, 3]).map(con),
+                      st.integers(0, 3).map(lambda c: Sub(X, con(c))))
+
+
+def _branches(kids):
+    return st.one_of(
+        st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids), st.builds(Max, kids, kids),
+        st.builds(Min, kids, kids),
+        st.builds(lambda e, d: Floor(Div(e, d)), kids, _divisors),
+        st.builds(Ite, _conditions, kids, kids),
+    )
+
+
+_bodies = st.recursive(_leaves, _branches, max_leaves=8).filter(
+    lambda e: contains_calls(e, "f"))
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except (ExprError, RecurrenceError) as err:
+        return type(err)
+
+
+@given(_bodies, st.sampled_from(["x <= 0", "x = 0"]), st.integers(-1, 2))
+@settings(max_examples=150, deadline=None)
+def test_random_bodies_agree_with_the_oracle(body, base_guard, base):
+    rdef = RecurrenceDef("f", ("x",), parse_constraint("x >= 0"), (
+        Case(con(base), parse_constraint(base_guard)),
+        Case(body, parse_constraint("x > 0"))))
+    naive = [_outcome(eval_fun_naive, rdef, (x,), ORACLE_LIMITS) for x in range(5)]
+    assert [_outcome(eval_fun, rdef, (x,), ORACLE_LIMITS) for x in range(5)] == naive
+    memo: dict = {}
+    assert [_outcome(eval_fun, rdef, (x,), ORACLE_LIMITS, memo) for x in range(5)] == naive
 
 
 class TestSharedMemo:
