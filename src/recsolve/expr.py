@@ -7,9 +7,9 @@ literal, a comparison, `and`, `or` or `not`) is an expression whose value
 is a bool, so one walker, simplifier, compiler and printer serve both.
 Expressions may contain `Call` nodes (references to a recurrence being
 solved); comparisons may not.  Evaluation compiles a tree once into a
-closure over an argument tuple (`compile_expr`), for code that evaluates
-one expression at many points; `eval_expr` compiles and applies in one
-call.
+generated Python function of an argument tuple (`compile_expr`), for code
+that evaluates one expression at many points; `eval_expr` compiles and
+applies in one call.  Its `Emitter` also writes the recurrence evaluator's.
 
 Each node has one row per table: its children in `_CHILDREN` (the
 walker) and its rewrite in `_RULES`; an arithmetic operator also has its
@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -280,8 +280,8 @@ def _ceil(v):
 
 
 # The exact arithmetic of every operator node (binary or unary), applied to
-# its evaluated children in `children` order.  Shared by `compile_expr`,
-# the recurrence evaluator and `simplify`, so each operator is defined once.
+# its evaluated children in `children` order.  Shared by the compiler
+# (`Emitter`) and `simplify`, so each operator is defined once.
 OPS = {
     Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: exact_div,
     Pow: exact_pow, Max: max, Min: min,
@@ -289,55 +289,113 @@ OPS = {
 }
 
 
-def _raiser(error: type, name: str):
-    def fail(a):
-        raise error(name)
-    return fail
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
+
+_COND, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _ATOM = range(8)  # binding powers
+_INLINE = {operator.add: ("+", _ADD), operator.sub: ("-", _ADD),
+           operator.mul: ("*", _MUL),
+           **{op: ("==" if sym == "=" else sym, _CMP) for sym, op in CMP.items()}}
+_CONNECTIVE = {And: ("and", _AND), Or: ("or", _OR)}
+
+
+def _raise(error: type, *args):
+    raise error(*args)
+
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """The code of a generated source, shared by every tree that writes it."""
+    return compile(source, "<generated>", "exec")
+
+
+class Emitter:
+    """Writes trees as Python source over the arguments `arg_names`, the
+    locals `a0, a1, ...`, counting the nodes written in `visited`.
+    Constants, names included, are lifted by position into `consts`, read
+    as `c0, c1, ...`, so trees that differ only in those share compiled
+    code.  `+ - *`, the comparisons and `and`/`or`/`not` are Python's, the
+    other operators calls of their `OPS` entry; operands are evaluated left
+    to right, and text is parenthesized only where Python would read it
+    otherwise, so long sums and `and` chains stay flat.  An unbound variable
+    or a Call raises only when its branch is evaluated.  A subclass may
+    write calls and `ite` its own way."""
+
+    namespace = {"_raise": _raise, **{"_" + t.__name__: op for t, op in OPS.items()}}
+
+    def __init__(self, arg_names: Sequence[str]):
+        self.unpacked = ", ".join(f"a{i}" for i in range(len(arg_names)))
+        self.index = {n: i for i, n in enumerate(arg_names)}
+        self.consts: list = []
+        self.visited = 0
+
+    def lift(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def raising(self, error: type, name: str) -> tuple:
+        return f"_raise({self.lift(error)}, {self.lift(name)})", _ATOM
+
+    def operand(self, e: Expr, minimum: int = _COND) -> str:
+        """The text of `e`, parenthesized if it binds looser than `minimum`."""
+        text, power = self.emit(e)
+        return text if power >= minimum else f"({text})"
+
+    def emit(self, e: Expr) -> tuple:
+        """The text of `e` and its binding power."""
+        self.visited += 1
+        t = type(e)
+        if t is Const or t is BoolLit:
+            v = e.value
+            return self.lift(v.numerator if t is Const and v.denominator == 1 else v), _ATOM
+        if t is Var:
+            if e.name not in self.index:
+                return self.raising(UnboundVariable, e.name)
+            return f"a{self.index[e.name]}", _ATOM
+        if t is Call:
+            return self.call(e)
+        if t is Ite:
+            return self.ite(e)
+        if t is Not:
+            return f"not {self.operand(e.arg, _NOT)}", _NOT
+        if t in _CONNECTIVE:
+            # a chain is written flat: grouping changes neither the order
+            # nor the short-circuit of `and`/`or`
+            word, power = _CONNECTIVE[t]
+            return f"{self.operand(e.lhs, power)} {word} {self.operand(e.rhs, power)}", power
+        kids = children(e)
+        op = CMP[e.op] if t is Cmp else OPS[t]
+        if op not in _INLINE:
+            return f"_{t.__name__}({', '.join(map(self.operand, kids))})", _ATOM
+        sym, power = _INLINE[op]
+        # left-associative, but a comparison does not chain
+        lhs = self.operand(kids[0], power + 1 if power == _CMP else power)
+        return f"{lhs} {sym} {self.operand(kids[1], power + 1)}", power
+
+    def call(self, e: Call) -> tuple:
+        return self.raising(UnexpandedCall, e.fname)
+
+    def ite(self, e: Ite) -> tuple:
+        cond = self.operand(e.cond, _OR)
+        return f"{self.operand(e.then, _OR)} if {cond} else {self.operand(e.other)}", _COND
+
+    def function(self, params: str, lines: Sequence[str]) -> Callable:
+        """`f(params)`, which unpacks the argument tuple `a` and runs `lines`."""
+        source = "\n".join([f"def f({params}):", f"    [{self.unpacked}] = a", *lines]) + "\n"
+        namespace = dict(self.namespace)
+        namespace.update((f"c{i}", v) for i, v in enumerate(self.consts))
+        exec(_code(source), namespace)
+        return namespace["f"]
 
 
 def compile_expr(e: Expr, arg_names: Sequence[str]) -> Callable[[tuple], Rational | bool]:
-    """`e` as a closure over an argument tuple whose values are bound to
-    `arg_names` in order.  Values are int or Fraction (both exact
-    rationals), never floats, and a constraint's are bools; operands are
-    evaluated left to right, and `and`/`or` short-circuit.  An unbound
-    variable, a Call or an arithmetic error raises only when the node
-    holding it is evaluated, so an untaken Ite branch raises nothing."""
-    index = {n: i for i, n in enumerate(arg_names)}
-
-    def comp(e: Expr):
-        t = type(e)
-        if t is Const:
-            v = e.value.numerator if e.value.denominator == 1 else e.value
-            return lambda a: v
-        if t is Var:
-            if e.name not in index:
-                return _raiser(UnboundVariable, e.name)
-            return operator.itemgetter(index[e.name])
-        if t is Call:
-            return _raiser(UnexpandedCall, e.fname)
-        if t is Ite:
-            test, then, other = comp(e.cond), comp(e.then), comp(e.other)
-            return lambda a: then(a) if test(a) else other(a)
-        if t is BoolLit:
-            v = e.value
-            return lambda a: v
-        if t is And or t is Or:
-            f, g = comp(e.lhs), comp(e.rhs)
-            if t is And:
-                return lambda a: f(a) and g(a)
-            return lambda a: f(a) or g(a)
-        if t is Not:
-            f = comp(e.arg)
-            return lambda a: not f(a)
-        kids = children(e)
-        op = CMP[e.op] if t is Cmp else OPS[t]
-        f = comp(kids[0])
-        if len(kids) == 1:
-            return lambda a: op(f(a))
-        g = comp(kids[1])
-        return lambda a: op(f(a), g(a))
-
-    return comp(e)
+    """`e` as a function of an argument tuple bound to `arg_names`.  Values
+    are int or Fraction, never floats, and a constraint's are bools; an
+    unbound variable, a Call or an arithmetic error raises only when the
+    node holding it is evaluated, so an untaken Ite branch raises nothing."""
+    emitter = Emitter(arg_names)
+    return emitter.function("a", [f"    return {emitter.operand(e)}"])
 
 
 def eval_expr(e: Expr, env: Env):
@@ -623,8 +681,8 @@ class ClosedForm:
 
     @cached_property
     def compiled_pieces(self) -> tuple:
-        """Each piece as (guard, expr) closures over an argument tuple, built
-        on first use."""
+        """Each piece as (guard, expr) functions of an argument tuple
+        (`compile_expr`), built on first use."""
         return tuple((compile_expr(p.guard, self.arg_names),
                       compile_expr(p.expr, self.arg_names)) for p in self.pieces)
 

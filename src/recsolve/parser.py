@@ -54,6 +54,13 @@ _LOOSEST = min(prec for _, prec in _INFIX.values())
 _TIGHTEST = max(prec for _, prec in _INFIX.values())
 _ARGUMENTS = {1: "one argument", 2: "two arguments"}
 
+# The deepest nesting of operands (`unary`) and conditions (`negation`) the
+# parser accepts; a division nests its whole chain, as generated code calls
+# it.  That code spends at most 3 of Python's 200 nested parentheses on a
+# level (a recursive call as an operand), so every accepted tree compiles.
+MAX_NESTING = 60
+_TOO_DEEP = f"nested more than {MAX_NESTING} levels deep"
+
 
 def tokenize(text: str) -> list:
     toks = []
@@ -109,6 +116,8 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0    # levels open at the current token
+        self.deepest = 0  # the deepest level reached, divisions included
 
     # -- token plumbing ----------------------------------------------------
 
@@ -139,6 +148,13 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
+    def enter(self):
+        """Open a level, closed by `self.depth -= 1` (see `MAX_NESTING`)."""
+        self.depth += 1
+        self.deepest = max(self.deepest, self.depth)
+        if self.depth > MAX_NESTING:
+            self.fail(_TOO_DEEP)
+
     # -- expressions -------------------------------------------------------
 
     def expression(self, prec: int = _LOOSEST) -> Expr:
@@ -147,12 +163,15 @@ class _Parser:
         infix precedence, a unary expression."""
         if prec > _TIGHTEST:
             return self.unary()
+        outer, self.deepest = self.deepest, self.depth
         e = self.expression(prec + 1)
         while True:
             node, p = _INFIX.get(self.peek().text, (None, None))
             if p != prec:
+                if outer > self.deepest:
+                    self.deepest = outer
                 return e
-            self.next()
+            tok = self.next()
             rhs = self.expression(prec + 1)
             if node is Div and isinstance(e, Const) and isinstance(rhs, Const):
                 if rhs.value == 0:
@@ -160,15 +179,21 @@ class _Parser:
                 e = Const(e.value / rhs.value)  # rational literal p/q
             else:
                 e = node(e, rhs)
+                if node is Div:  # nests everything in the chain so far
+                    self.deepest += 1
+                    if self.deepest > MAX_NESTING:
+                        raise ParseError(_TOO_DEEP, tok.line, tok.col)
 
     def unary(self) -> Expr:
+        self.enter()
         if self.at("-"):
             self.next()
-            inner = self.unary()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Sub(Const(Fraction(0)), inner)
-        return self.power()
+            e = self.unary()
+            e = Const(-e.value) if isinstance(e, Const) else Sub(Const(Fraction(0)), e)
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -235,10 +260,14 @@ class _Parser:
         return c
 
     def negation(self) -> Constraint:
+        self.enter()
         if self.at("not"):
             self.next()
-            return Not(self.negation())
-        return self.constraint_atom()
+            c = Not(self.negation())
+        else:
+            c = self.constraint_atom()
+        self.depth -= 1
+        return c
 
     def constraint_atom(self) -> Constraint:
         t = self.peek()
@@ -248,7 +277,7 @@ class _Parser:
         if t.text == "(":
             # either a parenthesised constraint or a parenthesised expression
             # starting a comparison; try the constraint reading first
-            saved = self.pos
+            saved = self.pos, self.depth, self.deepest
             try:
                 self.next()
                 c = self.constraint()
@@ -257,7 +286,9 @@ class _Parser:
                     raise ParseError("comparison of constraints", t.line, t.col)
                 return c
             except ParseError:
-                self.pos = saved
+                if self.deepest > MAX_NESTING:
+                    raise  # the other reading nests as deep
+                self.pos, self.depth, self.deepest = saved
         return self.comparison()
 
     def comparison(self) -> Constraint:

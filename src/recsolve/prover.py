@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 import time
 
@@ -62,7 +63,8 @@ class _Timeout(Exception):
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-_CMP_OPS = ("=", "<", "<=", ">", ">=")
+_CMP = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
 
 
 def _sexprs(text: str) -> list:
@@ -127,7 +129,7 @@ class _Reader:
             return ("not", self.formula(args[0]))
         if head == "=>" and len(args) == 2:
             return ("or", ("not", self.formula(args[0])), self.formula(args[1]))
-        if head in _CMP_OPS and len(args) == 2:
+        if head in _CMP and len(args) == 2:
             return ("cmp", head, self.term(args[0]), self.term(args[1]))
         raise Unsupported(f"unsupported formula {head}")
 
@@ -167,10 +169,7 @@ def _eval_formula(f, env) -> bool:
         return any(_eval_formula(a, env) for a in f[1:])
     if kind == "not":
         return not _eval_formula(f[1], env)
-    a, b = _eval_term(f[2], env), _eval_term(f[3], env)
-    op = f[1]
-    return (a == b if op == "=" else a < b if op == "<" else a <= b if op == "<="
-            else a > b if op == ">" else a >= b)
+    return _CMP[f[1]](_eval_term(f[2], env), _eval_term(f[3], env))
 
 
 # ---------------------------------------------------------------------------

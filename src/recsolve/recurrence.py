@@ -2,12 +2,12 @@
 
 Evaluation follows the first-matching-guard order of the cases (a nested
 if-then-else).  On the first `eval_fun` call on a definition, its cases
-are generated as the Python source of one `step` function, which tries
-the guards in order and evaluates the first matching body inline; the
-definition keeps the function.  The compiled code is cached by its
-source, which holds no constant and no name of the definition, so a
-definition parsed again, or one that differs only in constants, reuses
-it; each definition binds its own constants.
+are generated as the Python source of one `step` function by the
+compiler of every expression (`expr.Emitter`), which tries the guards in
+order and evaluates the first matching body inline; the definition keeps
+the function.  The source holds no constant and no name of the
+definition, so a definition parsed again, or one that differs only in
+constants, reuses its cached code; each binds its own constants.
 The evaluator is iterative with memoization on concrete argument tuples,
 so deeply recursive or non-terminating definitions hit the configured
 limits instead of exhausting the Python stack: a body that reaches a
@@ -19,17 +19,15 @@ evaluates many points of one recurrence may pass one memo to every
 """
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
-    CMP, OPS, And, BoolLit, Call, ClosedForm, Cmp, Const, Constraint, Expr,
-    Ite, Not, Or, Var, children, conj, contains_calls, disj, free_vars,
-    map_children, nodes, to_text,
+    _COND, _OR, Call, ClosedForm, Constraint, Emitter, Expr, Ite, Not, conj,
+    contains_calls, disj, free_vars, map_children, nodes, to_text,
 )
 
 
@@ -110,10 +108,7 @@ class RecurrenceDef:
     @cached_property
     def _compiled(self) -> Callable:
         """The step function of `eval_fun`, generated on its first call."""
-        return _compile_cases(self)
-
-    def guard_disjunction(self) -> Constraint:
-        return disj([c.guard for c in self.cases])
+        return _StepWriter(self).step()
 
     def to_text(self) -> str:
         head = f"def {self.name}({', '.join(self.arg_names)});"
@@ -141,7 +136,7 @@ def foreign_names(rdef: RecurrenceDef) -> set:
 def validate_coverage(rdef: RecurrenceDef, entails: Callable[[Constraint, Constraint], bool]):
     """Check the load-time well-formedness condition that the precondition
     entails the disjunction of case guards, via the given entailment oracle."""
-    if not entails(rdef.precondition, rdef.guard_disjunction()):
+    if not entails(rdef.precondition, disj([c.guard for c in rdef.cases])):
         raise PreconditionNotCovering(
             f"precondition of {rdef.name} does not entail the guard disjunction")
 
@@ -258,138 +253,52 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
 # Compilation: one generated `step` function per definition
 # ---------------------------------------------------------------------------
 
-def _need(key: tuple, steps: int):
-    raise _NeedCall(key, steps)
-
-
 def _branch(value, acc: list, steps: int):
     """The value of a finished Ite branch, once its steps are counted."""
     acc[0] += steps
     return value
 
 
-def _unknown(name: str):
-    raise UnknownFunction(name)
+class _StepWriter(Emitter):
+    """Writes the `step(a, m, acc)` function of a definition: it returns
+    `(value, steps)` for the first guard that holds, steps counting the
+    guards tried and the body nodes a finished evaluation visits (each Ite
+    as one), or None.  A call missing from the memo `m` raises `_NeedCall`
+    with the steps up to and including its arguments; the steps of the Ite
+    branch taken go to `acc[0]` once it finishes.  Conditions are written
+    by a plain emitter and count no steps."""
 
+    namespace = {**Emitter.namespace, "_NeedCall": _NeedCall, "_branch": _branch}
 
-# What generated code reads besides its own constants: the helpers above
-# and, under `_` plus the node's class name, every `OPS` entry.
-_NAMESPACE = {"_need": _need, "_branch": _branch, "_unknown": _unknown,
-              **{"_" + t.__name__: op for t, op in OPS.items()}}
+    def __init__(self, rdef: RecurrenceDef):
+        super().__init__(rdef.arg_names)
+        self.name, self.cases = rdef.name, rdef.cases
+        self.conditions = Emitter(rdef.arg_names)
+        self.conditions.consts = self.consts  # one numbering of the constants
 
-# Operators written inline, keyed by their `OPS` or `CMP` entry: the
-# Python symbol and its binding power.  Generated text carries the
-# binding power of its loosest operator, so that it is parenthesized only
-# where Python would read it otherwise (a long sum stays flat).
-_COND, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _ATOM = range(8)
-_INLINE = {operator.add: ("+", _ADD), operator.sub: ("-", _ADD),
-           operator.mul: ("*", _MUL),
-           **{op: ("==" if sym == "=" else sym, _CMP)
-              for sym, op in CMP.items()}}
-_CONNECTIVE = {And: ("and", _AND), Or: ("or", _OR)}
+    def call(self, e: Call) -> tuple:
+        if e.fname != self.name:
+            return self.raising(UnknownFunction, e.fname)
+        key = "".join(self.operand(arg) + ", " for arg in e.args)
+        return f"m[k] if (k := ({key})) in m else _raise(_NeedCall, k, {self.visited})", _COND
 
+    def ite(self, e: Ite) -> tuple:
+        cond, start = self.conditions.operand(e.cond, _OR), self.visited
+        then = self.operand(e.then)
+        n_then, self.visited = self.visited - start, start
+        other = self.operand(e.other)
+        n_other, self.visited = self.visited - start, start
+        return (f"_branch({then}, acc, {n_then}) if {cond}"
+                f" else _branch({other}, acc, {n_other})"), _COND
 
-def _generate(rdef: RecurrenceDef) -> tuple:
-    """The source of `step(a, m, acc)` for `rdef`, and the constants it
-    reads as `c0, c1, ...` in the order they occur.  `step` tries the
-    guards in order and returns `(value, steps)` for the first that holds,
-    where steps counts the guards tried and the body nodes a finished
-    evaluation visits (each Ite as one), or None when no guard holds.
-    Arguments are the locals `a0, a1, ...`; no name of the definition
-    appears in the source, so definitions that differ only in constants,
-    names or foreign function names have the same source.
-
-    In a body, the steps of the Ite branch taken are added to `acc[0]`
-    once the branch finishes, and a call missing from `m` raises
-    `_NeedCall` with the steps taken up to and including its arguments.
-    Operands are evaluated left to right, with the arithmetic of
-    `expr.OPS`: `+ - *` and the comparisons inline, the other operators
-    called.  Conditions (guards, Ite conditions) count no steps."""
-    index = {n: i for i, n in enumerate(rdef.arg_names)}
-    consts = []
-
-    def operand(e: Expr, pos: int | None, minimum: int) -> tuple:
-        # (text, size), parenthesized if it binds less tightly than `minimum`
-        text, power, size = emit(e, pos)
-        return (text if power >= minimum else f"({text})"), size
-
-    def emit(e: Expr, pos: int | None) -> tuple:
-        # (text, binding power, size); `pos` is the number of steps taken
-        # before `e` (finished Ite branches excepted), None in a condition
-        t = type(e)
-        if t is Const or t is BoolLit:
-            v = e.value
-            if t is Const and v.denominator == 1:
-                v = v.numerator
-            consts.append(v)
-            return f"c{len(consts) - 1}", _ATOM, 1
-        if t is Var:
-            return f"a{index[e.name]}", _ATOM, 1
-        if t is Call:
-            if e.fname != rdef.name:
-                consts.append(e.fname)
-                return f"_unknown(c{len(consts) - 1})", _ATOM, 1
-            texts, size = [], 1
-            for arg in e.args:
-                text, n = operand(arg, pos + size, _COND)
-                texts.append(text)
-                size += n
-            key = ", ".join(texts) + ("," if len(texts) == 1 else "")
-            return (f"m[k] if (k := ({key})) in m else _need(k, {pos + size})",
-                    _COND, size)
-        if t is Ite:
-            cond, _ = operand(e.cond, None, _OR)
-            if pos is None:
-                then, _ = operand(e.then, None, _OR)
-                other, _ = operand(e.other, None, _COND)
-                return f"{then} if {cond} else {other}", _COND, 1
-            then, n_then = operand(e.then, pos + 1, _COND)
-            other, n_other = operand(e.other, pos + 1, _COND)
-            return (f"_branch({then}, acc, {n_then}) if {cond}"
-                    f" else _branch({other}, acc, {n_other})"), _COND, 1
-        if t is Not:
-            arg, _ = operand(e.arg, None, _NOT)
-            return f"not {arg}", _NOT, 1
-        if t in _CONNECTIVE:
-            word, power = _CONNECTIVE[t]
-            lhs, rhs = (operand(k, None, power + i)[0] for i, k in enumerate(children(e)))
-            return f"{lhs} {word} {rhs}", power, 1
-        op = CMP[e.op] if t is Cmp else OPS[t]
-        sym, power = _INLINE.get(op, (None, _ATOM))
-        texts, size = [], 1
-        for i, kid in enumerate(children(e)):
-            text, n = operand(kid, None if pos is None else pos + size,
-                              _COND if sym is None else power + i)
-            texts.append(text)
-            size += n
-        if sym is None:
-            return f"_{t.__name__}({', '.join(texts)})", _ATOM, size
-        return f"{texts[0]} {sym} {texts[1]}", power, size
-
-    names = ", ".join(f"a{i}" for i in range(rdef.arity))
-    lines = ["def step(a, m, acc):", f"    [{names}] = a"]
-    for tried, case in enumerate(rdef.cases, 1):
-        guard, _ = operand(case.guard, None, _COND)
-        body, size = operand(case.body, tried, _COND)
-        lines += [f"    if {guard}:", f"        return {body}, {tried + size}"]
-    return "\n".join(lines) + "\n", consts
-
-
-@lru_cache(maxsize=256)
-def _code(source: str):
-    """The compiled code of a generated source, shared by every definition
-    that generates it."""
-    return compile(source, "<recurrence step>", "exec")
-
-
-def _compile_cases(rdef: RecurrenceDef) -> Callable:
-    """The `step` function of `rdef` (see `_generate`), in a namespace of
-    its own, so that definitions sharing code keep their own constants."""
-    source, consts = _generate(rdef)
-    namespace = dict(_NAMESPACE)
-    namespace.update((f"c{i}", v) for i, v in enumerate(consts))
-    exec(_code(source), namespace)
-    return namespace["step"]
+    def step(self) -> Callable:
+        lines = []
+        for tried, case in enumerate(self.cases, 1):
+            guard = self.conditions.operand(case.guard)
+            self.visited = tried
+            body = self.operand(case.body)
+            lines += [f"    if {guard}:", f"        return {body}, {self.visited}"]
+        return self.function("a, m, acc", lines)
 
 
 def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits(),

@@ -148,6 +148,24 @@ class TestEvalCommand:
         assert status == 1 and out == ""
         assert err.strip() == "error: UnknownFunction: s"
 
+    def test_division_by_zero_in_a_body(self, capsys, tmp_path):
+        rec = tmp_path / "divz.rec"
+        rec.write_text("def f(x); pre x >= 0; f(x) = 0 if x = 0;"
+                       " f(x) = f(x - 1) + floor(1/(x - 2)) if x > 0;")
+        status, out, err = run_cli(capsys, "eval", str(rec), "3")
+        assert (status, out, err) == (1, "", "error: DivisionByZero: 1/0\n")
+
+    def test_nested_too_deep(self, capsys, tmp_path):
+        # 105 levels of floor(e/2) generate 210 nested parentheses, past
+        # Python's 200
+        rec = tmp_path / "deep.rec"
+        rec.write_text("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\nf(x) = f(x - 1) + "
+                       + "floor(" * 105 + "x" + "/2)" * 105 + " if x > 0;\n")
+        status, out, err = run_cli(capsys, "eval", str(rec), "3")
+        assert (status, out) == (1, "")
+        assert err.startswith("error: 4:") and err.count("\n") == 1
+        assert err.endswith(": nested more than 60 levels deep\n")
+
     @pytest.mark.parametrize("command", [["solve"], ["eval", "3"]])
     def test_unicode_digit(self, capsys, tmp_path, command):
         rec = tmp_path / "sq.rec"

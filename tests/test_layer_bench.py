@@ -4,9 +4,10 @@ by the `layerbench` marker:
     pytest -m layerbench tests/test_layer_bench.py
 
 They time one layer each: sampling merge-sz's recursive region, its
-dictionary columns alone on the 130 sampled points, `build_training_set`
-on those points, the CV-Lasso path on its training rows, `encode` and
-the whole `check_solution` of its candidate on the in-process prover,
+dictionary columns alone on the 130 sampled points (compiled code cached
+and not), `build_training_set` on those points, the CV-Lasso path on its
+training rows, `encode` and the whole `check_solution` of its candidate
+on the in-process prover,
 cold `eval_fun` calls (each with a fresh memo), a grid sweep through
 one shared memo, and what one `recsolve eval` op does with its fresh
 definition (parse, compile, evaluate a small point) with the generated
@@ -19,9 +20,9 @@ from recsolve.checker import (
     BUILTIN, SolverConfig, Verified, absorb_covered_pieces, check_solution, encode,
     make_domain_checker,
 )
-from recsolve.expr import compile_expr
+from recsolve.expr import _code, compile_expr
 from recsolve.parser import parse_recurrence
-from recsolve.recurrence import EvalLimits, Value, _code, eval_fun
+from recsolve.recurrence import EvalLimits, Value, eval_fun
 from recsolve.regression import RegressionConfig, cv_lasso_regression, guess
 from recsolve.sampling import (
     SampleConfig, build_training_set, default_base_set, sample_train_test,
@@ -45,13 +46,16 @@ def test_sample_train_test_merge_sz(benchmark):
     assert (len(train), len(test)) == (100, 30)
 
 
-def test_feature_columns_merge_sz(benchmark):
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_feature_columns_merge_sz(benchmark, cache):
     # the column loop of build_training_set, without the recurrence
     rdef = load_bench("merge-sz")
     points = guess_points(rdef)
     base = default_base_set(rdef.arity, rdef.arg_names)
 
     def columns():
+        if cache == "cold":
+            _code.cache_clear()
         return [list(map(compile_expr(f.expr, rdef.arg_names), points)) for f in base]
 
     assert [len(c) for c in benchmark(columns)] == [130] * len(base)

@@ -11,9 +11,11 @@ from recsolve.expr import (
     Var, _CHILDREN, compile_expr, con, eval_expr, simplify, to_text,
 )
 from recsolve.parser import (
-    ParseError, parse_constraint, parse_expression, parse_recurrence,
+    MAX_NESTING, ParseError, parse_constraint, parse_expression, parse_recurrence,
 )
-from recsolve.recurrence import ArityMismatch, RecurrenceError
+from recsolve.recurrence import ArityMismatch, EvalLimits, RecurrenceError, eval_fun
+
+from oracle import eval_constraint_naive, eval_expr_naive, eval_fun_naive
 
 X, Y = Var("x"), Var("y")
 
@@ -284,3 +286,94 @@ def test_every_boolean_node_is_walked_and_printed():
     for c in (TRUE, FALSE, lt, And(lt, eq), Or(lt, eq), Not(lt), Not(Or(lt, eq)),
               And(Or(lt, eq), Not(And(eq, lt)))):
         assert parse_constraint(to_text(c)) == c
+
+
+# Nesting shapes: one step around `{}` and the levels it adds.  A division
+# adds a level as well as its function: generated code nests both.
+EXPRESSION_SHAPES = {
+    "floor-div": ("floor({}/2)", 2),
+    "max": ("max({}, 1)", 1),
+    "self-call": ("f({} - 1)", 1),
+    "ite": ("ite(x > 1, {} + 1, 0)", 1),
+    "unary-minus": ("-{}", 1),
+    "parenthesized-product": ("2*({})", 1),
+    "division-chain": ("{}/2", 1),
+}
+CONSTRAINT_SHAPES = {
+    "not": ("not {}", 1),
+    "parenthesized-or": ("({} or x < 0)", 1),
+}
+
+
+def _nest(step, leaf, count):
+    text = leaf
+    for _ in range(count):
+        text = step.format(text)
+    return text
+
+
+def _at_and_past_the_bound(step, cost, leaf, parse):
+    """The shape nested as deep as `parse` accepts, and one step deeper.
+    The leaf and the operands of the innermost condition take up to three
+    levels of their own."""
+    steps = (MAX_NESTING - 3) // cost
+    parse(_nest(step, leaf, steps))
+    while True:
+        try:
+            parse(_nest(step, leaf, steps + 1))
+        except ParseError:
+            return _nest(step, leaf, steps), _nest(step, leaf, steps + 1)
+        steps += 1
+
+
+def _value(thunk):
+    try:
+        return thunk()
+    except ExprError as err:
+        return type(err)
+
+
+class TestNestingBound:
+    """Nested as deep as the parser accepts, each shape compiles (alone
+    and as a recurrence body or guard) and evaluates as the oracle does;
+    one step deeper is a ParseError."""
+
+    @staticmethod
+    def recurrence(body="0", guard="x > 1"):
+        return parse_recurrence("def f(x);\npre true;\nf(x) = 0 if x <= 1;\n"
+                                f"f(x) = f(x - 1) + {body} if {guard};\n")
+
+    @pytest.mark.parametrize("name", sorted(EXPRESSION_SHAPES))
+    def test_expression_shapes(self, name):
+        deepest, deeper = _at_and_past_the_bound(*EXPRESSION_SHAPES[name], "x",
+                                                parse_expression)
+        e = parse_expression(deepest)
+        for x in range(-1, 4):
+            expected = _value(lambda: eval_expr_naive(e, {"x": x}))
+            assert _value(lambda: compile_expr(e, ("x",))((x,))) == expected
+        rdef = self.recurrence(body=deepest)
+        limits = EvalLimits(max_steps=100_000)
+        for x in range(4):
+            assert eval_fun(rdef, (x,), limits) == eval_fun_naive(rdef, (x,), limits)
+        for parse in (parse_expression, lambda t: self.recurrence(body=t)):
+            with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels"):
+                parse(deeper)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRAINT_SHAPES))
+    def test_constraint_shapes(self, name):
+        deepest, deeper = _at_and_past_the_bound(*CONSTRAINT_SHAPES[name], "x > 1",
+                                                parse_constraint)
+        c = parse_constraint(deepest)
+        for x in range(-1, 4):
+            assert compile_expr(c, ("x",))((x,)) == eval_constraint_naive(c, {"x": x})
+        rdef = self.recurrence(guard=deepest)
+        for x in range(4):
+            assert eval_fun(rdef, (x,)) == eval_fun_naive(rdef, (x,))
+        for parse in (parse_constraint, lambda t: self.recurrence(guard=t)):
+            with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels"):
+                parse(deeper)
+
+    def test_position_of_the_level_too_deep(self):
+        with pytest.raises(ParseError) as err:
+            parse_expression("\n  " + "max(" * MAX_NESTING + "x" + ", 1)" * MAX_NESTING)
+        assert (err.value.line, err.value.col) == (2, 3 + 4 * MAX_NESTING)

@@ -15,6 +15,7 @@ from recsolve.recurrence import (
     RecurrenceDef, RecurrenceError, Value, eval_closed_form, eval_fun,
     foreign_names, inline_function, validate_coverage,
 )
+from recsolve.sampling import SampleConfig, sample_inputs
 
 from conftest import brute_entails, grid_points, load_bench, bench_sidecar
 from oracle import eval_fun_naive
@@ -270,6 +271,20 @@ class TestGeneratedCode:
         rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
                                 f"f(x) = f(x - 1) + {terms} if x > 0;\n")
         assert eval_fun(rdef, (3,)) == Value(300 * 6)
+
+
+# 250 base cases: the recursive region is a conjunction 251 deep, and the
+# generated code writes it flat
+MANY_BASE_CASES = parse_recurrence(
+    "def f(x);\npre x >= 0;\n" + "".join(f"f(x) = {2 * i} if x = {i};\n" for i in range(250))
+    + "f(x) = f(x - 1) + 1 if x >= 250;\n")
+
+
+def test_many_base_cases():
+    assert eval_fun(MANY_BASE_CASES, (300,)) == Value(549)
+    points = sample_inputs(MANY_BASE_CASES.recursive_region(), 1,
+                           SampleConfig(bounds=(0, 400)), 8, ("x",))
+    assert points == [(277,), (317,), (304,), (323,), (321,), (264,), (296,), (386,)]
 
 
 # Random one-argument bodies against the naive oracle.  Calls are on
