@@ -57,20 +57,25 @@ def _limits(args) -> EvalLimits:
                       timeout_ms=args.eval_timeout_ms)
 
 
-def _split_ints(text: str, n: int, what: str) -> list:
+def _split(text: str, types: tuple, what: str) -> list:
+    """The `:`-separated fields of `text`, one of each type."""
     parts = text.split(":")
-    if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"bad {what}: {text!r}")
-    return parts
+    try:
+        if len(parts) == len(types):
+            return [t(part) for t, part in zip(types, parts)]
+    except ValueError:
+        pass
+    raise ValueError(f"bad {what}: {text!r}")
 
 
 def build_config(args) -> SolveConfig:
-    count, lo, hi = _split_ints(args.lambda_grid, 3, "--lambda-grid")
-    blo, bhi = _split_ints(args.bounds, 2, "--bounds")
+    """The configuration the options give; ValueError on a bad value."""
+    count, lo, hi = _split(args.lambda_grid, (int, float, float), "--lambda-grid")
     sample = SampleConfig(n_train=args.samples, n_test=args.test_samples,
-                          bounds=(int(blo), int(bhi)), seed=args.seed)
+                          bounds=tuple(_split(args.bounds, (int, int), "--bounds")),
+                          seed=args.seed)
     regression = RegressionConfig(
-        lambdas=lambda_grid(int(count), float(lo), float(hi)),
+        lambdas=lambda_grid(count, lo, hi),
         folds=args.folds, epsilon=args.epsilon,
         max_denominator=args.max_denominator, cv_seed=args.seed)
     solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
@@ -105,7 +110,7 @@ def _print_report(report: SolveReport, fmt: str, out=None):
         print(f"  time:        {total / 1000:.2f} s", file=out)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, cfg: SolveConfig) -> int:
     try:
         rdef = load_recurrence(args.file)
     except OSError as err:
@@ -114,25 +119,23 @@ def cmd_solve(args) -> int:
     except (ParseError, RecurrenceError) as err:
         print(f"error: {args.file}: {err}", file=sys.stderr)
         return 1
-    cfg = build_config(args)
     report = solve(rdef, cfg)
     _print_report(report, args.format)
     return report.exit_status()
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, cfg: SolveConfig) -> int:
     try:
         rdef = load_recurrence(args.file)
         expr = parse_expression(args.cf)
         simplify(expr)  # raises on a divisor that folds to 0, as in x/(1-1)
+        # raises on a call or a variable that is not an argument
+        cf = single_piece(expr, rdef.arg_names, rdef.precondition)
     except (OSError, ParseError, RecurrenceError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    cfg = build_config(args)
-    cf = single_piece(expr, rdef.arg_names, rdef.precondition)
-    limits = cfg.limits
     try:
-        verdict = check_solution(rdef, cf, cfg.solver, limits,
+        verdict = check_solution(rdef, cf, cfg.solver, cfg.limits,
                                  emit_dir=args.emit_smt, label=rdef.name)
     except SolverProcessFailure as err:
         print(f"error: {err}", file=sys.stderr)
@@ -156,7 +159,7 @@ def cmd_check(args) -> int:
     return 0 if kind == "verified" else 3
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, limits: EvalLimits) -> int:
     try:
         rdef = load_recurrence(args.file)
     except (OSError, ParseError, RecurrenceError) as err:
@@ -170,7 +173,7 @@ def cmd_eval(args) -> int:
             print(f"error: input {tuple(args.values)} violates the precondition",
                   file=sys.stderr)
             return 1
-        outcome = eval_fun(rdef, args.values, _limits(args))
+        outcome = eval_fun(rdef, args.values, limits)
     except (ExprError, RecurrenceError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
@@ -189,8 +192,7 @@ def bench_path(name: str):
     return resources.files("recsolve").joinpath("bench", f"{name}.rec")
 
 
-def cmd_bench(args) -> int:
-    cfg = build_config(args)
+def cmd_bench(args, cfg: SolveConfig) -> int:
     names = list(args.only) if args.only else list(BENCHMARKS)
 
     def run(name: str) -> SolveReport:
@@ -235,26 +237,26 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="guess and verify a closed form")
     p.add_argument("file")
     _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, configure=build_config)
 
     p = sub.add_parser("check", help="verify a user-supplied closed form")
     p.add_argument("file")
     p.add_argument("--cf", required=True, help="closed-form expression")
     _add_common(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, configure=build_config)
 
     p = sub.add_parser("eval", help="evaluate the recurrence at a point")
     p.add_argument("file")
     p.add_argument("values", nargs="+", type=int)
     _add_limits(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, configure=_limits)
 
     p = sub.add_parser("bench", help="run the bundled benchmark corpus")
     _add_common(p)
     p.add_argument("--only", nargs="*", default=None, metavar="NAME")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="also write json-lines reports to a file")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, configure=build_config)
     return parser
 
 
@@ -270,7 +272,12 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        settings = args.configure(args)
+    except ValueError as err:  # an option value out of range
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    return args.func(args, settings)
 
 
 if __name__ == "__main__":

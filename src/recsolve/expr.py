@@ -9,7 +9,8 @@ Expressions may contain `Call` nodes (references to a recurrence being
 solved); comparisons may not.  Evaluation compiles a tree once into a
 generated Python function of an argument tuple (`compile_expr`), for code
 that evaluates one expression at many points; `eval_expr` compiles and
-applies in one call.  Its `Emitter` also writes the recurrence evaluator's.
+applies in one call.  Its `Emitter` also writes the recurrence evaluator's
+`step` function, adding only the memo lookup of a call.
 
 Each node has one row per table: its children in `_CHILDREN` (the
 walker) and its rewrite in `_RULES`; an arithmetic operator also has its
@@ -312,7 +313,7 @@ def _code(source: str):
 
 class Emitter:
     """Writes trees as Python source over the arguments `arg_names`, the
-    locals `a0, a1, ...`, counting the nodes written in `visited`.
+    locals `a0, a1, ...`.
     Constants, names included, are lifted by position into `consts`, read
     as `c0, c1, ...`, so trees that differ only in those share compiled
     code.  `+ - *`, the comparisons and `and`/`or`/`not` are Python's, the
@@ -320,7 +321,7 @@ class Emitter:
     to right, and text is parenthesized only where Python would read it
     otherwise, so long sums and `and` chains stay flat.  An unbound variable
     or a Call raises only when its branch is evaluated.  A subclass may
-    write calls and `ite` its own way."""
+    write calls its own way."""
 
     namespace = {"_raise": _raise, **{"_" + t.__name__: op for t, op in OPS.items()}}
 
@@ -328,7 +329,6 @@ class Emitter:
         self.unpacked = ", ".join(f"a{i}" for i in range(len(arg_names)))
         self.index = {n: i for i, n in enumerate(arg_names)}
         self.consts: list = []
-        self.visited = 0
 
     def lift(self, value) -> str:
         self.consts.append(value)
@@ -344,7 +344,6 @@ class Emitter:
 
     def emit(self, e: Expr) -> tuple:
         """The text of `e` and its binding power."""
-        self.visited += 1
         t = type(e)
         if t is Const or t is BoolLit:
             v = e.value
@@ -356,7 +355,8 @@ class Emitter:
         if t is Call:
             return self.call(e)
         if t is Ite:
-            return self.ite(e)
+            cond = self.operand(e.cond, _OR)
+            return f"{self.operand(e.then, _OR)} if {cond} else {self.operand(e.other)}", _COND
         if t is Not:
             return f"not {self.operand(e.arg, _NOT)}", _NOT
         if t in _CONNECTIVE:
@@ -375,10 +375,6 @@ class Emitter:
 
     def call(self, e: Call) -> tuple:
         return self.raising(UnexpandedCall, e.fname)
-
-    def ite(self, e: Ite) -> tuple:
-        cond = self.operand(e.cond, _OR)
-        return f"{self.operand(e.then, _OR)} if {cond} else {self.operand(e.other)}", _COND
 
     def function(self, params: str, lines: Sequence[str]) -> Callable:
         """`f(params)`, which unpacks the argument tuple `a` and runs `lines`."""
@@ -678,6 +674,10 @@ class ClosedForm:
         for p in self.pieces:
             if contains_calls(p.expr):
                 raise ValueError("closed form pieces must be call-free")
+            loose = (free_vars(p.expr) | free_vars(p.guard)) - set(self.arg_names)
+            if loose:
+                raise ValueError(
+                    f"closed form uses variables {sorted(loose)} that are not arguments")
 
     @cached_property
     def compiled_pieces(self) -> tuple:
@@ -771,9 +771,9 @@ _FUNCTION_NAMES = {node: name for name, node in FUNCTIONS.items()}
 # operand takes parentheses only when it binds looser than its connective
 # (an `or` under an `and`), or than `not`, which binds as tight as unary
 # minus.  A right-nested chain prints flat and parses back left-nested.
-_CONNECTIVES = {Or: ("or", 1), And: ("and", 2)}
+CONNECTIVES = {Or: ("or", 1), And: ("and", 2)}
 
-_PRECEDENCE = {node: prec for node, (_, prec) in (*INFIX.items(), *_CONNECTIVES.items())}
+_PRECEDENCE = {node: prec for node, (_, prec) in (*INFIX.items(), *CONNECTIVES.items())}
 _PRECEDENCE[Pow] = _PREC_POW
 
 
@@ -809,8 +809,8 @@ def to_text(e: Expr) -> str:
         return f"ite({to_text(e.cond)}, {to_text(e.then)}, {to_text(e.other)})"
     if t is Cmp:
         return f"{to_text(e.lhs)} {e.op} {to_text(e.rhs)}"
-    if t in _CONNECTIVES:
-        word, prec = _CONNECTIVES[t]
+    if t in CONNECTIVES:
+        word, prec = CONNECTIVES[t]
         return f"{_paren(e.lhs, prec)} {word} {_paren(e.rhs, prec)}"
     if t is Not:
         return f"not {_paren(e.arg, _PREC_UNARY)}"

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .expr import (
-    CMP, FUNCTIONS, INFIX, And, BoolLit, Call, Cmp, Const, Constraint, Div,
-    Expr, Ite, Not, Or, Pow, Sub, Var,
+    CMP, CONNECTIVES, FUNCTIONS, INFIX, BoolLit, Call, Cmp, Const, Constraint,
+    Div, Expr, Ite, Not, Pow, Sub, Var,
 )
 
 
@@ -49,9 +49,18 @@ _DIGITS = "0123456789"
 _NAME_START = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 _NAME_CHARS = _NAME_START + _DIGITS
 _KEYWORDS = {"def", "pre", "if", "and", "or", "not", "true", "false"}
-_INFIX = {symbol: (node, prec) for node, (symbol, prec) in INFIX.items()}
-_LOOSEST = min(prec for _, prec in _INFIX.values())
-_TIGHTEST = max(prec for _, prec in _INFIX.values())
+
+
+def _by_precedence(table: dict) -> tuple:
+    """The symbols of an operator table as one {symbol: node} dict per
+    precedence, loosest first."""
+    precs = sorted({prec for _, prec in table.values()})
+    return tuple({symbol: node for node, (symbol, p) in table.items() if p == prec}
+                 for prec in precs)
+
+
+_INFIX = _by_precedence(INFIX)              # + -, then * /
+_CONNECTIVE = _by_precedence(CONNECTIVES)   # or, then and
 _ARGUMENTS = {1: "one argument", 2: "two arguments"}
 
 # The deepest nesting of operands (`unary`) and conditions (`negation`) the
@@ -60,6 +69,16 @@ _ARGUMENTS = {1: "one argument", 2: "two arguments"}
 # level (a recursive call as an operand), so every accepted tree compiles.
 MAX_NESTING = 60
 _TOO_DEEP = f"nested more than {MAX_NESTING} levels deep"
+
+# The most infix operators and connectives on one path from the root of a
+# tree: `a + b + c` is a chain of two, and a parenthesized chain adds its
+# operators to the chain around it.  Every walker of the trees (printer,
+# simplifier, substitution, SMT-LIB2 emitter, tree equality) recurses at
+# least once per node on a path, and the checker substitutes a candidate
+# into a body, which stacks two such paths; this bound keeps both within
+# Python's recursion limit, with room for the caller's frames.
+MAX_CHAIN = 100
+_TOO_LONG = f"operators chained more than {MAX_CHAIN} deep"
 
 
 def tokenize(text: str) -> list:
@@ -118,6 +137,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0    # levels open at the current token
         self.deepest = 0  # the deepest level reached, divisions included
+        self.links = 0    # the most operators on a path down from the chain
 
     # -- token plumbing ----------------------------------------------------
 
@@ -157,32 +177,43 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def expression(self, prec: int = _LOOSEST) -> Expr:
-        """Operands joined left-associatively by the INFIX operators of
-        precedence `prec`; each operand binds tighter.  Past the tightest
-        infix precedence, a unary expression."""
-        if prec > _TIGHTEST:
-            return self.unary()
-        outer, self.deepest = self.deepest, self.depth
-        e = self.expression(prec + 1)
-        while True:
-            node, p = _INFIX.get(self.peek().text, (None, None))
-            if p != prec:
-                if outer > self.deepest:
-                    self.deepest = outer
-                return e
+    def chain(self, levels: tuple, operand, prec: int = 0) -> Expr:
+        """Operands joined left-associatively by the operators of
+        `levels[prec]`; each operand binds tighter, and past the tightest
+        level is an `operand()`.  Each operator nests the chain so far
+        one link deeper (see `MAX_CHAIN`), and a division one level
+        deeper too, as generated code calls it (see `MAX_NESTING`)."""
+        if prec == len(levels):
+            return operand()
+        symbols = levels[prec]
+        outer_deepest, outer_links = self.deepest, self.links
+        self.deepest, self.links = self.depth, 0
+        e = self.chain(levels, operand, prec + 1)
+        while self.toks[self.pos].text in symbols:
             tok = self.next()
-            rhs = self.expression(prec + 1)
+            node = symbols[tok.text]
+            rhs = self.chain(levels, operand, prec + 1)
             if node is Div and isinstance(e, Const) and isinstance(rhs, Const):
                 if rhs.value == 0:
                     self.fail("division by the literal constant zero")
                 e = Const(e.value / rhs.value)  # rational literal p/q
-            else:
-                e = node(e, rhs)
-                if node is Div:  # nests everything in the chain so far
-                    self.deepest += 1
-                    if self.deepest > MAX_NESTING:
-                        raise ParseError(_TOO_DEEP, tok.line, tok.col)
+                continue
+            e = node(e, rhs)
+            self.links += 1
+            if self.links > MAX_CHAIN:
+                raise ParseError(_TOO_LONG, tok.line, tok.col)
+            if node is Div:
+                self.deepest += 1
+                if self.deepest > MAX_NESTING:
+                    raise ParseError(_TOO_DEEP, tok.line, tok.col)
+        if outer_deepest > self.deepest:
+            self.deepest = outer_deepest
+        if outer_links > self.links:
+            self.links = outer_links
+        return e
+
+    def expression(self) -> Expr:
+        return self.chain(_INFIX, self.unary)
 
     def unary(self) -> Expr:
         self.enter()
@@ -246,18 +277,7 @@ class _Parser:
     # -- constraints ---------------------------------------------------------
 
     def constraint(self) -> Constraint:
-        c = self.conjunction()
-        while self.at("or"):
-            self.next()
-            c = Or(c, self.conjunction())
-        return c
-
-    def conjunction(self) -> Constraint:
-        c = self.negation()
-        while self.at("and"):
-            self.next()
-            c = And(c, self.negation())
-        return c
+        return self.chain(_CONNECTIVE, self.negation)
 
     def negation(self) -> Constraint:
         self.enter()
@@ -277,7 +297,7 @@ class _Parser:
         if t.text == "(":
             # either a parenthesised constraint or a parenthesised expression
             # starting a comparison; try the constraint reading first
-            saved = self.pos, self.depth, self.deepest
+            saved = self.pos, self.depth, self.deepest, self.links
             try:
                 self.next()
                 c = self.constraint()
@@ -286,9 +306,9 @@ class _Parser:
                     raise ParseError("comparison of constraints", t.line, t.col)
                 return c
             except ParseError:
-                if self.deepest > MAX_NESTING:
+                if self.deepest > MAX_NESTING or self.links > MAX_CHAIN:
                     raise  # the other reading nests as deep
-                self.pos, self.depth, self.deepest = saved
+                self.pos, self.depth, self.deepest, self.links = saved
         return self.comparison()
 
     def comparison(self) -> Constraint:

@@ -11,9 +11,9 @@ constants, reuses its cached code; each binds its own constants.
 The evaluator is iterative with memoization on concrete argument tuples,
 so deeply recursive or non-terminating definitions hit the configured
 limits instead of exhausting the Python stack: a body that reaches a
-call missing from the memo is restarted once that call is evaluated.  A step is one guard tried
-or one body node visited, restarted visits included, so the limits stop
-exactly where a node-by-node walk of the bodies would.  A caller that
+call missing from the memo is restarted once that call is evaluated.  A
+step is one evaluation of a body, each restart counting again, and only
+the evaluator's loop (`_run`) counts them.  A caller that
 evaluates many points of one recurrence may pass one memo to every
 `eval_fun` call; the limits still apply to each call on its own.
 """
@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
-    _COND, _OR, Call, ClosedForm, Constraint, Emitter, Expr, Ite, Not, conj,
+    _COND, Call, ClosedForm, Constraint, Emitter, Expr, Not, conj,
     contains_calls, disj, free_vars, map_children, nodes, to_text,
 )
 
@@ -162,7 +162,7 @@ def inline_function(rdef: RecurrenceDef, fname: str, cf: ClosedForm) -> Recurren
 @dataclass(frozen=True)
 class EvalLimits:
     max_depth: int = 10_000
-    max_steps: int = 1_000_000
+    max_steps: int = 100_000
     timeout_ms: int = 5_000
 
     def __post_init__(self):
@@ -200,10 +200,7 @@ def _canon(v):
 
 class _NeedCall(Exception):
     """A recursive call whose value is not in the memo yet, raised with
-    its key and the number of steps taken up to and including the call's
-    arguments: the guards tried and the body nodes visited, except those
-    inside Ite branches that finished before the call (the step
-    accumulator holds those)."""
+    its key."""
 
 
 def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutcome:
@@ -216,17 +213,16 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
 
     A body that needs a call missing from the memo pushes the call and is
     restarted, guards included, once the call's value is in the memo.  A
-    step is one guard tried or one body node visited, including the nodes
-    visited before a restart; Ite conditions count none."""
+    step is one call of `step`: one evaluation of a body, finished or cut
+    short by a missing call, so a run takes at most `max_steps` of them."""
     max_depth, max_steps = limits.max_depth, limits.max_steps
     deadline = time.monotonic() + limits.timeout_ms / 1000.0
     steps = 0
-    acc = [0]  # steps of finished Ite branches, added by the step function
     pending = [point]
     while pending:
         if len(pending) > max_depth:
             return LimitExceeded("depth")
-        if steps + acc[0] > max_steps:
+        if steps >= max_steps:
             return LimitExceeded("steps")
         if time.monotonic() > deadline:
             return LimitExceeded("timeout")
@@ -234,17 +230,15 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
         if top in memo:
             pending.pop()
             continue
+        steps += 1
         try:
-            done = step(top, memo, acc)
+            value = step(top, memo)
         except _NeedCall as need:
-            key, n = need.args
-            steps += n
-            pending.append(key)
+            pending.append(need.args[0])
             continue
-        if done is None:
+        if value is None:
             return GuardFallthrough(top)
-        memo[top], n = done
-        steps += n
+        memo[top] = value
         pending.pop()
     return Value(memo[point])
 
@@ -253,52 +247,29 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
 # Compilation: one generated `step` function per definition
 # ---------------------------------------------------------------------------
 
-def _branch(value, acc: list, steps: int):
-    """The value of a finished Ite branch, once its steps are counted."""
-    acc[0] += steps
-    return value
-
-
 class _StepWriter(Emitter):
-    """Writes the `step(a, m, acc)` function of a definition: it returns
-    `(value, steps)` for the first guard that holds, steps counting the
-    guards tried and the body nodes a finished evaluation visits (each Ite
-    as one), or None.  A call missing from the memo `m` raises `_NeedCall`
-    with the steps up to and including its arguments; the steps of the Ite
-    branch taken go to `acc[0]` once it finishes.  Conditions are written
-    by a plain emitter and count no steps."""
+    """Writes the `step(a, m)` function of a definition: it returns the
+    value of the body of the first case whose guard holds, or None.  A
+    call missing from the memo `m` raises `_NeedCall` with its key."""
 
-    namespace = {**Emitter.namespace, "_NeedCall": _NeedCall, "_branch": _branch}
+    namespace = {**Emitter.namespace, "_NeedCall": _NeedCall}
 
     def __init__(self, rdef: RecurrenceDef):
         super().__init__(rdef.arg_names)
         self.name, self.cases = rdef.name, rdef.cases
-        self.conditions = Emitter(rdef.arg_names)
-        self.conditions.consts = self.consts  # one numbering of the constants
 
     def call(self, e: Call) -> tuple:
         if e.fname != self.name:
             return self.raising(UnknownFunction, e.fname)
         key = "".join(self.operand(arg) + ", " for arg in e.args)
-        return f"m[k] if (k := ({key})) in m else _raise(_NeedCall, k, {self.visited})", _COND
-
-    def ite(self, e: Ite) -> tuple:
-        cond, start = self.conditions.operand(e.cond, _OR), self.visited
-        then = self.operand(e.then)
-        n_then, self.visited = self.visited - start, start
-        other = self.operand(e.other)
-        n_other, self.visited = self.visited - start, start
-        return (f"_branch({then}, acc, {n_then}) if {cond}"
-                f" else _branch({other}, acc, {n_other})"), _COND
+        return f"m[k] if (k := ({key})) in m else _raise(_NeedCall, k)", _COND
 
     def step(self) -> Callable:
         lines = []
-        for tried, case in enumerate(self.cases, 1):
-            guard = self.conditions.operand(case.guard)
-            self.visited = tried
-            body = self.operand(case.body)
-            lines += [f"    if {guard}:", f"        return {body}, {self.visited}"]
-        return self.function("a, m, acc", lines)
+        for case in self.cases:
+            lines += [f"    if {self.operand(case.guard)}:",
+                      f"        return {self.operand(case.body)}"]
+        return self.function("a, m", lines)
 
 
 def eval_fun(rdef: RecurrenceDef, point: Sequence, limits: EvalLimits = EvalLimits(),

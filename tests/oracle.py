@@ -102,9 +102,14 @@ class _Fallthrough(Exception):
         self.point = point
 
 
-def eval_fun_naive(rdef, point, limits=EvalLimits()):
+# The oracle's own default budget: its steps are body nodes visited, not
+# the evaluator's body evaluations, so it keeps a budget of its own
+NAIVE_LIMITS = EvalLimits(max_steps=1_000_000)
+
+
+def eval_fun_naive(rdef, point, limits=NAIVE_LIMITS):
     """Reference evaluator without memoization.  Recursion is direct, so
-    keep the limits small."""
+    keep the limits small.  A step is one body node visited."""
     deadline = time.monotonic() + limits.timeout_ms / 1000.0
     steps = [0]
 

@@ -119,6 +119,21 @@ class TestCheckCommand:
         assert (status, out) == (1, "")
         assert err == "error: 1:7: unexpected character 'é'\n"
 
+    @pytest.mark.parametrize("name, candidate, message", [
+        ("nested", "f(x)", "closed form pieces must be call-free"),
+        ("nested", "z", "closed form uses variables ['z'] that are not arguments"),
+        ("div", "x + z", "closed form uses variables ['z'] that are not arguments"),
+    ], ids=["call", "loose-variable", "loose-variable-two-arguments"])
+    def test_candidate_outside_its_arguments(self, capsys, name, candidate, message):
+        status, out, err = run_cli(capsys, "check", bench_file(name), "--cf", candidate)
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
+    def test_candidate_chain_too_long(self, capsys):
+        status, out, err = run_cli(capsys, "check", bench_file("nested"),
+                                   "--cf", " + ".join(["x"] * 1000))
+        assert (status, out) == (1, "")
+        assert err == f"error: 1:{3 + 4 * 100}: operators chained more than 100 deep\n"
+
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),
                                  "--cf", "ite(x > 0 and y > 0, x + y - 1, 0)")
@@ -166,6 +181,17 @@ class TestEvalCommand:
         assert err.startswith("error: 4:") and err.count("\n") == 1
         assert err.endswith(": nested more than 60 levels deep\n")
 
+    @pytest.mark.parametrize("command", [["solve"], ["eval", "3"], ["check", "--cf", "x"]])
+    def test_chain_too_long(self, capsys, tmp_path, command):
+        # the 100th `+` puts 101 operators on the path down to `x - 1`
+        rec = tmp_path / "long.rec"
+        rec.write_text("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                       "f(x) = f(x - 1)" + " + x" * 999 + " if x > 0;\n")
+        status, out, err = run_cli(capsys, command[0], str(rec), *command[1:])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"4:{17 + 4 * 99}: operators chained more than 100 deep\n")
+
     @pytest.mark.parametrize("command", [["solve"], ["eval", "3"]])
     def test_unicode_digit(self, capsys, tmp_path, command):
         rec = tmp_path / "sq.rec"
@@ -180,6 +206,22 @@ class TestEvalCommand:
         status, _, err = run_cli(capsys, "eval", bench_file("div"), "5", "0")
         assert status == 1
         assert "precondition" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--bounds", "0"], "bad --bounds: '0'"),
+    (["solve", "--bounds", "a:b"], "bad --bounds: 'a:b'"),
+    (["solve", "--samples", "0"], "sample counts must be positive"),
+    (["check", "--cf", "x", "--folds", "1"], "k-fold cross-validation needs k >= 2"),
+    (["check", "--cf", "x", "--timeout-ms", "0"], "solver timeout must be positive"),
+    (["bench", "--lambda-grid", "1:0:1"], "bad lambda grid"),
+    (["eval", "3", "--max-depth", "0"], "evaluation limits must be strictly positive"),
+])
+def test_bad_option_value(capsys, argv, message):
+    command, *rest = argv
+    file = [] if command == "bench" else [bench_file("nested")]
+    status, out, err = run_cli(capsys, command, *file, *rest)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestRepeatedMain:

@@ -10,10 +10,16 @@ from recsolve.expr import (
     Const, Constraint, Div, ExprError, Floor, Ite, Max, Mul, Not, Or, Pow, Sub,
     Var, _CHILDREN, compile_expr, con, eval_expr, simplify, to_text,
 )
+from recsolve.checker import Verified, check_solution
+from recsolve.expr import single_piece
 from recsolve.parser import (
-    MAX_NESTING, ParseError, parse_constraint, parse_expression, parse_recurrence,
+    MAX_CHAIN, MAX_NESTING, ParseError, parse_constraint, parse_expression,
+    parse_recurrence,
 )
-from recsolve.recurrence import ArityMismatch, EvalLimits, RecurrenceError, eval_fun
+from recsolve.pipeline import SolveConfig, solve
+from recsolve.recurrence import (
+    ArityMismatch, EvalLimits, RecurrenceError, Value, eval_fun,
+)
 
 from oracle import eval_constraint_naive, eval_expr_naive, eval_fun_naive
 
@@ -377,3 +383,60 @@ class TestNestingBound:
         with pytest.raises(ParseError) as err:
             parse_expression("\n  " + "max(" * MAX_NESTING + "x" + ", 1)" * MAX_NESTING)
         assert (err.value.line, err.value.col) == (2, 3 + 4 * MAX_NESTING)
+
+
+def _chained(word, operand, n):
+    """`operand` joined by `word`: a chain of n operators."""
+    return f" {word} ".join([operand] * (n + 1))
+
+
+# Recurrences whose longest chain has n operators, with their slope and a
+# candidate that verifies: in the body (`x - 1` is the first operator on
+# its path) and its candidate, in the guard, and in the precondition
+CHAIN_SHAPES = {
+    "body-sum": lambda n: ("x >= 0", "f(x - 1)" + " + 1" * (n - 1), "x > 0",
+                           n - 1, _chained("+", "x", n - 1) + " - x"),
+    "guard-and": lambda n: ("x >= 0", "f(x - 1) + 1", _chained("and", "x > 0", n),
+                            1, "x"),
+    "precondition-or": lambda n: (_chained("or", "x >= 0", n), "f(x - 1) + 1", "x > 0",
+                                  1, "x"),
+}
+
+
+class TestChainBound:
+    """With MAX_CHAIN operators chained, each shape parses, prints,
+    evaluates, solves and checks; one operator more is a ParseError."""
+
+    @staticmethod
+    def recurrence(pre, body, guard):
+        return parse_recurrence(f"def f(x);\npre {pre};\nf(x) = 0 if x = 0;\n"
+                                f"f(x) = {body} if {guard};\n")
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_SHAPES))
+    def test_at_the_bound(self, name, solver):
+        pre, body, guard, slope, candidate = CHAIN_SHAPES[name](MAX_CHAIN)
+        rdef = self.recurrence(pre, body, guard)
+        assert parse_recurrence(rdef.to_text()) == rdef
+        for x in range(4):
+            assert eval_fun(rdef, (x,)) == Value(slope * x)
+        report = solve(rdef, SolveConfig(solver=solver))
+        assert (report.verdict, report.closed_form.to_text()) \
+            == ("verified", "x" if slope == 1 else f"{slope}*x")
+        cf = single_piece(parse_expression(candidate), rdef.arg_names, rdef.precondition)
+        assert isinstance(check_solution(rdef, cf, solver), Verified)
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_SHAPES))
+    def test_one_past_the_bound(self, name):
+        pre, body, guard, _, candidate = CHAIN_SHAPES[name](MAX_CHAIN + 1)
+        with pytest.raises(ParseError, match=f"operators chained more than {MAX_CHAIN} deep"):
+            self.recurrence(pre, body, guard)
+        if name == "body-sum":
+            with pytest.raises(ParseError, match="operators chained"):
+                parse_expression(candidate)
+
+    def test_chains_nest_into_one_count(self):
+        # a parenthesized chain adds its operators to the chain around it
+        half = _chained("+", "x", MAX_CHAIN // 2)
+        parse_expression(f"({half}) * {_chained('*', 'x', MAX_CHAIN // 2 - 1)}")
+        with pytest.raises(ParseError, match="operators chained"):
+            parse_expression(f"({half}) * {_chained('*', 'x', MAX_CHAIN // 2)}")

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,37 +146,35 @@ def _accounting_rdef(name):
 
 
 # (recurrence, point, value, smallest max_steps, smallest max_depth) at which
-# a cold eval_fun returns the value; recorded with the interpretive
-# evaluator that the compiled one replaced.  A step is one guard tried or
-# one body node visited, also before a restart for a missing call; Ite
-# conditions count none.
+# a cold eval_fun returns the value, as `smallest_limits` finds them.  A
+# step is one evaluation of a body, also one cut short by a missing call.
 ACCOUNTING = [
-    ("nested", (5,), 5, 78, 6),
-    ("nested", (40,), 40, 673, 41),
-    ("fib", (5,), 8, 76, 5),
-    ("fib", (25,), 121393, 436, 25),
-    ("size", (4,), 4, 61, 5),
-    ("size", (30,), 30, 503, 31),
-    ("merge", (3, 4), 6, 379, 7),
-    ("merge", (30, 25), 54, 20833, 55),
-    ("merge-sz", (2, 3), 5, 198, 5),
-    ("merge-sz", (20, 30), 50, 16758, 50),
-    ("open-zip", (5, 3), 5, 90, 6),
-    ("open-zip", (40, 17), 40, 755, 41),
-    ("div", (7, 2), 3, 40, 4),
-    ("div", (60, 7), 8, 115, 9),
-    ("div-ceil", (7, 3), 3, 25, 3),
-    ("div-ceil", (50, 9), 6, 70, 6),
-    ("s-max", (3, 2), 5, 50, 4),
-    ("s-max", (40, 10), 50, 753, 41),
-    ("s-max-1", (4, 1), 9, 83, 5),
-    ("s-max-1", (35, 20), 90, 796, 36),
-    ("sum-osc", (2, 3), 11, 119, 8),
-    ("sum-osc", (12, 20), 242, 881, 52),
-    ("cost-inlined", (4,), 31, 74, 5),
-    ("cost-inlined", (12,), 8191, 250, 13),
-    ("ite-body", (6,), 11, 124, 5),
-    ("ite-body", (20,), 15471, 480, 19),
+    ("nested", (5,), 5, 11, 6),
+    ("nested", (40,), 40, 81, 41),
+    ("fib", (5,), 8, 11, 5),
+    ("fib", (25,), 121393, 51, 25),
+    ("size", (4,), 4, 9, 5),
+    ("size", (30,), 30, 61, 31),
+    ("merge", (3, 4), 6, 37, 7),
+    ("merge", (30, 25), 54, 1609, 55),
+    ("merge-sz", (2, 3), 5, 21, 5),
+    ("merge-sz", (20, 30), 50, 1299, 50),
+    ("open-zip", (5, 3), 5, 11, 6),
+    ("open-zip", (40, 17), 40, 81, 41),
+    ("div", (7, 2), 3, 7, 4),
+    ("div", (60, 7), 8, 17, 9),
+    ("div-ceil", (7, 3), 3, 5, 3),
+    ("div-ceil", (50, 9), 6, 11, 6),
+    ("s-max", (3, 2), 5, 7, 4),
+    ("s-max", (40, 10), 50, 81, 41),
+    ("s-max-1", (4, 1), 9, 9, 5),
+    ("s-max-1", (35, 20), 90, 71, 36),
+    ("sum-osc", (2, 3), 11, 15, 8),
+    ("sum-osc", (12, 20), 242, 103, 52),
+    ("cost-inlined", (4,), 31, 9, 5),
+    ("cost-inlined", (12,), 8191, 25, 13),
+    ("ite-body", (6,), 11, 13, 5),
+    ("ite-body", (20,), 15471, 41, 19),
 ]
 
 
@@ -189,6 +188,13 @@ class TestLimitAccounting:
         assert eval_fun(rdef, point, EvalLimits(max_depth=depth)) == Value(v)
         assert eval_fun(rdef, point, EvalLimits(max_depth=depth - 1)) \
             == LimitExceeded("depth")
+
+    @pytest.mark.parametrize("name,n", [("size", 30), ("nested", 40), ("fib", 25)])
+    def test_a_chain_of_missed_calls_takes_two_steps_a_point(self, name, n):
+        # from n down to the base case each point misses one call (n
+        # steps), the base case takes one, and each of the n points is
+        # restarted once its call is in the memo
+        assert smallest_limits(load_bench(name), (n,))[0] == 2 * n + 1
 
 
 def smallest_limits(rdef, point) -> tuple:
@@ -266,10 +272,12 @@ class TestGeneratedCode:
             assert eval_fun(rdef, p) == eval_fun_naive(rdef, p), p
 
     def test_long_sum_is_flat(self):
-        # deeper than Python's limit of 200 nested parentheses
-        terms = " + ".join(["x"] * 300)
-        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
-                                f"f(x) = f(x - 1) + {terms} if x > 0;\n")
+        # deeper than Python's limit of 200 nested parentheses; built as a
+        # tree, because the parser refuses a chain this long (MAX_CHAIN)
+        body = reduce(Add, [Var("x")] * 300, Call("f", (Sub(Var("x"), con(1)),)))
+        rdef = RecurrenceDef("f", ("x",), parse_constraint("x >= 0"), (
+            Case(con(0), parse_constraint("x = 0")),
+            Case(body, parse_constraint("x > 0"))))
         assert eval_fun(rdef, (3,)) == Value(300 * 6)
 
 

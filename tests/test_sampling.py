@@ -218,10 +218,10 @@ class TestSharedMemo:
         assert compared >= 7
 
     def test_step_budget_resets_per_point(self):
-        # (12, 12) alone needs more than 500 steps; the cheap points after
+        # (12, 12) alone needs more than 50 steps; the cheap points after
         # it are kept, and the entries it memoized before stopping are right
         rdef = load_bench("merge-sz")
-        limits = EvalLimits(max_steps=500)
+        limits = EvalLimits(max_steps=50)
         memo: dict = {}
         assert eval_fun(rdef, (12, 12), limits, memo) == LimitExceeded("steps")
         assert memo
