@@ -61,6 +61,10 @@ class SolverProcessFailure(CheckerError):
     pass
 
 
+class SolverTimeout(CheckerError):
+    """The solver gave no answer to an entailment query in time."""
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -164,14 +168,19 @@ _ENTAILMENT_CACHE: dict = {}
 
 def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -> bool:
     """True iff hypothesis and not(conclusion) is unsatisfiable over the
-    integers.  Solver timeouts and unknowns count as not entailed.  The
-    answer is cached per solver and pair of constraints, so a repeated
-    query is neither emitted nor sent again."""
-    key = (cfg.argv, hypothesis, conclusion)
+    integers.  An `unknown` counts as not entailed; a timeout raises
+    SolverTimeout, which names the query.  An answer is cached per solver
+    configuration and pair of constraints, so a repeated query is neither
+    emitted nor sent again; a timeout is not cached."""
+    key = (cfg, hypothesis, conclusion)
     if key not in _ENTAILMENT_CACHE:
         names = sorted(free_vars(hypothesis) | free_vars(conclusion))
         script = _script(names, (emit_term(hypothesis), f"(not {emit_term(conclusion)})"))
-        _ENTAILMENT_CACHE[key] = run_solver(script, cfg).status == "unsat"
+        status = run_solver(script, cfg).status
+        if status == "timeout":
+            raise SolverTimeout(f"no answer in {cfg.timeout_ms} ms to whether "
+                                f"{to_text(hypothesis)} entails {to_text(conclusion)}")
+        _ENTAILMENT_CACHE[key] = status == "unsat"
     return _ENTAILMENT_CACHE[key]
 
 
@@ -184,7 +193,8 @@ def absorb_covered_pieces(cf: ClosedForm) -> ClosedForm:
     lays it out) covers.  From last to first, piece i goes when the in-process
     prover shows that the precondition and its guard entail main = body_i and
     the negation of every later kept guard, so the result equals `cf` on the
-    precondition.  A query outside the solver fragment keeps its piece."""
+    precondition.  A query outside the solver fragment, or one that times
+    out, keeps its piece."""
     main, *base = cf.pieces
     prover = make_domain_checker(SolverConfig((BUILTIN,)))
     kept: list = []
@@ -194,7 +204,7 @@ def absorb_covered_pieces(cf: ClosedForm) -> ClosedForm:
         try:
             _check_divisor_positivity(hypothesis, (covered,), prover)
             absorbed = prover(hypothesis, covered)
-        except UnsupportedOperator:
+        except (UnsupportedOperator, SolverTimeout):
             absorbed = False
         if not absorbed:
             kept.insert(0, piece)
@@ -501,6 +511,8 @@ def check_solution(rdef: RecurrenceDef, fhat: ClosedForm, solver: SolverConfig,
         return Unknown("residual-call", str(err))
     except UnsupportedOperator as err:
         return Unknown("unsupported-operator", str(err))
+    except SolverTimeout as err:
+        return Unknown("solver-timeout", str(err))
     if emit_dir:
         os.makedirs(emit_dir, exist_ok=True)
         with open(os.path.join(emit_dir, f"{label}.smt2"), "w", encoding="utf-8") as fh:

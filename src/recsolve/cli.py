@@ -140,20 +140,20 @@ def cmd_check(args, cfg: SolveConfig) -> int:
     except SolverProcessFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    kind, reason, ce = verdict_fields(verdict)
+    kind, reason, ce, detail = verdict_fields(verdict)
     if args.format == "json-lines":
         doc = {"closed_form": cf.to_text(), "verdict": kind}
         if ce is not None:
             doc["counterexample"] = ce
         if kind == "unknown":
-            doc["reason"] = reason
+            doc["reason"], doc["detail"] = reason, detail
         print(json.dumps(doc, sort_keys=True))
     elif kind == "refuted":
         print(f"refuted at {tuple(ce['point'])}: "
               f"recurrence={ce['recurrence_value']} "
               f"candidate={ce['candidate_value']}")
     elif kind == "unknown":
-        print(f"unknown ({reason})")
+        print(f"unknown ({reason})" + (f": {detail}" if detail else ""))
     else:
         print("verified")
     return 0 if kind == "verified" else 3

@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .checker import (
-    CheckVerdict, Refuted, SolverConfig, SolverProcessFailure, Unknown,
-    Verified, absorb_covered_pieces, check_solution, make_domain_checker,
+    CheckVerdict, Refuted, SolverConfig, SolverProcessFailure, SolverTimeout,
+    Unknown, Verified, absorb_covered_pieces, check_solution,
+    make_domain_checker,
 )
 from .expr import ClosedForm, to_text
 from .recurrence import (
@@ -101,17 +102,18 @@ class SolveReport:
 
 
 def verdict_fields(verdict: CheckVerdict) -> tuple:
+    """(verdict, reason, counterexample, detail) as reports print them."""
     if isinstance(verdict, Verified):
-        return "verified", "", None
+        return "verified", "", None, ""
     if isinstance(verdict, Refuted):
         ce = {
             "point": [int(v) for v in verdict.counterexample],
             "recurrence_value": str(verdict.recurrence_value),
             "candidate_value": str(verdict.candidate_value),
         }
-        return "refuted", "", ce
+        return "refuted", "", ce, ""
     if isinstance(verdict, Unknown):
-        return "unknown", verdict.reason, None
+        return "unknown", verdict.reason, None, verdict.detail
     raise TypeError(f"unknown verdict {verdict!r}")
 
 
@@ -161,8 +163,11 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
         # report the failure where a check would be needed
         solver_failure = err
     except Exception as err:
-        report.error = f"{type(err).__name__}: {err}"
-        report.verdict_reason = "validation-failed"
+        if isinstance(err, SolverTimeout):  # coverage is undecided, not refuted
+            report.error, report.verdict_reason = str(err), "solver-timeout"
+        else:
+            report.error = f"{type(err).__name__}: {err}"
+            report.verdict_reason = "validation-failed"
         timings["validate"] = (time.monotonic() - t0) * 1000
         timings["total"] = (time.monotonic() - t_start) * 1000
         report.timings_ms = timings
@@ -177,8 +182,9 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
         report.exact_fit = result.exact_fit
     if verdict is not None:
         report.verdict_from_checker = isinstance(verdict, Verified)
-        report.verdict, report.verdict_reason, report.counterexample = \
+        report.verdict, report.verdict_reason, report.counterexample, detail = \
             verdict_fields(verdict)
+        report.error = detail or None
     timings["total"] = (time.monotonic() - t_start) * 1000
     report.timings_ms = timings
     report.validate()

@@ -18,15 +18,16 @@ The answers are never guesses:
   inequalities, after div(a + k*b, b) is rewritten to div(a, b) + k; both
   sides of every comparison are normalized to polynomials over Z; and the
   formula is expanded into a disjunction of cells, conjunctions of
-  `p >= 0` and `p = 0`.  A cell is closed when Fourier-Motzkin elimination
-  over Q derives a contradiction, with strict inequalities and constant
-  terms tightened to integers (`p > 0` becomes `p - 1 >= 0`, the Omega
-  test's normalization).  Nonlinear monomials take part as extra unknowns,
-  bounded by interval arithmetic and by the products of bound
-  constraints.  A cell whose variables lie in a small box is decided by
-  enumerating the box.  Real infeasibility implies integer infeasibility,
-  so a closed cell has no integer point.
-* `unknown` for everything else.
+  `p >= 0` and `p = 0`.  A cell is closed when its interval bounds cross,
+  or when Fourier-Motzkin elimination over Q derives a contradiction, with
+  strict inequalities and constant terms tightened to integers (`p > 0`
+  becomes `p - 1 >= 0`, the Omega test's normalization).  Nonlinear
+  monomials take part as extra unknowns, bounded by interval arithmetic
+  and by the products of bound constraints.  Real infeasibility implies
+  integer infeasibility, so a closed cell has no integer point.  The
+  formula is unsat when every cell is closed.
+* `unknown` for everything else, such as a bounded cell with rational
+  points but no integer point (`0 <= x <= 3 and 0 <= y <= 3 and x*y = 5`).
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ __all__ = ["solve_script"]
 SEARCH_RADIUS = 2        # model search before the refutation is tried
 SEARCH_POINTS = 4096     # points the full model search may visit
 SEARCH_MAX_RADIUS = 100
-BOX_POINTS = 4096        # largest box a cell may be decided by enumerating
 FM_CONSTRAINTS = 2000    # Fourier-Motzkin gives up beyond this many
 
 
@@ -213,15 +213,6 @@ def _key(p: dict) -> tuple:
     return tuple(sorted(p.items()))
 
 
-def _eval_poly(p: dict, env) -> int:
-    total = 0
-    for m, c in p.items():
-        for v in m:
-            c *= env[v]
-        total += c
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Normal form: NNF over atoms ("ge", key) for p >= 0 and ("eq", key) for
 # p = 0, with ite case-split and div replaced by fresh variables
@@ -305,7 +296,6 @@ class _Normalizer:
 
     def __init__(self):
         self.divs: dict = {}    # (numerator key, divisor key) -> fresh name
-        self.defs: dict = {}    # fresh name -> (numerator, divisor) polynomials
 
     def poly(self, t):
         """(polynomial, conditions) for an ite-free term: the term equals
@@ -373,9 +363,8 @@ class _Normalizer:
     def fresh(self, a: dict, b: dict) -> str:
         key = (_key(a), _key(b))
         if key not in self.divs:
-            name = f" q{len(self.divs)}"  # a space keeps it apart from SMT symbols
-            self.divs[key] = name
-            self.defs[name] = (a, b)
+            # a space keeps the name apart from SMT symbols
+            self.divs[key] = f" q{len(self.divs)}"
         return self.divs[key]
 
 
@@ -526,69 +515,25 @@ def _fourier_motzkin(polys: list, deadline: float):
     return False
 
 
-class _Cell:
-    """A conjunction of atoms, decided as far as the methods above allow."""
-
-    def __init__(self, atoms, defs: dict, deadline: float):
-        self.polys = []
-        for op, key in atoms:
-            p = dict(key)
-            self.polys.append(p)
-            if op == "eq":
-                self.polys.append(_padd({}, p, -1))
-        self.defs = defs
-        self.cols = {m for p in self.polys for m in p if m}
-        self.closed = self._refuted(deadline)
-
-    def _refuted(self, deadline: float) -> bool:
-        bounds = _propagate(self.polys, self.cols)
-        if bounds is None:
-            return True
-        lo, hi = self.lo, self.hi = bounds
-        extra = [{m: 1, (): -lo[m]} for m in self.cols if not math.isinf(lo[m])]
-        extra += [{m: -1, (): hi[m]} for m in self.cols if not math.isinf(hi[m])]
-        extra += _bound_products(self.cols, lo, hi)
-        return _fourier_motzkin(self.polys + extra, deadline) is True
-
-    def enumerate_box(self, deadline: float):
-        """('closed', None), ('model', env) or ('open', None), by visiting
-        every point of the cell's box when it is small enough."""
-        # a quotient's value follows from its numerator and divisor, so the
-        # box is over the variables they depend on
-        free, quotients = set(), set()
-        pending = [v for m in self.cols for v in m]
-        while pending:
-            v = pending.pop()
-            if v not in self.defs:
-                free.add(v)
-            elif v not in quotients:
-                quotients.add(v)
-                pending += [w for p in self.defs[v] for m in p for w in m]
-        order = sorted(free)
-        spans = []
-        size = 1
-        for v in order:
-            lo, hi = self.lo.get((v,), -math.inf), self.hi.get((v,), math.inf)
-            if math.isinf(lo) or math.isinf(hi):
-                return "open", None
-            size *= hi - lo + 1
-            if size > BOX_POINTS:
-                return "open", None
-            spans.append(range(lo, hi + 1))
-        quotients = sorted(quotients, key=lambda q: int(q[2:]))  # creation order
-        for point in itertools.product(*spans):
-            if time.monotonic() > deadline:
-                raise _Timeout
-            env = dict(zip(order, point))
-            try:
-                for q in quotients:
-                    a, b = self.defs[q]
-                    env[q] = _div(_eval_poly(a, env), _eval_poly(b, env))
-            except _Undefined:
-                return "open", None
-            if all(_eval_poly(p, env) >= 0 for p in self.polys):
-                return "model", env
-        return "closed", None
+def _closed(atoms, deadline: float) -> bool:
+    """True when the conjunction of atoms has no integer point: its
+    interval bounds cross, or Fourier-Motzkin elimination refutes it
+    together with the finite bounds and their products."""
+    polys = []
+    for op, key in atoms:
+        p = dict(key)
+        polys.append(p)
+        if op == "eq":
+            polys.append(_padd({}, p, -1))
+    cols = {m for p in polys for m in p if m}
+    bounds = _propagate(polys, cols)
+    if bounds is None:
+        return True
+    lo, hi = bounds
+    extra = [{m: 1, (): -lo[m]} for m in cols if not math.isinf(lo[m])]
+    extra += [{m: -1, (): hi[m]} for m in cols if not math.isinf(hi[m])]
+    extra += _bound_products(cols, lo, hi)
+    return _fourier_motzkin(polys + extra, deadline) is True
 
 
 # ---------------------------------------------------------------------------
@@ -628,30 +573,20 @@ class _Problem:
                 return None
         return None
 
-    def refute(self):
-        """('unsat', None) when every cell is closed; otherwise
-        ('unknown', model or None), the model coming from a cell decided by
-        enumeration."""
+    def refute(self) -> bool:
+        """True when every cell of the formula is closed."""
         self.norm = _Normalizer()
-        self.cells: dict = {}    # frozenset of atoms -> _Cell
-        self.model = None
-        self.all_closed = True
-        self.expand([(self.formula, True)], [], [])
-        self.cells = None
-        return ("unsat", None) if self.all_closed else ("unknown", self.model)
+        self.cells: dict = {}    # frozenset of atoms -> closed
+        return self.expand([(self.formula, True)], [], [])
 
-    def cell(self, atoms) -> _Cell:
-        key = frozenset(atoms)
-        if key not in self.cells:
-            self.cells[key] = _Cell(key, self.norm.defs, self.deadline)
-        return self.cells[key]
-
-    def expand(self, todo: list, atoms: list, branches: list):
-        """Explore the cells depth first.  A pending item is a parsed
-        formula with its polarity or a normalized node ("and", "or",
-        "bool", "ge", "eq"), which all read positively.  Disjunctions, and
-        the two sides of an ite inside a comparison, become branch points;
-        each branch is pruned as soon as its atoms are refuted."""
+    def expand(self, todo: list, atoms: list, branches: list) -> bool:
+        """Explore the cells depth first; True when every cell below is
+        closed.  A pending item is a parsed formula with its polarity or a
+        normalized node ("and", "or", "bool", "ge", "eq"), which all read
+        positively.  Disjunctions, and the two sides of an ite inside a
+        comparison, become branch points; each branch is pruned as soon as
+        its atoms are refuted, and the exploration stops at the first open
+        cell, after which the formula cannot be refuted."""
         todo, atoms, branches = list(todo), list(atoms), list(branches)
         while todo:
             f, positive = todo.pop()
@@ -660,7 +595,7 @@ class _Problem:
                 atoms.append(f)
             elif kind == "bool":
                 if f[1] != positive:
-                    return
+                    return True
             elif kind == "not":
                 todo.append((f[1], not positive))
             elif kind in ("and", "or"):
@@ -681,32 +616,21 @@ class _Problem:
                     branches.append([
                         [(cond, True), (("cmp", op, _replace(diff, ite, then), _ZERO), True)],
                         [(cond, False), (("cmp", op, _replace(diff, ite, other), _ZERO), True)]])
-        cell = self.cell(atoms)
-        if cell.closed:
-            return
-        if branches:
-            for alternative in branches[0]:
-                self.expand(alternative, atoms, branches[1:])
-            return
-        status, env = cell.enumerate_box(self.deadline)
-        if status == "closed":
-            return
-        self.all_closed = False
-        if status == "model" and self.model is None:
-            full = {v: env.get(v, 0) for v in self.names}
-            if self.holds(full):
-                self.model = full
+        key = frozenset(atoms)
+        if key not in self.cells:
+            self.cells[key] = _closed(key, self.deadline)
+        if self.cells[key]:
+            return True
+        return bool(branches) and all(self.expand(alternative, atoms, branches[1:])
+                                      for alternative in branches[0])
 
     def check(self):
         model = self.search(0, SEARCH_RADIUS, SEARCH_POINTS)
         if model is not None:
             return "sat", model
-        status, model = self.refute()
-        if status == "unsat":
+        if self.refute():
             return "unsat", None
-        found = self.search(SEARCH_RADIUS + 1, SEARCH_MAX_RADIUS, SEARCH_POINTS)
-        if found is not None:
-            return "sat", found
+        model = self.search(SEARCH_RADIUS + 1, SEARCH_MAX_RADIUS, SEARCH_POINTS)
         return ("sat", model) if model is not None else ("unknown", None)
 
 

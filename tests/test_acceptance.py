@@ -102,6 +102,7 @@ def test_criterion_4_size_cost_chaining(solver):
     cost_report = solve(chained, cfg)
     assert cost_report.verdict == "unknown"
     assert cost_report.verdict_reason == "unsupported-operator"
+    assert cost_report.error == "case 1: 2^x"  # the verdict's detail
     assert cost_report.exact_fit
     for x in range(11):
         expected = 2 ** (x + 1) - 1

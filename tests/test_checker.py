@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,24 @@ class TestExternalSolver:
         cfg = stub_solver("time.sleep(30)", timeout_ms=500)
         assert check_solution(rdef, cf_for(rdef, "x"), cfg) == Unknown("solver-timeout")
 
+    def test_entailment_timeout_is_reported_and_not_cached(self):
+        # every query outlives the timeout, the entailments included
+        cfg = SolverConfig((sys.executable, "-c", "import time; time.sleep(30)"), 300)
+        for name, candidate, query in [
+            ("nested", "x", "x >= 0 and x = 0 entails x >= 0"),
+            ("div", "floor(x/y)",
+             "x >= 0 and y > 0 and x >= y and y > 0 entails x >= 0 and y > 0"),
+        ]:
+            rdef = load_bench(name)
+            assert check_solution(rdef, cf_for(rdef, candidate), cfg) == \
+                Unknown("solver-timeout", f"no answer in 300 ms to whether {query}")
+        report = solve(load_bench("merge-sz"), SolveConfig(solver=cfg))
+        assert (report.verdict, report.verdict_reason, report.error) == (
+            "skipped", "solver-timeout",
+            "no answer in 300 ms to whether x >= 0 and y >= 0 and (x > 0 or y > 0) entails"
+            " x > 0 and y > 0 or x > 0 and y = 0 or x = 0 and y > 0")
+        assert not any(key[0] == cfg for key in checker._ENTAILMENT_CACHE)
+
     def test_no_verdict_is_a_process_failure(self):
         rdef = load_bench("nested")
         cfg = stub_solver("print('no verdict here')")
@@ -507,4 +526,12 @@ class TestAbsorbCoveredPieces:
         cf = ClosedForm(rdef.arg_names, rdef.precondition,
                         (Piece(parse_expression("2*2^x - 1"), parse_constraint("not x = 0")),
                          Piece(con(1), parse_constraint("x = 0"))))
+        assert absorb_covered_pieces(cf) == cf
+
+    def test_query_that_times_out_keeps_the_piece(self, monkeypatch):
+        monkeypatch.setattr(checker, "_ENTAILMENT_CACHE", {})
+        monkeypatch.setattr(checker, "run_solver",
+                            lambda script, cfg: checker.SolverResult("timeout", ""))
+        cf = guessed(load_bench("nested"))
+        assert len(cf.pieces) > 1
         assert absorb_covered_pieces(cf) == cf

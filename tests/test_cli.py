@@ -35,6 +35,18 @@ class TestSolveCommand:
         status, out, _ = run_cli(capsys, "solve", bench_file("fib"))
         assert status == 2
 
+    def test_counterexample_line(self, capsys, tmp_path):
+        # f(x) = x on the sampled 0..30; the slope changes at 41
+        rec = tmp_path / "kink.rec"
+        rec.write_text("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                       "f(x) = f(x - 1) + 1 if x > 0 and x <= 40;\n"
+                       "f(x) = f(x - 1) + 2 if x > 40;\n")
+        status, out, err = run_cli(capsys, "solve", str(rec), "--solver", "builtin")
+        assert (status, err) == (3, "")
+        assert out.splitlines()[:5] == [
+            "recurrence f", "  closed form: x", "  score:       1.0",
+            "  verdict:     refuted", "  counterexample: (41,) recurrence=42 candidate=41"]
+
     def test_missing_file_exit_one(self, capsys):
         status, _, err = run_cli(capsys, "solve", "missing.rec")
         assert status == 1
@@ -64,7 +76,7 @@ class TestCheckCommand:
         ("x+1", {"closed_form": "x + 1", "verdict": "refuted", "counterexample": {
             "point": [0], "recurrence_value": "0", "candidate_value": "1"}}),
         ("2^x", {"closed_form": "2^x", "verdict": "unknown",
-                 "reason": "unsupported-operator"}),
+                 "reason": "unsupported-operator", "detail": "case 1: 2^x"}),
     ], ids=["refuted", "unknown"])
     def test_json_lines(self, capsys, solver, candidate, doc):
         status, out, err = run_cli(capsys, "check", bench_file("nested"),
@@ -74,7 +86,7 @@ class TestCheckCommand:
     def test_unsupported(self, capsys, solver):
         status, out, err = run_cli(capsys, "check", bench_file("nested"), "--cf", "2^x")
         assert status == 3
-        assert out == "unknown (unsupported-operator)\n"
+        assert out == "unknown (unsupported-operator): case 1: 2^x\n"
         assert err == ""
 
     def test_rational_coefficient_under_a_power(self, capsys, solver):
@@ -107,7 +119,9 @@ class TestCheckCommand:
                        f"f(x, y) = 0 if x = 0;\nf(x, y) = {call} + 1 if x > 0;\n")
         status, out, err = run_cli(capsys, "check", str(rec), "--cf", candidate,
                                    "--solver", "builtin")
-        assert (status, out, err) == (3, "unknown (unsupported-operator)\n", "")
+        assert (status, out, err) == (
+            3, "unknown (unsupported-operator): case 2: division by the literal constant zero\n",
+            "")
 
     def test_non_ascii_name(self, capsys, tmp_path):
         # a solver model names variables in ASCII, so the parser does too
@@ -134,6 +148,13 @@ class TestCheckCommand:
         assert (status, out) == (1, "")
         assert err == f"error: 1:{3 + 4 * 100}: operators chained more than 100 deep\n"
 
+    def test_solver_that_cannot_run(self, capsys):
+        status, out, err = run_cli(capsys, "check", bench_file("nested"), "--cf", "x",
+                                   "--solver", "/nonexistent/z3")
+        assert (status, out) == (1, "")
+        assert err.startswith("error: cannot run ('/nonexistent/z3', '-in'): ")
+        assert err.count("\n") == 1
+
     def test_piecewise_via_ite(self, capsys, solver):
         status, out, _ = run_cli(capsys, "check", bench_file("merge"),
                                  "--cf", "ite(x > 0 and y > 0, x + y - 1, 0)")
@@ -153,6 +174,12 @@ class TestEvalCommand:
     def test_nonterm(self, capsys):
         status, out, _ = run_cli(capsys, "eval", bench_file("nonterm"), "3")
         assert status == 3 and "LimitExceeded" in out
+
+    def test_guard_fallthrough(self, capsys, tmp_path):
+        rec = tmp_path / "gap.rec"
+        rec.write_text("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                       "f(x) = f(x - 1) + 1 if x > 1;\n")
+        assert run_cli(capsys, "eval", str(rec), "1") == (3, "GuardFallthrough(1,)\n", "")
 
     def test_arity_violation(self, capsys):
         status, _, err = run_cli(capsys, "eval", bench_file("nested"), "1", "2")

@@ -36,6 +36,15 @@ class TestProtocol:
         text = script(f"(not (= (div {lit(a)} {lit(b)}) {lit(smt_div(a, b))}))", ())
         assert solve_script(text)[0] == "unsat"
 
+    @pytest.mark.parametrize("assertion, names", [
+        ("(and (>= x 0) (<= x 3) (>= y 0) (<= y 3) (= (* x y) 5))", ("x", "y")),
+        ("(and (>= x (- 3)) (<= x 3) (= (* x x) 2))", ("x",)),
+    ], ids=["product", "square"])
+    def test_bounded_cell_without_integer_point_is_unknown(self, assertion, names):
+        # unsatisfiable over Z, but it has rational points, which the cell's
+        # relaxation keeps; the answer is sound but incomplete
+        assert solve_script(script(assertion, names)) == ("unknown", "unknown\n")
+
     def test_division_rewrite_proves_the_step(self):
         # div(x - y, y) + 1 = div(x, y) for y > 0
         text = script("(and (> y 0) (not (= (+ (div (- x y) y) 1) (div x y))))")
