@@ -77,9 +77,9 @@ def build_config(args) -> SolveConfig:
     regression = RegressionConfig(
         lambdas=lambda_grid(count, lo, hi),
         folds=args.folds, epsilon=args.epsilon,
-        max_denominator=args.max_denominator, cv_seed=args.seed)
+        max_denominator=args.max_denominator)
     solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
-    return SolveConfig(seed=args.seed, sample=sample, regression=regression,
+    return SolveConfig(sample=sample, regression=regression,
                        limits=_limits(args), solver=solver, emit_dir=args.emit_smt)
 
 

@@ -664,7 +664,6 @@ class ClosedForm:
     arg_names: tuple
     precondition: Constraint
     pieces: tuple
-    provenance: str = "user"
 
     def __post_init__(self):
         object.__setattr__(self, "arg_names", tuple(self.arg_names))
@@ -712,9 +711,8 @@ class ClosedForm:
                          for p in self.pieces)
 
 
-def single_piece(expr: Expr, arg_names: Sequence[str], precondition: Constraint,
-                 provenance: str = "user") -> ClosedForm:
-    return ClosedForm(tuple(arg_names), precondition, (Piece(expr, TRUE),), provenance)
+def single_piece(expr: Expr, arg_names: Sequence[str], precondition: Constraint) -> ClosedForm:
+    return ClosedForm(tuple(arg_names), precondition, (Piece(expr, TRUE),))
 
 
 # ---------------------------------------------------------------------------

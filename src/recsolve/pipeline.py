@@ -1,11 +1,12 @@
-"""End-to-end orchestration: guess, gate on the score, simplify, check, retry.
+"""End-to-end orchestration: guess, gate on the score, simplify, check.
 
-A candidate goes to the verifier only when the regression is exact (R^2
-of 1 and an exact rational re-score on the held-out test set); otherwise
-the report carries the candidate as an approximation, clearly labelled
-possibly unsafe.  An exact one first loses the base pieces its main piece
-covers (`checker.absorb_covered_pieces`).  A refuted candidate earns one
-retry with a fresh seed and twice the sample budget.
+A solve is one guess, one absorption and one check.  A candidate goes to
+the verifier only when the regression is exact (R^2 of 1 and an exact
+rational re-score on the held-out test set); otherwise the report
+carries the candidate as an approximation, clearly labelled possibly
+unsafe.  An exact one first loses the base pieces its main piece covers
+(`checker.absorb_covered_pieces`).  A refuted candidate is reported with
+the counterexample that evaluation confirmed.
 """
 from __future__ import annotations
 
@@ -27,16 +28,11 @@ from .sampling import SampleConfig, SamplingError, default_base_set
 
 @dataclass(frozen=True)
 class SolveConfig:
-    seed: int = 0
     sample: SampleConfig = field(default_factory=SampleConfig)
     regression: RegressionConfig = field(default_factory=RegressionConfig)
     limits: EvalLimits = field(default_factory=EvalLimits)
     solver: SolverConfig | None = None
     emit_dir: str | None = None
-
-    def seeded(self) -> "SolveConfig":
-        return replace(self, sample=replace(self.sample, seed=self.seed),
-                       regression=replace(self.regression, cv_seed=self.seed))
 
 
 APPROXIMATION_NOTE = "approximation, possibly unsafe"
@@ -55,7 +51,6 @@ class SolveReport:
     counterexample: dict | None = None
     error: str | None = None
     note: str = ""
-    retried: bool = False
     timings_ms: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     verdict_from_checker: bool = False
@@ -93,7 +88,6 @@ class SolveReport:
             "counterexample": self.counterexample,
             "error": self.error,
             "note": self.note,
-            "retried": self.retried,
             "config": self.config,
         }
         if with_timings:
@@ -120,7 +114,7 @@ def verdict_fields(verdict: CheckVerdict) -> tuple:
 def _config_snapshot(cfg: SolveConfig) -> dict:
     lams = cfg.regression.lambdas
     return {
-        "seed": cfg.seed,
+        "seed": cfg.sample.seed,
         "n_train": cfg.sample.n_train,
         "n_test": cfg.sample.n_test,
         "bounds": list(cfg.sample.bounds),
@@ -141,7 +135,6 @@ def _config_snapshot(cfg: SolveConfig) -> dict:
 def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> SolveReport:
     """Run the full pipeline on one recurrence and report every outcome
     (including stage errors) in a structured, reproducible record."""
-    cfg = cfg.seeded()
     t_start = time.monotonic()
     timings: dict = {}
     report = SolveReport(
@@ -193,45 +186,37 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
 
 def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
                      report: SolveReport, solver_failure: Exception | None):
-    """At most two attempts: a refuted candidate earns one retry with a
-    fresh seed and twice the sample budget."""
-    base_set = default_base_set(rdef.arity, rdef.arg_names)
-    sample = cfg.sample
-    for attempt in range(2):
-        prefix, label = ("retry_", report.name + "-retry") if attempt else ("", report.name)
-        t0 = time.monotonic()
-        try:
-            result = guess(rdef, base_set, cfg.regression, sample, cfg.limits)
-        except (SamplingError, RegressionError) as err:
-            timings[prefix + "guess"] = (time.monotonic() - t0) * 1000
-            report.error = f"{type(err).__name__}: {err}"
-            report.verdict_reason = err.reason
-            return None, None
-        timings[prefix + "guess"] = (time.monotonic() - t0) * 1000
+    """One guess, one absorption and one check: the guess and the
+    checker's verdict, each None where its stage did not run."""
+    t0 = time.monotonic()
+    try:
+        result = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
+                       cfg.regression, cfg.sample, cfg.limits)
+    except (SamplingError, RegressionError) as err:
+        report.error = f"{type(err).__name__}: {err}"
+        report.verdict_reason = err.reason
+        return None, None
+    finally:
+        timings["guess"] = (time.monotonic() - t0) * 1000
 
-        if not result.exact_fit:
-            report.verdict_reason = "score-below-threshold"
-            report.note = APPROXIMATION_NOTE
-            return result, None
-        t0 = time.monotonic()
-        result = replace(result, closed_form=absorb_covered_pieces(result.closed_form))
-        timings[prefix + "simplify"] = (time.monotonic() - t0) * 1000
-        if cfg.solver is None or solver_failure is not None:
-            return _unchecked(result, report, solver_failure)
+    if not result.exact_fit:
+        report.verdict_reason = "score-below-threshold"
+        report.note = APPROXIMATION_NOTE
+        return result, None
+    t0 = time.monotonic()
+    result = replace(result, closed_form=absorb_covered_pieces(result.closed_form))
+    timings["simplify"] = (time.monotonic() - t0) * 1000
+    if cfg.solver is None or solver_failure is not None:
+        return _unchecked(result, report, solver_failure)
 
-        t0 = time.monotonic()
-        try:
-            verdict = check_solution(rdef, result.closed_form, cfg.solver,
-                                     cfg.limits, cfg.emit_dir, label)
-        except SolverProcessFailure as err:
-            timings[prefix + "check"] = (time.monotonic() - t0) * 1000
-            return _unchecked(result, report, err)
-        timings[prefix + "check"] = (time.monotonic() - t0) * 1000
-        if attempt or not isinstance(verdict, Refuted):
-            return result, verdict
-        report.retried = True
-        sample = replace(sample, seed=sample.seed + 1, n_train=sample.n_train * 2,
-                         n_test=sample.n_test * 2)
+    t0 = time.monotonic()
+    try:
+        return result, check_solution(rdef, result.closed_form, cfg.solver,
+                                      cfg.limits, cfg.emit_dir, report.name)
+    except SolverProcessFailure as err:
+        return _unchecked(result, report, err)
+    finally:
+        timings["check"] = (time.monotonic() - t0) * 1000
 
 
 def _unchecked(result: GuessResult, report: SolveReport, failure: Exception | None):

@@ -60,7 +60,6 @@ class RegressionConfig:
     folds: int = 2
     epsilon: float = 0.05
     max_denominator: int = 64
-    cv_seed: int = 0
 
     def __post_init__(self):
         if self.folds < 2:
@@ -385,7 +384,7 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
     x_all, y_all = ts.to_arrays()
     beta_cv, _, lam = cv_lasso_regression(
         x_all[train_idx], y_all[train_idx], reg_cfg.lambdas, reg_cfg.folds,
-        reg_cfg.cv_seed)
+        sample_cfg.seed)
     keep, kept_names = remove_terms(ts.columns, beta_cv, reg_cfg.epsilon)
 
     def rows(idx):
@@ -405,8 +404,7 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
     base = rdef.base_cases()
     pieces = [Piece(candidate, conj([Not(c.guard) for c in base]))]
     pieces += [Piece(c.body, c.guard) for c in base]
-    cf = ClosedForm(rdef.arg_names, rdef.precondition, tuple(pieces),
-                    provenance="regression")
+    cf = ClosedForm(rdef.arg_names, rdef.precondition, tuple(pieces))
     fit = FitResult(coefs, b0, kept_names, score, raw, lam, delta)
     return GuessResult(cf, fit, exact, len(train_idx), len(test_idx),
                        ts.dropped_inputs, ts.dropped_columns)

@@ -152,7 +152,7 @@ class SampleConfig:
     n_train: int = 100
     n_test: int = 30
     bounds: tuple = (0, 30)
-    seed: int = 0
+    seed: int = 0  # the solve's one seed: sampling and the CV split
 
     def __post_init__(self):
         lo, hi = self.bounds

@@ -20,6 +20,7 @@ from recsolve.recurrence import (
     Value, eval_closed_form, eval_fun, inline_function,
 )
 from recsolve.regression import lambda_max, lasso_fit, linear_regression
+from recsolve.sampling import SampleConfig
 
 from conftest import bench_sidecar, grid_points, load_bench
 from oracle import eval_fun_naive
@@ -85,7 +86,8 @@ def test_criterion_2_running_example(capsys, solver):
 
 
 def test_criterion_3_nontermination(solver):
-    report = solve(load_bench("nonterm"), SolveConfig(seed=SEED, solver=solver))
+    cfg = SolveConfig(sample=SampleConfig(seed=SEED), solver=solver)
+    report = solve(load_bench("nonterm"), cfg)
     assert report.verdict_reason == "likely-nonterminating"
     assert report.verdict != "verified"
     assert report.closed_form is None  # in particular, never 1 - x
@@ -93,7 +95,7 @@ def test_criterion_3_nontermination(solver):
 
 
 def test_criterion_4_size_cost_chaining(solver):
-    cfg = SolveConfig(seed=SEED, solver=solver)
+    cfg = SolveConfig(sample=SampleConfig(seed=SEED), solver=solver)
     size_report = solve(load_bench("size"), cfg)
     assert size_report.verdict == "verified"
     assert simplify(size_report.closed_form.pieces[0].expr) == Var("x")

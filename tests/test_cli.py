@@ -251,6 +251,15 @@ def test_bad_option_value(capsys, argv, message):
     assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_bench_unknown_name_is_a_harness_error_row(capsys):
+    status, out, _ = run_cli(capsys, "bench", "--only", "nosuch", "--format", "json-lines")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["name"], r["verdict"], r["verdict_reason"]) for r in rows] == \
+        [("nosuch", "skipped", "harness-error")]
+    assert rows[0]["error"].startswith("FileNotFoundError")
+    assert status == 3
+
+
 class TestRepeatedMain:
     def test_eval_twice_then_check(self, capsys, solver):
         # main reuses one argument parser; no option leaks between calls

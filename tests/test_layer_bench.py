@@ -68,7 +68,7 @@ def test_cv_lasso_regression_merge_sz(benchmark):
     x, y = ts.to_arrays()
     cfg = RegressionConfig()
     beta, _, _ = benchmark(cv_lasso_regression, x[:100], y[:100], cfg.lambdas,
-                           cfg.folds, cfg.cv_seed)
+                           cfg.folds, SampleConfig().seed)
     assert len(beta) == len(ts.columns)
 
 

@@ -9,13 +9,13 @@ from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solv
 from recsolve.recurrence import Value, eval_fun, inline_function
 from recsolve.recurrence import eval_closed_form
 from recsolve.regression import guess
-from recsolve.sampling import default_base_set
+from recsolve.sampling import SampleConfig, default_base_set
 
 from conftest import grid_points, load_bench
 
 
 def config(solver, seed=0):
-    return SolveConfig(seed=seed, solver=solver)
+    return SolveConfig(sample=SampleConfig(seed=seed), solver=solver)
 
 
 class TestSolve:
@@ -42,7 +42,7 @@ class TestSolve:
     def test_empty_sampling_region_reports_its_reason(self):
         rdef = parse_recurrence("def f(x);\npre x > 100;\n"
                                 "f(x) = 0 if x = 101;\nf(x) = f(x - 1) + 1 if x > 101;\n")
-        report = solve(rdef, SolveConfig(seed=0))
+        report = solve(rdef, SolveConfig())
         assert (report.verdict, report.verdict_reason) == ("skipped", "sampling-exhausted")
         assert report.error.startswith("SamplingExhausted: found only 0 of ")
 
@@ -108,6 +108,18 @@ class TestReport:
         again = json.loads(json.dumps(doc, sort_keys=True))
         assert again == doc
 
+    def test_json_keys_are_stable(self, solver):
+        doc = solve(load_bench("nested"), config(solver)).to_json_dict()
+        assert sorted(doc) == [
+            "closed_form", "closed_form_pieces", "config", "counterexample",
+            "error", "exact_fit", "name", "note", "raw_score", "recurrence",
+            "score", "timings_ms", "verdict", "verdict_reason"]
+        assert sorted(doc["config"]) == [
+            "bounds", "epsilon", "eval_timeout_ms", "folds", "lambda_count",
+            "lambda_hi", "lambda_lo", "max_denominator", "max_depth",
+            "max_steps", "n_test", "n_train", "seed", "solver",
+            "solver_timeout_ms"]
+
     def test_exit_statuses(self, solver):
         assert solve(load_bench("nested"), config(solver)).exit_status() == 0
         assert solve(load_bench("fib"), config(solver)).exit_status() == 2
@@ -158,7 +170,7 @@ class TestCoveredPiecesAbsorbed:
     def test_inexact_and_untranslatable_candidates_unchanged(self, solver):
         size = single_piece(Var("x"), ("x",), load_bench("size").precondition)
         for rdef in (load_bench("fib"), inline_function(load_bench("cost"), "s", size)):
-            cfg = config(solver).seeded()
+            cfg = config(solver)
             guessed = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
                             cfg.regression, cfg.sample, cfg.limits)
             assert solve(rdef, cfg).closed_form == guessed.closed_form
@@ -172,19 +184,29 @@ STEP40 = parse_recurrence(
     "f(x) = f(x-1) + 2 if x > 40;\n")
 
 
-class TestRetry:
-    """A refuted candidate earns exactly one retry, with a fresh seed and
-    twice the samples.  step40's slope changes past the sampled box, so
-    both attempts guess x and both are refuted at 41."""
+class TestRefuted:
+    """A solve is one guess and one check: a refuted candidate is reported
+    with the counterexample that evaluation confirmed."""
 
-    def test_refuted_candidate_is_retried_once(self, tmp_path):
+    def test_step40_slope_changes_past_the_sampled_box(self, tmp_path):
         cfg = SolveConfig(solver=SolverConfig((BUILTIN,)), emit_dir=str(tmp_path))
         report = solve(STEP40, cfg, name="step40")
         assert to_text(report.closed_form.pieces[0].expr) == "x"
         assert (report.verdict, report.counterexample) == (
             "refuted", {"point": [41], "recurrence_value": "42", "candidate_value": "41"})
-        assert report.retried
         assert report.exit_status() == 3
-        assert {"retry_guess", "retry_simplify", "retry_check"} <= set(report.timings_ms)
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["step40-retry.smt2", "step40.smt2"]
+        assert list(report.timings_ms) == ["validate", "guess", "simplify", "check", "total"]
+        assert [p.name for p in tmp_path.iterdir()] == ["step40.smt2"]
+
+    def test_thin_region_keeps_its_counterexample(self):
+        # the one point where the slope differs is rarely sampled; at seed 2
+        # the guess is x, and the check finds the point
+        rdef = parse_recurrence(
+            "def f(x, y);\npre x >= 0 and y >= 0;\n"
+            "f(x, y) = 0 if x = 0;\n"
+            "f(x, y) = f(x - 1, y) + 2 if x = 25 and y = 29;\n"
+            "f(x, y) = f(x - 1, y) + 1 if x > 0 and not (x = 25 and y = 29);\n")
+        report = solve(rdef, config(SolverConfig((BUILTIN,)), seed=2))
+        assert (report.verdict, report.counterexample) == (
+            "refuted", {"point": [25, 29], "recurrence_value": "26", "candidate_value": "25"})
+        assert report.exit_status() == 3

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 from functools import reduce
@@ -5,6 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recsolve import recurrence
 from recsolve.expr import (
     Add, Call, Cmp, Div, ExprError, Floor, Ite, Max, Min, Mul, Piece, Sub, TRUE,
     Var, con, contains_calls, eval_expr,
@@ -123,6 +125,19 @@ class TestLimits:
     def test_limits_validate(self):
         with pytest.raises(ValueError):
             EvalLimits(max_depth=0)
+
+    def test_timeout_leaves_only_correct_values(self, monkeypatch):
+        # the clock reads 0 for the first 40 calls and 10^9 from then on:
+        # the run on fib(25) passes its deadline part way up its call chain
+        calls = itertools.count()
+        monkeypatch.setattr(recurrence.time, "monotonic",
+                            lambda: 0.0 if next(calls) < 40 else 1e9)
+        rdef = load_bench("fib")
+        memo: dict = {}
+        assert eval_fun(rdef, (25,), memo=memo) == LimitExceeded("timeout")
+        # later runs take their deadline from the jumped clock and finish
+        assert memo and all(memo[p] == value(eval_fun(rdef, p)) for p in memo)
+        assert value(eval_fun(rdef, (25,), memo=memo)) == 121393
 
 
 # A recurrence whose bodies visit Ite branches before, around and after
