@@ -16,7 +16,7 @@ from .recurrence import (
     EvalLimits, EvalOutcome, GuardFallthrough, LimitExceeded, RecurrenceDef,
     Value, eval_closed_form, eval_fun, load_recurrence,
 )
-from .sampling import BaseFunctionSet, SampleConfig, TrainingSet, default_base_set
+from .sampling import SampleConfig, TrainingSet, default_base_set
 from .regression import RegressionConfig, guess
 from .checker import (
     CheckVerdict, Refuted, SolverConfig, Unknown, Verified, check_solution,

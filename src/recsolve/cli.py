@@ -1,8 +1,10 @@
 """Command-line surface: solve, check, eval and bench subcommands.
 
-Defaults mirror the reference hyperparameters (2-fold cross-validation,
-100 lambda values in [0.001, 1], epsilon 0.05).  Machine-readable
-output is line-delimited JSON with stable keys.
+The guess stage's fixed settings are constants of `regression`: 2-fold
+cross-validation (`FOLDS`), pruning below 0.05 (`EPSILON`) and
+denominators up to 64 (`MAX_DENOMINATOR`); only the lambda grid is an
+option, by default 100 values in [0.001, 1].  Machine-readable output is
+line-delimited JSON with stable keys.
 """
 from __future__ import annotations
 
@@ -31,11 +33,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100, metavar="N")
     p.add_argument("--test-samples", type=int, default=30, metavar="N")
-    p.add_argument("--folds", type=int, default=2, metavar="K")
     p.add_argument("--lambda-grid", default="100:0.001:1", metavar="COUNT:LO:HI")
-    p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--bounds", default="0:30", metavar="LO:HI")
-    p.add_argument("--max-denominator", type=int, default=64)
     p.add_argument("--solver", default=None, metavar="PATH",
                    help="SMT-LIB2 solver, or 'builtin' for the in-process prover")
     p.add_argument("--timeout-ms", type=int, default=10_000,
@@ -74,10 +73,7 @@ def build_config(args) -> SolveConfig:
     sample = SampleConfig(n_train=args.samples, n_test=args.test_samples,
                           bounds=tuple(_split(args.bounds, (int, int), "--bounds")),
                           seed=args.seed)
-    regression = RegressionConfig(
-        lambdas=lambda_grid(count, lo, hi),
-        folds=args.folds, epsilon=args.epsilon,
-        max_denominator=args.max_denominator)
+    regression = RegressionConfig(lambdas=lambda_grid(count, lo, hi))
     solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
     return SolveConfig(sample=sample, regression=regression,
                        limits=_limits(args), solver=solver, emit_dir=args.emit_smt)

@@ -23,7 +23,7 @@ from .recurrence import (
     EvalLimits, RecurrenceDef, UnknownFunction, foreign_names, validate_coverage,
 )
 from .regression import GuessResult, RegressionConfig, RegressionError, guess
-from .sampling import SampleConfig, SamplingError, default_base_set
+from .sampling import SampleConfig, SamplingError
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,9 @@ def _config_snapshot(cfg: SolveConfig) -> dict:
         "n_train": cfg.sample.n_train,
         "n_test": cfg.sample.n_test,
         "bounds": list(cfg.sample.bounds),
-        "folds": cfg.regression.folds,
         "lambda_count": len(lams),
         "lambda_lo": min(lams),
         "lambda_hi": max(lams),
-        "epsilon": cfg.regression.epsilon,
-        "max_denominator": cfg.regression.max_denominator,
         "max_depth": cfg.limits.max_depth,
         "max_steps": cfg.limits.max_steps,
         "eval_timeout_ms": cfg.limits.timeout_ms,
@@ -190,8 +187,7 @@ def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
     checker's verdict, each None where its stage did not run."""
     t0 = time.monotonic()
     try:
-        result = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
-                       cfg.regression, cfg.sample, cfg.limits)
+        result = guess(rdef, cfg.regression, cfg.sample, cfg.limits)
     except (SamplingError, RegressionError) as err:
         report.error = f"{type(err).__name__}: {err}"
         report.verdict_reason = err.reason

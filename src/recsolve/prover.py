@@ -460,10 +460,10 @@ def _bound_factors(name: str, lo: dict, hi: dict) -> list:
     return out
 
 
-def _fourier_motzkin(polys: list, deadline: float):
+def _fourier_motzkin(polys: list, deadline: float) -> bool:
     """True when the system p >= 0 (p in polys, every monomial an integer
     unknown) has no rational solution; False when elimination ends
-    without a contradiction; None when it grows past FM_CONSTRAINTS."""
+    without a contradiction or gives up past FM_CONSTRAINTS."""
     system: dict = {}
 
     def add(p: dict, into: dict) -> bool:
@@ -510,7 +510,7 @@ def _fourier_motzkin(polys: list, deadline: float):
                 if add(combined, rest):
                     return True
             if len(rest) > FM_CONSTRAINTS:
-                return None
+                return False
         system = rest
     return False
 
@@ -533,7 +533,7 @@ def _closed(atoms, deadline: float) -> bool:
     extra = [{m: 1, (): -lo[m]} for m in cols if not math.isinf(lo[m])]
     extra += [{m: -1, (): hi[m]} for m in cols if not math.isinf(hi[m])]
     extra += _bound_products(cols, lo, hi)
-    return _fourier_motzkin(polys + extra, deadline) is True
+    return _fourier_motzkin(polys + extra, deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The guess stage: sparse linear regression over the base-function
 dictionary, followed by coefficient rationalization.
 
-The pipeline is Lasso with a cross-validated penalty, epsilon-pruning of
-weak terms, an exact least-squares refit on the survivors, and
-rationalization of the refit coefficients to bounded denominators so the
-verification stage can reason over integers.  Only the Lasso, which picks
-the support, runs in floating point; the refit and its R^2 are computed
-over the rationals on the exact training rows.
+The pipeline is one fixed recipe: Lasso with a penalty chosen by
+`FOLDS`-fold cross-validation, pruning of terms whose coefficient is
+below `EPSILON`, an exact least-squares refit on the survivors, and
+rationalization of the refit coefficients to denominators of at most
+`MAX_DENOMINATOR` so the verification stage can reason over integers.
+Only the penalty grid is configurable (`RegressionConfig.lambdas`).  Only
+the Lasso, which picks the support, runs in floating point; the refit and
+its R^2 are computed over the rationals on the exact training rows.
 
 The Lasso objective, on features standardized to zero mean and unit
 variance with an unpenalized intercept, is
@@ -33,9 +35,13 @@ from .expr import (
 )
 from .recurrence import EvalLimits, RecurrenceDef
 from .sampling import (
-    BaseFunctionSet, LikelyNonterminating, SampleConfig, build_training_set,
+    LikelyNonterminating, SampleConfig, build_training_set, default_base_set,
     sample_train_test,
 )
+
+FOLDS = 2              # cross-validation folds
+EPSILON = 0.05         # pruning threshold on |Lasso coefficient|
+MAX_DENOMINATOR = 64   # largest denominator a rationalized coefficient keeps
 
 
 class RegressionError(Exception):
@@ -57,19 +63,10 @@ def lambda_grid(count: int = 100, lo: float = 0.001, hi: float = 1.0) -> tuple:
 @dataclass(frozen=True)
 class RegressionConfig:
     lambdas: tuple = field(default_factory=lambda_grid)
-    folds: int = 2
-    epsilon: float = 0.05
-    max_denominator: int = 64
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("k-fold cross-validation needs k >= 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if not self.lambdas or any(l <= 0 for l in self.lambdas):
             raise ValueError("lambda grid must be non-empty and positive")
-        if self.max_denominator < 1:
-            raise ValueError("max_denominator must be at least 1")
 
 
 @dataclass
@@ -230,20 +227,21 @@ def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def cv_lasso_regression(x: np.ndarray, y: np.ndarray, lambdas: Sequence[float],
-                        folds: int, cv_seed: int = 0):
-    """Select lambda by k-fold cross-validation on mean squared validation
-    error (ties broken towards the larger lambda), then refit on all rows.
+                        cv_seed: int = 0):
+    """Select lambda by `FOLDS`-fold cross-validation on mean squared
+    validation error (ties broken towards the larger lambda), then refit on
+    all rows.
 
     Returns (beta, intercept, selected_lambda)."""
     n = x.shape[0]
-    if n < folds:
-        raise DegenerateDesign(f"{n} rows cannot be split into {folds} folds")
+    if n < FOLDS:
+        raise DegenerateDesign(f"{n} rows cannot be split into {FOLDS} folds")
     import random
 
     order = list(range(n))
     random.Random(cv_seed).shuffle(order)
-    fold_of = {row: i % folds for i, row in enumerate(order)}
-    masks = [np.array([fold_of[r] == f for r in range(n)]) for f in range(folds)]
+    fold_of = {row: i % FOLDS for i, row in enumerate(order)}
+    masks = [np.array([fold_of[r] == f for r in range(n)]) for f in range(FOLDS)]
 
     grid = sorted(set(lambdas))
     cv_err = {lam: [] for lam in grid}
@@ -264,14 +262,14 @@ def cv_lasso_regression(x: np.ndarray, y: np.ndarray, lambdas: Sequence[float],
     return beta, b0, best_lam
 
 
-def remove_terms(names: Sequence[str], beta: np.ndarray, epsilon: float):
-    """Drop base functions whose |coefficient| < epsilon.
+def remove_terms(names: Sequence[str], beta: np.ndarray):
+    """Drop base functions whose |coefficient| < `EPSILON`.
 
     Returns (surviving indices, their names); both are empty when every
     term is pruned, and the candidate is then a constant."""
     if len(names) != len(beta):
         raise ValueError("coefficient vector does not match the term list")
-    keep = [j for j in range(len(beta)) if abs(beta[j]) >= epsilon]
+    keep = [j for j in range(len(beta)) if abs(beta[j]) >= EPSILON]
     return keep, [names[j] for j in keep]
 
 
@@ -328,14 +326,13 @@ def linear_regression(x_train: Sequence, y_train: Sequence,
     return beta, intercept, min(max(raw, 0.0), 1.0), raw
 
 
-def rationalize(beta: Sequence, intercept: Fraction | float, max_denominator: int):
-    """Snap coefficients to the nearest rationals with bounded denominator.
+def rationalize(beta: Sequence, intercept: Fraction | float):
+    """Snap coefficients to the nearest rationals with denominator at most
+    `MAX_DENOMINATOR`.
 
     Returns (rational coefficients, rational intercept, max rounding delta)."""
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
     exact = [Fraction(b) for b in (*beta, intercept)]
-    snapped = [b.limit_denominator(max_denominator) for b in exact]
+    snapped = [b.limit_denominator(MAX_DENOMINATOR) for b in exact]
     delta = max(abs(r - b) for r, b in zip(snapped, exact))
     return snapped[:-1], snapped[-1], float(delta)
 
@@ -365,27 +362,28 @@ def assemble_candidate(coefficients: Sequence[Fraction], intercept: Fraction,
     return simplify(out)
 
 
-def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionConfig,
-          sample_cfg: SampleConfig, limits: EvalLimits = EvalLimits()) -> GuessResult:
-    """Run the full guess stage on points sampled from the recursive region
-    of the recurrence and assemble a piecewise candidate: the fitted
-    expression where no base guard holds, then the non-recursive cases
-    copied verbatim.  The precondition is the closed form's own and is not
-    repeated in the guard."""
+def guess(rdef: RecurrenceDef, reg_cfg: RegressionConfig, sample_cfg: SampleConfig,
+          limits: EvalLimits = EvalLimits()) -> GuessResult:
+    """Run the full guess stage, over the default dictionary of the
+    recurrence's arguments, on points sampled from its recursive region and
+    assemble a piecewise candidate: the fitted expression where no base
+    guard holds, then the non-recursive cases copied verbatim.  The
+    precondition is the closed form's own and is not repeated in the
+    guard."""
     train_pts, test_pts = sample_train_test(rdef.recursive_region(), rdef.arity,
                                             sample_cfg, arg_names=rdef.arg_names)
-    ts = build_training_set(rdef, base_set, list(train_pts) + list(test_pts), limits)
+    ts = build_training_set(rdef, default_base_set(rdef.arg_names),
+                            list(train_pts) + list(test_pts), limits)
     train_set, test_set = set(train_pts), set(test_pts)
     train_idx = [i for i, p in enumerate(ts.inputs) if p in train_set]
     test_idx = [i for i, p in enumerate(ts.inputs) if p in test_set]
-    if len(train_idx) < max(2, reg_cfg.folds) or not test_idx:
+    if len(train_idx) < FOLDS or not test_idx:
         raise LikelyNonterminating(len(ts.inputs), ts.dropped_inputs)
 
     x_all, y_all = ts.to_arrays()
     beta_cv, _, lam = cv_lasso_regression(
-        x_all[train_idx], y_all[train_idx], reg_cfg.lambdas, reg_cfg.folds,
-        sample_cfg.seed)
-    keep, kept_names = remove_terms(ts.columns, beta_cv, reg_cfg.epsilon)
+        x_all[train_idx], y_all[train_idx], reg_cfg.lambdas, sample_cfg.seed)
+    keep, kept_names = remove_terms(ts.columns, beta_cv)
 
     def rows(idx):
         return [[ts.features[i][j] for j in keep] for i in idx]
@@ -393,7 +391,7 @@ def guess(rdef: RecurrenceDef, base_set: BaseFunctionSet, reg_cfg: RegressionCon
     beta, intercept, score, raw = linear_regression(
         rows(train_idx), [ts.values[i] for i in train_idx],
         rows(test_idx), [ts.values[i] for i in test_idx])
-    coefs, b0, delta = rationalize(beta, intercept, reg_cfg.max_denominator)
+    coefs, b0, delta = rationalize(beta, intercept)
 
     kept_exprs = [ts.column_exprs[j] for j in keep]
     candidate = assemble_candidate(coefs, b0, kept_exprs)

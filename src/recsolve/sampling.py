@@ -2,13 +2,16 @@
 
 Inputs are integer tuples drawn uniformly (without replacement) from a
 per-variable box, rejecting points that violate the precondition, which
-is compiled once per call.  The training set pairs each surviving input's
-recurrence value with the evaluated base-function dictionary, each base
-function compiled once and applied to every kept input; values stay
-exact rationals until the regression boundary.  All inputs of one
-training set are evaluated against one shared memo, so neighbouring
-points reuse each other's subcalls; the evaluation limits still apply to
-each point on its own.
+is compiled once per call; a solve asks for at least `MIN_POINTS` of
+them.  The base-function dictionary (`default_base_set`) is a tuple of
+call-free expressions over the argument names, and a column is named by
+the expression's text.  The training set pairs each surviving input's
+recurrence value with the evaluated dictionary, each base function
+compiled once and applied to every kept input; values stay exact
+rationals until the regression boundary.  All inputs of one training set
+are evaluated against one shared memo, so neighbouring points reuse each
+other's subcalls; the evaluation limits still apply to each point on its
+own.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Sequence
 
 from .expr import (
     Ceil, Const, Constraint, Div, Expr, ExprError, Floor, Log2Ceil, Max, Mul,
-    Pow, Var, compile_expr, contains_calls, simplify, to_text,
+    Pow, Var, compile_expr, to_text,
 )
 from .recurrence import EvalLimits, RecurrenceDef, Value, eval_fun
 
@@ -56,54 +59,16 @@ class LikelyNonterminating(SamplingError):
         self.sampled = sampled
 
 
-@dataclass(frozen=True)
-class BaseFunction:
-    name: str
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class BaseFunctionSet:
-    functions: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
-        seen = set()
-        for f in self.functions:
-            if contains_calls(f.expr):
-                raise ValueError(f"base function {f.name} contains a call")
-            canon = simplify(f.expr)
-            if canon in seen:
-                raise ValueError(f"duplicate base function {f.name}")
-            seen.add(canon)
-
-    def names(self) -> list:
-        return [f.name for f in self.functions]
-
-    def __len__(self):
-        return len(self.functions)
-
-    def __iter__(self):
-        return iter(self.functions)
-
-
-def _bf(expr: Expr) -> BaseFunction:
-    return BaseFunction(to_text(expr), expr)
-
-
 def _unary_family(v: Var) -> list:
-    return [
-        _bf(v),
-        _bf(Pow(v, Const(Fraction(2)))),
-        _bf(Pow(v, Const(Fraction(3)))),
-        _bf(Log2Ceil(v)),
-        _bf(Pow(Const(Fraction(2)), v)),
-        _bf(Mul(v, Log2Ceil(v))),
-    ]
+    return [v, Pow(v, Const(Fraction(2))), Pow(v, Const(Fraction(3))),
+            Log2Ceil(v), Pow(Const(Fraction(2)), v), Mul(v, Log2Ceil(v))]
 
 
-def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> BaseFunctionSet:
-    """Dictionary of candidate terms covering the common complexity orders.
+@lru_cache(maxsize=64)
+def default_base_set(arg_names: tuple) -> tuple:
+    """Dictionary of candidate terms covering the common complexity orders,
+    as call-free expressions over `arg_names`; a column is named by its
+    `to_text`.
 
     One argument: x, x^2, x^3, log2ceil(x), 2^x, x*log2ceil(x).
     Two arguments: both per-variable families plus the combination terms
@@ -111,40 +76,24 @@ def default_base_set(arity: int, arg_names: Sequence[str] | None = None) -> Base
     There is no min(x, y): it equals x + y - max(x, y) everywhere, so it
     would add nothing to the span but a second spelling of x + y.
     Three or more: per-variable x, x^2, log2ceil(x), 2^x plus all pairwise
-    products.  Built once per tuple of names (the set is frozen).
+    products.  Built once per tuple of names.
     """
-    if arity < 1:
-        raise ValueError("arity must be at least 1")
-    if arg_names is None:
-        arg_names = ["x", "y", "z"][:arity] if arity <= 3 else [f"x{i+1}" for i in range(arity)]
-    if len(arg_names) != arity:
-        raise ValueError("arg_names length must match arity")
-    return _base_set(tuple(arg_names))
-
-
-@lru_cache(maxsize=64)
-def _base_set(arg_names: tuple) -> BaseFunctionSet:
     vs = [Var(n) for n in arg_names]
     if len(vs) == 1:
-        return BaseFunctionSet(tuple(_unary_family(vs[0])))
+        return tuple(_unary_family(vs[0]))
     if len(vs) == 2:
         x, y = vs
-        fns = _unary_family(x) + _unary_family(y) + [
-            _bf(Mul(x, y)),
-            _bf(Max(x, y)),
-            _bf(Floor(Div(x, y))),
-            _bf(Ceil(Div(x, y))),
-            _bf(Mul(x, Log2Ceil(y))),
-            _bf(Mul(y, Log2Ceil(x))),
-        ]
-        return BaseFunctionSet(tuple(fns))
+        return tuple(_unary_family(x) + _unary_family(y) + [
+            Mul(x, y), Max(x, y), Floor(Div(x, y)), Ceil(Div(x, y)),
+            Mul(x, Log2Ceil(y)), Mul(y, Log2Ceil(x))])
     fns = []
     for v in vs:
-        fns += [_bf(v), _bf(Pow(v, Const(Fraction(2)))), _bf(Log2Ceil(v)),
-                _bf(Pow(Const(Fraction(2)), v))]
-    for a, b in itertools.combinations(vs, 2):
-        fns.append(_bf(Mul(a, b)))
-    return BaseFunctionSet(tuple(fns))
+        fns += [v, Pow(v, Const(Fraction(2))), Log2Ceil(v), Pow(Const(Fraction(2)), v)]
+    fns += [Mul(a, b) for a, b in itertools.combinations(vs, 2)]
+    return tuple(fns)
+
+
+MIN_POINTS = 8  # fewer sampled inputs than this cannot be split and fitted
 
 
 @dataclass(frozen=True)
@@ -158,6 +107,8 @@ class SampleConfig:
         lo, hi = self.bounds
         if self.n_train <= 0 or self.n_test <= 0:
             raise ValueError("sample counts must be positive")
+        if self.n_train + self.n_test < MIN_POINTS:
+            raise ValueError(f"sample counts must add up to at least {MIN_POINTS}")
         if lo > hi:
             raise ValueError("empty bounds")
 
@@ -199,10 +150,10 @@ def sample_train_test(pre: Constraint, arity: int, cfg: SampleConfig,
                       arg_names: Sequence[str]) -> tuple:
     """Disjoint train/test inputs from one seeded stream.  When the
     satisfying set is smaller than the requested total, the split is scaled
-    down proportionally; below 8 points it raises SamplingExhausted."""
+    down proportionally; below `MIN_POINTS` it raises SamplingExhausted."""
     total = cfg.n_train + cfg.n_test
     points = sample_inputs(pre, arity, cfg, count=total, arg_names=arg_names)
-    if len(points) < 8:
+    if len(points) < MIN_POINTS:
         raise SamplingExhausted(total, len(points))
     if len(points) >= total:
         return points[:cfg.n_train], points[cfg.n_train:total]
@@ -229,9 +180,6 @@ class TrainingSet:
         if len(self.inputs) != len(self.values) or len(self.inputs) != len(self.features):
             raise ValueError("misaligned training set")
 
-    def __len__(self):
-        return len(self.inputs)
-
     def to_arrays(self):
         import numpy as np
 
@@ -240,7 +188,7 @@ class TrainingSet:
         return x.reshape(len(self.inputs), len(self.columns)), y
 
 
-def build_training_set(rdef: RecurrenceDef, base_set: BaseFunctionSet,
+def build_training_set(rdef: RecurrenceDef, base_set: Sequence[Expr],
                        inputs: Sequence, limits: EvalLimits = EvalLimits()) -> TrainingSet:
     """Evaluate the recurrence and the dictionary on each input, the
     recurrence against one memo shared by all inputs.  Inputs whose
@@ -269,14 +217,14 @@ def build_training_set(rdef: RecurrenceDef, base_set: BaseFunctionSet,
     column_exprs: list = []
     feature_cols: list = []
     dropped_columns: list = []
-    for f in base_set:
+    for expr in base_set:
         try:
-            col = list(map(compile_expr(f.expr, rdef.arg_names), kept))
+            col = list(map(compile_expr(expr, rdef.arg_names), kept))
         except ExprError:
-            dropped_columns.append(f.name)
+            dropped_columns.append(to_text(expr))
             continue
-        columns.append(f.name)
-        column_exprs.append(f.expr)
+        columns.append(to_text(expr))
+        column_exprs.append(expr)
         feature_cols.append(col)
     rows = [[col[i] for col in feature_cols] for i in range(len(kept))]
     return TrainingSet(kept, values, columns, column_exprs, rows,

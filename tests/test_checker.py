@@ -24,7 +24,7 @@ from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.pipeline import SolveConfig, solve
 from recsolve.recurrence import Value, eval_closed_form, eval_fun
 from recsolve.regression import RegressionConfig, guess
-from recsolve.sampling import SampleConfig, default_base_set
+from recsolve.sampling import SampleConfig
 
 from conftest import bench_sidecar, brute_entails, grid_points, load_bench, stub_solver
 from test_acceptance import reference_closed_form
@@ -492,8 +492,7 @@ f(x) = f(x - 1) + 1 if x > 3;
 
 
 def guessed(rdef) -> ClosedForm:
-    return guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
-                 RegressionConfig(), SampleConfig()).closed_form
+    return guess(rdef, RegressionConfig(), SampleConfig()).closed_form
 
 
 class TestAbsorbCoveredPieces:

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from recsolve.cli import main
+from recsolve.cli import main, make_parser
 
 from conftest import BENCH_DIR
 
@@ -239,7 +240,8 @@ class TestEvalCommand:
     (["solve", "--bounds", "0"], "bad --bounds: '0'"),
     (["solve", "--bounds", "a:b"], "bad --bounds: 'a:b'"),
     (["solve", "--samples", "0"], "sample counts must be positive"),
-    (["check", "--cf", "x", "--folds", "1"], "k-fold cross-validation needs k >= 2"),
+    (["solve", "--samples", "1", "--test-samples", "1"],
+     "sample counts must add up to at least 8"),
     (["check", "--cf", "x", "--timeout-ms", "0"], "solver timeout must be positive"),
     (["bench", "--lambda-grid", "1:0:1"], "bad lambda grid"),
     (["eval", "3", "--max-depth", "0"], "evaluation limits must be strictly positive"),
@@ -249,6 +251,24 @@ def test_bad_option_value(capsys, argv, message):
     file = [] if command == "bench" else [bench_file("nested")]
     status, out, err = run_cli(capsys, command, *file, *rest)
     assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
+COMMON = {"--seed", "--samples", "--test-samples", "--lambda-grid", "--bounds",
+          "--solver", "--timeout-ms", "--max-depth", "--max-steps",
+          "--eval-timeout-ms", "--emit-smt", "--format"}
+
+
+def test_option_names_are_stable():
+    parser = make_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == {
+        "solve": COMMON,
+        "check": COMMON | {"--cf"},
+        "eval": {"--max-depth", "--max-steps", "--eval-timeout-ms"},
+        "bench": COMMON | {"--only", "--json-out"},
+    }
 
 
 def test_bench_unknown_name_is_a_harness_error_row(capsys):

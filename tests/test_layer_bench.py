@@ -51,31 +51,29 @@ def test_feature_columns_merge_sz(benchmark, cache):
     # the column loop of build_training_set, without the recurrence
     rdef = load_bench("merge-sz")
     points = guess_points(rdef)
-    base = default_base_set(rdef.arity, rdef.arg_names)
+    base = default_base_set(rdef.arg_names)
 
     def columns():
         if cache == "cold":
             _code.cache_clear()
-        return [list(map(compile_expr(f.expr, rdef.arg_names), points)) for f in base]
+        return [list(map(compile_expr(e, rdef.arg_names), points)) for e in base]
 
     assert [len(c) for c in benchmark(columns)] == [130] * len(base)
 
 
 def test_cv_lasso_regression_merge_sz(benchmark):
     rdef = load_bench("merge-sz")
-    ts = build_training_set(rdef, default_base_set(rdef.arity, rdef.arg_names),
+    ts = build_training_set(rdef, default_base_set(rdef.arg_names),
                             guess_points(rdef))
     x, y = ts.to_arrays()
-    cfg = RegressionConfig()
-    beta, _, _ = benchmark(cv_lasso_regression, x[:100], y[:100], cfg.lambdas,
-                           cfg.folds, SampleConfig().seed)
+    beta, _, _ = benchmark(cv_lasso_regression, x[:100], y[:100],
+                           RegressionConfig().lambdas, SampleConfig().seed)
     assert len(beta) == len(ts.columns)
 
 
 def merge_sz_candidate():
     rdef = load_bench("merge-sz")
-    res = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
-                RegressionConfig(), SampleConfig())
+    res = guess(rdef, RegressionConfig(), SampleConfig())
     return rdef, absorb_covered_pieces(res.closed_form)
 
 
@@ -95,9 +93,9 @@ def test_check_solution_merge_sz(benchmark):
 def test_build_training_set(benchmark, name):
     rdef = load_bench(name)
     inputs = guess_points(rdef)
-    base = default_base_set(rdef.arity, rdef.arg_names)
+    base = default_base_set(rdef.arg_names)
     ts = benchmark(build_training_set, rdef, base, inputs)
-    assert len(ts) == len(inputs)
+    assert len(ts.inputs) == len(inputs)
 
 
 def test_eval_fun_merge_30_30(benchmark):

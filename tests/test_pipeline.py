@@ -9,7 +9,7 @@ from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solv
 from recsolve.recurrence import Value, eval_fun, inline_function
 from recsolve.recurrence import eval_closed_form
 from recsolve.regression import guess
-from recsolve.sampling import SampleConfig, default_base_set
+from recsolve.sampling import SampleConfig
 
 from conftest import grid_points, load_bench
 
@@ -115,10 +115,9 @@ class TestReport:
             "error", "exact_fit", "name", "note", "raw_score", "recurrence",
             "score", "timings_ms", "verdict", "verdict_reason"]
         assert sorted(doc["config"]) == [
-            "bounds", "epsilon", "eval_timeout_ms", "folds", "lambda_count",
-            "lambda_hi", "lambda_lo", "max_denominator", "max_depth",
-            "max_steps", "n_test", "n_train", "seed", "solver",
-            "solver_timeout_ms"]
+            "bounds", "eval_timeout_ms", "lambda_count", "lambda_hi",
+            "lambda_lo", "max_depth", "max_steps", "n_test", "n_train", "seed",
+            "solver", "solver_timeout_ms"]
 
     def test_exit_statuses(self, solver):
         assert solve(load_bench("nested"), config(solver)).exit_status() == 0
@@ -171,8 +170,7 @@ class TestCoveredPiecesAbsorbed:
         size = single_piece(Var("x"), ("x",), load_bench("size").precondition)
         for rdef in (load_bench("fib"), inline_function(load_bench("cost"), "s", size)):
             cfg = config(solver)
-            guessed = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
-                            cfg.regression, cfg.sample, cfg.limits)
+            guessed = guess(rdef, cfg.regression, cfg.sample, cfg.limits)
             assert solve(rdef, cfg).closed_form == guessed.closed_form
             assert len(guessed.closed_form.pieces) == 2
 

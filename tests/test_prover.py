@@ -6,6 +6,7 @@ import random
 import pytest
 
 from recsolve.checker import parse_model
+from recsolve import prover
 from recsolve.prover import solve_script
 
 
@@ -49,6 +50,14 @@ class TestProtocol:
         # div(x - y, y) + 1 = div(x, y) for y > 0
         text = script("(and (> y 0) (not (= (+ (div (- x y) y) 1) (div x y))))")
         assert solve_script(text)[0] == "unsat"
+
+    def test_fourier_motzkin_give_up_is_unknown(self, monkeypatch):
+        # no interval bound closes the cycle; only elimination refutes it
+        text = script("(and (>= (- x y) 1) (>= (- y z) 1) (>= (- z x) 1))",
+                      ("x", "y", "z"))
+        assert solve_script(text)[0] == "unsat"
+        monkeypatch.setattr(prover, "FM_CONSTRAINTS", 0)
+        assert solve_script(text)[0] == "unknown"
 
 
 def random_term(rng, depth):

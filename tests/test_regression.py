@@ -12,7 +12,7 @@ from recsolve.regression import (
     cv_lasso_regression, guess, lambda_grid, lambda_max, lasso_fit,
     linear_regression, rationalize, remove_terms,
 )
-from recsolve.sampling import SampleConfig, default_base_set
+from recsolve.sampling import SampleConfig
 
 from conftest import grid_points, load_bench
 
@@ -88,40 +88,35 @@ class TestCvLasso:
         xs = np.arange(0, 25, dtype=float)
         x = np.column_stack([xs, xs ** 2, np.log2(xs + 1)])
         y = xs.copy()
-        beta, b0, lam = cv_lasso_regression(x, y, lambda_grid(), 2, cv_seed=0)
+        beta, b0, lam = cv_lasso_regression(x, y, lambda_grid(), cv_seed=0)
         assert abs(beta[0] - 1.0) < 0.05
         assert abs(beta[1]) < 0.01 and abs(beta[2]) < 0.05
-
-    def test_fold_count_validated(self):
-        with pytest.raises(ValueError):
-            RegressionConfig(folds=1)
 
     def test_pure_noise_prefers_null_model(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(60, 5))
         y = rng.normal(size=60)
-        beta, b0, lam = cv_lasso_regression(x, y, lambda_grid(), 2, cv_seed=0)
+        beta, b0, lam = cv_lasso_regression(x, y, lambda_grid(), cv_seed=0)
         # intercept-only within tolerance: tiny coefficients at a large lambda
         assert float(np.abs(beta).sum()) < 0.3
 
     def test_needs_enough_rows(self):
         with pytest.raises(DegenerateDesign):
-            cv_lasso_regression(np.ones((1, 2)), np.ones(1), (0.1,), 2)
+            cv_lasso_regression(np.ones((1, 2)), np.ones(1), (0.1,))
 
 
 class TestRemoveTerms:
     def test_prunes_small_coefficients(self):
-        keep, names = remove_terms(["x", "x^2", "x^3"],
-                                   np.array([1.02, 0.003, 0.0]), 0.05)
+        keep, names = remove_terms(["x", "x^2", "x^3"], np.array([1.02, 0.003, 0.0]))
         assert names == ["x"]
         assert keep == [0]
 
     def test_keeps_everything_above_threshold(self):
-        keep, names = remove_terms(["a", "b"], np.array([0.05, -1.0]), 0.05)
+        keep, names = remove_terms(["a", "b"], np.array([0.05, -1.0]))
         assert names == ["a", "b"]
 
     def test_all_pruned(self):
-        assert remove_terms(["a"], np.array([0.0]), 0.05) == ([], [])
+        assert remove_terms(["a"], np.array([0.0])) == ([], [])
 
 
 class TestLinearRegression:
@@ -192,11 +187,11 @@ class TestRationalize:
         (-2.0000001, Fraction(-2)),
     ])
     def test_nearest_small_rational(self, value, expected):
-        coefs, b0, delta = rationalize([value], 0.0, 64)
+        coefs, b0, delta = rationalize([value], 0.0)
         assert coefs[0] == expected
 
     def test_exact_on_representable_inputs(self):
-        coefs, b0, delta = rationalize([0.5, 0.25, 3.0], 1.0, 64)
+        coefs, b0, delta = rationalize([0.5, 0.25, 3.0], 1.0)
         assert coefs == [Fraction(1, 2), Fraction(1, 4), Fraction(3)]
         assert b0 == 1
         assert delta == 0.0
@@ -222,16 +217,14 @@ def _conjuncts(c):
 class TestGuess:
     def test_nested_yields_identity(self):
         rdef = load_bench("nested")
-        res = guess(rdef, default_base_set(1, rdef.arg_names),
-                    RegressionConfig(), SampleConfig(seed=0))
+        res = guess(rdef, RegressionConfig(), SampleConfig(seed=0))
         assert to_text(res.closed_form.pieces[0].expr) == "x"
         assert res.fit.score == 1.0
         assert res.exact_fit
 
     def test_s_max_1_matches_reference_pointwise(self):
         rdef = load_bench("s-max-1")
-        res = guess(rdef, default_base_set(2, rdef.arg_names),
-                    RegressionConfig(), SampleConfig(seed=0))
+        res = guess(rdef, RegressionConfig(), SampleConfig(seed=0))
         assert res.exact_fit
         from recsolve.recurrence import eval_closed_form
         for p in grid_points(rdef.precondition, rdef.arg_names, 0, 10):
@@ -241,8 +234,7 @@ class TestGuess:
 
     def test_sum_osc_is_piecewise_with_halves(self):
         rdef = load_bench("sum-osc")
-        res = guess(rdef, default_base_set(2, rdef.arg_names),
-                    RegressionConfig(), SampleConfig(seed=0))
+        res = guess(rdef, RegressionConfig(), SampleConfig(seed=0))
         assert res.exact_fit
         assert len(res.closed_form.pieces) == 2  # fitted region + base case
         denominators = {c.denominator for c in res.fit.coefficients}
@@ -255,8 +247,7 @@ class TestGuess:
                              (Piece(Var("x"), parse_constraint("x > 0")),
                               Piece(con(0), parse_constraint("x = 0"))))
         cost = inline_function(load_bench("cost"), "s", size_cf)
-        res = guess(cost, default_base_set(1, cost.arg_names), RegressionConfig(),
-                    SampleConfig(bounds=(0, hi)))
+        res = guess(cost, RegressionConfig(), SampleConfig(bounds=(0, hi)))
         assert to_text(res.closed_form.pieces[0].expr) == "2*2^x - 1"
         assert res.exact_fit
 
@@ -265,15 +256,13 @@ class TestGuess:
         ("s-max-1", "2*x + y")])
     def test_main_piece_spells_sums_without_extrema(self, name, main):
         rdef = load_bench(name)
-        res = guess(rdef, default_base_set(2, rdef.arg_names),
-                    RegressionConfig(), SampleConfig(seed=0))
+        res = guess(rdef, RegressionConfig(), SampleConfig(seed=0))
         assert to_text(res.closed_form.pieces[0].expr) == main
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_main_guard_is_the_negated_base_guards(self, name):
         rdef = load_bench(name)
-        res = guess(rdef, default_base_set(rdef.arity, rdef.arg_names),
-                    RegressionConfig(), SampleConfig(seed=0))
+        res = guess(rdef, RegressionConfig(), SampleConfig(seed=0))
         main, *rest = res.closed_form.pieces
         base = rdef.base_cases()
         assert main.guard == conj([Not(c.guard) for c in base])
@@ -285,8 +274,7 @@ class TestGuess:
 
     def test_determinism(self):
         rdef = load_bench("div")
-        args = (rdef, default_base_set(2, rdef.arg_names), RegressionConfig(),
-                SampleConfig(seed=9))
+        args = (rdef, RegressionConfig(), SampleConfig(seed=9))
         a, b = guess(*args), guess(*args)
         assert a.closed_form == b.closed_form
         assert a.fit.score == b.fit.score

@@ -4,30 +4,32 @@ from fractions import Fraction
 
 import pytest
 
-from recsolve.expr import ExprError, eval_expr
+from recsolve.expr import ExprError, contains_calls, eval_expr, simplify, to_text
 from recsolve.parser import parse_constraint
 from recsolve.cli import BENCHMARKS
 from recsolve.parser import parse_recurrence
 from recsolve import sampling
 from recsolve.recurrence import EvalLimits, LimitExceeded, Value, eval_fun
 from recsolve.sampling import (
-    BaseFunction, BaseFunctionSet, LikelyNonterminating, SampleConfig,
-    SamplingExhausted, TrainingSet, build_training_set, default_base_set,
-    sample_inputs, sample_train_test,
+    LikelyNonterminating, SampleConfig, SamplingExhausted, TrainingSet,
+    build_training_set, default_base_set, sample_inputs, sample_train_test,
 )
 
 from conftest import load_bench
 from oracle import eval_constraint_naive, eval_expr_naive, eval_fun_naive
 
 
+def names_of(base) -> list:
+    return [to_text(e) for e in base]
+
+
 class TestDefaultBaseSet:
     def test_arity_one_is_the_six_standard_terms(self):
-        t = default_base_set(1, ("x",))
-        assert t.names() == ["x", "x^2", "x^3", "log2ceil(x)", "2^x",
-                             "x*log2ceil(x)"]
+        assert names_of(default_base_set(("x",))) == [
+            "x", "x^2", "x^3", "log2ceil(x)", "2^x", "x*log2ceil(x)"]
 
     def test_arity_two_contains_division_and_extrema(self):
-        names = set(default_base_set(2, ("x", "y")).names())
+        names = set(names_of(default_base_set(("x", "y"))))
         for required in ("floor(x/y)", "ceil(x/y)", "max(x, y)",
                          "x*y", "x*log2ceil(y)", "y*log2ceil(x)"):
             assert required in names
@@ -35,18 +37,18 @@ class TestDefaultBaseSet:
         assert len(names) == 18
 
     def test_arity_three_has_pairwise_products(self):
-        names = set(default_base_set(3, ("x", "y", "z")).names())
+        names = set(names_of(default_base_set(("x", "y", "z"))))
         assert {"x*y", "x*z", "y*z", "2^x", "z^2"} <= names
 
     def test_built_once_per_tuple_of_names(self):
-        assert default_base_set(2, ["a", "b"]) is default_base_set(2, ("a", "b"))
-        assert default_base_set(2) is default_base_set(2, ("x", "y"))
+        assert default_base_set(("a", "b")) is default_base_set(("a", "b"))
 
-    def test_duplicates_rejected(self):
-        from recsolve.expr import Var
-        f = BaseFunction("x", Var("x"))
-        with pytest.raises(ValueError):
-            BaseFunctionSet((f, BaseFunction("also-x", Var("x"))))
+    def test_call_free_distinct_and_uniquely_named(self):
+        for arity in range(1, 5):
+            base = default_base_set(tuple(f"v{i}" for i in range(arity)))
+            assert not any(contains_calls(e) for e in base), arity
+            assert len({simplify(e) for e in base}) == len(base), arity
+            assert len(set(names_of(base))) == len(base), arity
 
 
 class TestSampleInputs:
@@ -88,14 +90,14 @@ class TestBuildTrainingSet:
     def test_nested_training_case(self):
         # the row at x = 5: (5, 5, 25, 125, 3, 32, 15)
         rdef = load_bench("nested")
-        ts = build_training_set(rdef, default_base_set(1, ("x",)), [(5,)])
+        ts = build_training_set(rdef, default_base_set(("x",)), [(5,)])
         assert ts.values == [5]
         assert ts.features[0] == [5, 25, 125, 3, 32, 15]
 
     def test_nonterminating_majority_raises(self):
         rdef = load_bench("nonterm")
         with pytest.raises(LikelyNonterminating):
-            build_training_set(rdef, default_base_set(1, ("x",)),
+            build_training_set(rdef, default_base_set(("x",)),
                                [(1,), (2,), (3,), (4,)],
                                EvalLimits(max_depth=100, max_steps=10_000))
 
@@ -114,7 +116,7 @@ class TestBuildTrainingSet:
 
         monkeypatch.setattr(sampling, "eval_fun", counting)
         with pytest.raises(LikelyNonterminating) as err:
-            build_training_set(rdef, default_base_set(1, ("x",)), inputs)
+            build_training_set(rdef, default_base_set(("x",)), inputs)
         stop = len(inputs) // 2 + 1
         assert evaluated == inputs[:stop]
         assert (err.value.kept, err.value.dropped, err.value.sampled) == (0, stop, len(inputs))
@@ -130,7 +132,7 @@ class TestBuildTrainingSet:
             "f(x) = f(x - 1) + 1 if x > 0 and x < 10;\n"
             "f(x) = f(x + 1) if x >= 10;\n")
         limits = EvalLimits(max_depth=50)
-        base = default_base_set(1, ("x",))
+        base = default_base_set(("x",))
         ts = build_training_set(rdef, base, [(10,), (11,), (0,), (3,), (4,)], limits)
         assert ts.inputs == [(0,), (3,), (4,)] and ts.dropped_inputs == 2
         with pytest.raises(LikelyNonterminating) as err:
@@ -145,14 +147,14 @@ class TestBuildTrainingSet:
             "def f(x);\npre x >= 0;\n"
             "f(x) = 4 if x = 0;\n"
             "f(x) = f(x-1) if x > 0;\n")
-        ts = build_training_set(rdef, default_base_set(1, ("x",)),
+        ts = build_training_set(rdef, default_base_set(("x",)),
                                 [(0,), (1,), (5,), (9,)])
         assert all(b == 4 for b in ts.values)
 
     def test_undefined_base_functions_become_dropped_columns(self):
         # s-max samples points with y = 0, where x/y is undefined
         rdef = load_bench("s-max")
-        ts = build_training_set(rdef, default_base_set(2, ("x", "y")),
+        ts = build_training_set(rdef, default_base_set(("x", "y")),
                                 [(1, 0), (2, 3), (4, 1)])
         assert "floor(x/y)" in ts.dropped_columns
         assert "ceil(x/y)" in ts.dropped_columns
@@ -162,14 +164,14 @@ class TestBuildTrainingSet:
         rdef = load_bench("sum-osc")
         pts = [(1, 2), (0, 3), (4, 4), (2, 0), (5, 3), (0, 0), (3, 1),
                (6, 2), (1, 1), (2, 5)]
-        ts = build_training_set(rdef, default_base_set(2, ("x", "y")), pts)
+        ts = build_training_set(rdef, default_base_set(("x", "y")), pts)
         for p, b in zip(ts.inputs, ts.values):
             oracle = eval_fun_naive(rdef, p)
             assert isinstance(oracle, Value) and oracle.value == b
 
     def test_feature_columns_cross_checked(self):
         rdef = load_bench("div")
-        base = default_base_set(2, ("x", "y"))
+        base = default_base_set(("x", "y"))
         pts = [(7, 2), (9, 3), (4, 4), (0, 1)]
         ts = build_training_set(rdef, base, pts)
         for i, p in enumerate(ts.inputs):
@@ -184,9 +186,9 @@ class TestBuildTrainingSet:
         a = sample_train_test(region, 2, cfg, arg_names=rdef.arg_names)
         b = sample_train_test(region, 2, cfg, arg_names=rdef.arg_names)
         assert a == b
-        ts1 = build_training_set(rdef, default_base_set(2, rdef.arg_names),
+        ts1 = build_training_set(rdef, default_base_set(rdef.arg_names),
                                  list(a[0]) + list(a[1]))
-        ts2 = build_training_set(rdef, default_base_set(2, rdef.arg_names),
+        ts2 = build_training_set(rdef, default_base_set(rdef.arg_names),
                                  list(b[0]) + list(b[1]))
         assert ts1.values == ts2.values
         assert ts1.features == ts2.features
@@ -202,7 +204,7 @@ class TestSharedMemo:
         train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
                                         SampleConfig(), arg_names=rdef.arg_names)
         inputs = list(train) + list(test)
-        ts = build_training_set(rdef, default_base_set(rdef.arity, rdef.arg_names),
+        ts = build_training_set(rdef, default_base_set(rdef.arg_names),
                                 inputs)
         alone = [(p, eval_fun(rdef, p)) for p in inputs]
         assert ts.inputs == [p for p, out in alone if isinstance(out, Value)]
@@ -228,7 +230,7 @@ class TestSharedMemo:
         assert eval_fun(rdef, (2, 1), limits, memo) == Value(3)
         for key, v in memo.items():
             assert eval_fun_naive(rdef, key) == Value(v), key
-        ts = build_training_set(rdef, default_base_set(2, rdef.arg_names),
+        ts = build_training_set(rdef, default_base_set(rdef.arg_names),
                                 [(12, 12), (1, 1), (2, 1), (1, 2)], limits)
         assert ts.dropped_inputs == 1
         assert ts.inputs == [(1, 1), (2, 1), (1, 2)]
@@ -242,7 +244,7 @@ class TestSharedMemo:
             "f(x) = 0 if x = 0;\n"
             "f(x) = f(x-1) + 1 if x > 0;\n")
         limits = EvalLimits(max_depth=50)
-        base = default_base_set(1, ("x",))
+        base = default_base_set(("x",))
         assert eval_fun(rdef, (80,), limits) == LimitExceeded("depth")
         ts = build_training_set(rdef, base, [(40,), (80,)], limits)
         assert ts.inputs == [(40,), (80,)] and ts.values == [40, 80]
@@ -292,17 +294,17 @@ class TestPinnedAgainstOracle:
         rdef = load_bench(name)
         train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
                                         SampleConfig(), arg_names=rdef.arg_names)
-        base = default_base_set(rdef.arity, rdef.arg_names)
+        base = default_base_set(rdef.arg_names)
         ts = build_training_set(rdef, base, list(train) + list(test))
         envs = [dict(zip(rdef.arg_names, p)) for p in ts.inputs]
         columns, dropped = [], []
-        for f in base:
+        for e in base:
             try:
-                columns.append([eval_expr_naive(f.expr, env) for env in envs])
+                columns.append([eval_expr_naive(e, env) for env in envs])
             except ExprError:
-                dropped.append(f.name)
+                dropped.append(to_text(e))
         assert ts.dropped_columns == dropped
-        assert ts.columns == [f.name for f in base if f.name not in dropped]
+        assert ts.columns == [n for n in names_of(base) if n not in dropped]
         assert ts.features == [list(row) for row in zip(*columns)]
 
 
@@ -313,7 +315,7 @@ class TestTrainingSetInvariants:
 
     def test_to_arrays_is_float(self):
         rdef = load_bench("nested")
-        ts = build_training_set(rdef, default_base_set(1, ("x",)), [(2,), (3,)])
+        ts = build_training_set(rdef, default_base_set(("x",)), [(2,), (3,)])
         x, y = ts.to_arrays()
         assert x.shape == (2, 6)
         assert y.tolist() == [2.0, 3.0]
