@@ -1,10 +1,11 @@
 """recsolve: guess-and-check solving of constrained recurrence relations.
 
 The guess stage fits a sparse linear model (Lasso with cross-validated
-penalty, epsilon-pruning, exact least-squares refit) over a dictionary of
-base functions evaluated on sampled inputs; the check stage encodes the
-recurrence with the candidate substituted in and certifies it in SMT-LIB2,
-through an external solver or the in-process prover.
+penalty, from exact moments; epsilon-pruning; exact least-squares refit)
+over a dictionary of base functions evaluated on sampled inputs; the
+check stage encodes the recurrence with the candidate substituted in and
+certifies it in SMT-LIB2, through an external solver or the in-process
+prover.  recsolve needs nothing beyond the standard library.
 """
 
 from .expr import (

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 
 from .checker import SolverProcessFailure, check_solution, resolve_solver
@@ -35,6 +36,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--test-samples", type=int, default=30, metavar="N")
     p.add_argument("--lambda-grid", default="100:0.001:1", metavar="COUNT:LO:HI")
     p.add_argument("--bounds", default="0:30", metavar="LO:HI")
+    _add_check(p)
+
+
+def _add_check(p: argparse.ArgumentParser):  # the options `check` reads
     p.add_argument("--solver", default=None, metavar="PATH",
                    help="SMT-LIB2 solver, or 'builtin' for the in-process prover")
     p.add_argument("--timeout-ms", type=int, default=10_000,
@@ -67,6 +72,12 @@ def _split(text: str, types: tuple, what: str) -> list:
     raise ValueError(f"bad {what}: {text!r}")
 
 
+def check_config(args) -> SolveConfig:
+    """The configuration of the options `_add_check` adds."""
+    return SolveConfig(limits=_limits(args), emit_dir=args.emit_smt,
+                       solver=resolve_solver(args.solver, timeout_ms=args.timeout_ms))
+
+
 def build_config(args) -> SolveConfig:
     """The configuration the options give; ValueError on a bad value."""
     count, lo, hi = _split(args.lambda_grid, (int, float, float), "--lambda-grid")
@@ -74,9 +85,7 @@ def build_config(args) -> SolveConfig:
                           bounds=tuple(_split(args.bounds, (int, int), "--bounds")),
                           seed=args.seed)
     regression = RegressionConfig(lambdas=lambda_grid(count, lo, hi))
-    solver = resolve_solver(args.solver, timeout_ms=args.timeout_ms)
-    return SolveConfig(sample=sample, regression=regression,
-                       limits=_limits(args), solver=solver, emit_dir=args.emit_smt)
+    return replace(check_config(args), sample=sample, regression=regression)
 
 
 def _print_report(report: SolveReport, fmt: str, out=None):
@@ -238,8 +247,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a user-supplied closed form")
     p.add_argument("file")
     p.add_argument("--cf", required=True, help="closed-form expression")
-    _add_common(p)
-    p.set_defaults(func=cmd_check, configure=build_config)
+    _add_check(p)
+    p.set_defaults(func=cmd_check, configure=check_config)
 
     p = sub.add_parser("eval", help="evaluate the recurrence at a point")
     p.add_argument("file")

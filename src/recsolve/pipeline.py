@@ -188,9 +188,10 @@ def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
     t0 = time.monotonic()
     try:
         result = guess(rdef, cfg.regression, cfg.sample, cfg.limits)
-    except (SamplingError, RegressionError) as err:
+    except (SamplingError, RegressionError, OverflowError) as err:
+        # OverflowError: a value or a mean beyond the range of the Lasso's floats
         report.error = f"{type(err).__name__}: {err}"
-        report.verdict_reason = err.reason
+        report.verdict_reason = getattr(err, "reason", "guess-error")
         return None, None
     finally:
         timings["guess"] = (time.monotonic() - t0) * 1000

@@ -346,14 +346,7 @@ class _Normalizer:
         below = _atom("ge", _padd(a, bq, -1))                 # b*q <= a
         positive = _and([
             _atom("ge", _padd(b, _const(-1))), below,
-            _atom("ge", _padd(_padd(bq, b), _padd(a, _const(1)), -1)),
-            # implied by the two bounds when b > 0; spelled out so that
-            # each cell knows the sign of the quotient
-            _or([_and([_atom("ge", _padd(a, b, -1)), _atom("ge", _padd(_var(q), _const(-1)))]),
-                 _and([_atom("ge", a), _atom("ge", _padd(_padd(b, _const(-1)), a, -1)),
-                       _atom("eq", _var(q))]),
-                 _and([_atom("ge", _padd(_const(-1), a, -1)),
-                       _atom("ge", _padd(_const(-1), _var(q), -1))])])])
+            _atom("ge", _padd(_padd(bq, b), _padd(a, _const(1)), -1))])
         negative = _and([
             _atom("ge", _padd(_const(-1), b, -1)), below,
             _atom("ge", _padd(_padd(bq, b, -1), _padd(a, _const(1)), -1))])

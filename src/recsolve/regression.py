@@ -6,9 +6,10 @@ The pipeline is one fixed recipe: Lasso with a penalty chosen by
 below `EPSILON`, an exact least-squares refit on the survivors, and
 rationalization of the refit coefficients to denominators of at most
 `MAX_DENOMINATOR` so the verification stage can reason over integers.
-Only the penalty grid is configurable (`RegressionConfig.lambdas`).  Only
-the Lasso, which picks the support, runs in floating point; the refit and
-its R^2 are computed over the rationals on the exact training rows.
+Only the penalty grid is configurable (`RegressionConfig.lambdas`).  The
+Lasso starts from exact moments of the exact training rows; each mean,
+variance and covariance is rounded once from them to a float, and the
+path runs in floating point.  The refit and its R^2 are computed over the rationals.
 
 The Lasso objective, on features standardized to zero mean and unit
 variance with an unpenalized intercept, is
@@ -17,17 +18,16 @@ variance with an unpenalized intercept, is
 
 solved exactly along its piecewise-linear path in lambda by the LARS
 homotopy.  With this scaling the all-zero solution is optimal exactly when
-lambda >= max_j |<x_j, y - mean(y)>| / n.
+lambda >= max_j |<x_j, y - mean(y)>| / n, the path's first knot.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .expr import (
     Add, ClosedForm, Const, Expr, Mul, Not, Piece, compile_expr, conj,
@@ -81,55 +81,77 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Lasso by the LARS homotopy
+# Lasso by the LARS homotopy, from exact moments
 # ---------------------------------------------------------------------------
 
-# A column whose standardized residual variance, after projection on the
-# active columns, falls below this is treated as linearly dependent on
-# them on the rows at hand (max(x, y) equals x on every row of a region
-# such as x >= y).
-_DEPENDENT = 1e-10
+def _moments(x: Sequence, y: Sequence) -> tuple:
+    """(n, sums, cross-products) of the columns of x and then y, exact (floats
+    are read exactly); the moments of disjoint rows add up (`_total`)."""
+    cols = [col if set(map(type, col)) <= {int, Fraction} else list(map(_exact, col))
+            for col in (*zip(*x), y)]
+    cross = [[0] * len(cols) for _ in cols]
+    for j, a in enumerate(cols):
+        for k in range(j, len(cols)):
+            cross[j][k] = cross[k][j] = sum(map(mul, a, cols[k]))
+    return len(y), [sum(col) for col in cols], cross
 
 
-def _standardize(x: np.ndarray):
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    keep = np.where(std > 0)[0]
-    xs = (x[:, keep] - mean[keep]) / std[keep]
-    return xs, mean, std, keep
+def _total(parts: Sequence) -> tuple:
+    ns, sums, crosses = zip(*parts)
+    return (sum(ns), list(map(sum, zip(*sums))),
+            [list(map(sum, zip(*rows))) for rows in zip(*crosses)])
 
 
-def _lars_knots(corr: np.ndarray, b: np.ndarray, lam_min: float) -> list:
+def _path(moments: tuple, lam_min: float) -> tuple:
+    """The standardized problem's Lasso path down to lam_min: (kept columns,
+    their means and standard deviations, mean of y, knots), each mean,
+    variance and covariance rounded once from the exact moments.  A column is left out when it is
+    constant (n * sum(x^2) == sum(x)^2, decided exactly) or its variance
+    overflows a float."""
+    n, s, g = moments
+    nn, y = n * n, len(s) - 1
+    keep, std = [], []
+    for j in range(y):
+        try:  # int/int division rounds correctly, and raises on overflow
+            var = float((n * g[j][j] - s[j] * s[j]) / nn)
+        except OverflowError:
+            continue
+        if var > 0:
+            keep.append(j)
+            std.append(math.sqrt(var))
+    # covariance / (sj * sk): a Fraction covariance is rounded to a float first
+    corr = [[(n * g[j][k] - s[j] * s[k]) / nn / (sj * sk) for k, sk in zip(keep, std)]
+            for j, sj in zip(keep, std)]
+    b = [(n * g[j][y] - s[j] * s[y]) / nn / sj for j, sj in zip(keep, std)]
+    return (keep, [float(s[j] / n) for j in keep], std, float(s[y] / n),
+            _lars_knots(corr, b, lam_min))
+
+
+def _lars_knots(corr: list, b: list, lam_min: float) -> list:
     """Knots of the Lasso path on the standardized problem, expressed
     through corr = Xs'Xs/n and b = Xs'yc/n: a list of (lambda, beta) from
-    lambda_max = max|b| down to lam_min.  Between two knots the solution is linear
-    in lambda (Efron, Hastie, Johnstone and Tibshirani, 2004, with the
-    Lasso modification that drops a coefficient when it crosses zero).
+    lambda_max = max|b| down to lam_min.  Between two knots the solution is
+    linear in lambda (Efron, Hastie, Johnstone and Tibshirani, 2004, with
+    the Lasso modification that drops a coefficient when it crosses zero).
 
     Along the path every active coefficient j keeps its correlation
     c_j = b_j - corr_j beta at sign(beta_j) * lambda, and every inactive one
-    stays within [-lambda, lambda]; these are the KKT conditions.  A column
-    that would join while linearly dependent on the active ones is held
-    out: its correlation is then a fixed combination of theirs, so it
-    stays tied at the boundary and zero is still optimal for it.  Such a
-    dependence comes from the rows, not the dictionary: on a region such
-    as x >= y the column max(x, y) repeats x."""
-    q = b.shape[0]
-    beta = np.zeros(q)
-    c = b.copy()
-    lam = float(np.abs(c).max()) if q else 0.0
-    knots = [(lam, beta.copy())]
+    stays within [-lambda, lambda] (the KKT conditions); one that is a
+    combination of the active ones moves at a rate of +-1 and never joins."""
+    q = len(b)
+    beta, c = [0.0] * q, b
+    lam = max(map(abs, c), default=0.0)
+    knots = [(lam, beta[:])]
     if lam <= lam_min:
         return knots
-    active = [int(np.argmax(np.abs(c)))]
-    held_out: set = set()
+    active = [max(range(q), key=lambda j: abs(c[j]))]
     for _ in range(20 * q + 20):
-        signs = np.sign(c[active])
-        direction = np.linalg.solve(corr[np.ix_(active, active)], signs)
-        rate = corr[:, active] @ direction  # d c / d(decrease of lambda)
+        sub = [[row[k] for k in active] for row in corr]  # the active columns
+        direction = _solve([sub[k] for k in active], [math.copysign(1.0, c[k]) for k in active])
+        rate = [sum(map(mul, row, direction)) for row in sub]  # d c / d(decrease of lambda)
         step, event = lam - lam_min, None
         for j in range(q):
-            if j in active or j in held_out:
+            if j in active:
                 continue
             # a column just dropped moves inwards on its old side (the
             # denominator there is negative), so it is not re-added at once
@@ -137,132 +159,114 @@ def _lars_knots(corr: np.ndarray, b: np.ndarray, lam_min: float) -> list:
                 if den > 1e-12:
                     g = num / den
                     if 0.0 < g < step:
-                        step, event = g, ("add", j)
+                        step, event = g, (j, False)
         for k, j in enumerate(active):
             if beta[j] * direction[k] < 0.0:
                 g = -beta[j] / direction[k]
                 if 0.0 < g < step:
-                    step, event = g, ("drop", j)
-        beta[active] += step * direction
-        c = b - corr @ beta  # afresh, so that rounding does not accumulate
+                    step, event = g, (j, True)
+        for k, d in zip(active, direction):
+            beta[k] += step * d
+        # afresh, so that rounding does not accumulate
+        beta_a = [beta[k] for k in active]
+        c = [bj - sum(map(mul, row, beta_a)) for bj, row in zip(b, sub)]
         lam -= step
         if event is None:
-            knots.append((lam_min, beta.copy()))
+            knots.append((lam_min, beta[:]))
             return knots
-        kind, j = event
-        if kind == "drop":
+        j, drop = event
+        if drop:
             beta[j] = 0.0
             active.remove(j)
-            held_out.clear()  # a smaller span may free a held-out column
-        elif _is_dependent(corr, active, j):
-            held_out.add(j)
         else:
             active.append(j)
-        knots.append((lam, beta.copy()))
+        knots.append((lam, beta[:]))
     raise RegressionError("Lasso path did not reach the requested lambda")
 
 
-def _is_dependent(corr: np.ndarray, active: list, j: int) -> bool:
-    g = corr[np.ix_(active, active)]
-    z = np.linalg.solve(g, corr[active, j])
-    return float(corr[j, j] - corr[j, active] @ z) < _DEPENDENT
-
-
-def _beta_at(knots: list, lam: float) -> np.ndarray:
-    """The path's solution at lam, read off by linear interpolation between
-    the two knots that bracket it."""
+def _at(knots: list, lam: float) -> list:
+    """A path's vector at lam, read off its knots, a list of (lambda,
+    vector), by linear interpolation between the two that bracket lam."""
     if lam >= knots[0][0]:
-        return np.zeros_like(knots[0][1])
-    for (hi, b_hi), (lo, b_lo) in zip(knots, knots[1:]):
+        return knots[0][1]
+    for (hi, v_hi), (lo, v_lo) in zip(knots, knots[1:]):
         if lam >= lo:
             if hi == lo:
-                return b_lo.copy()
+                return v_lo
             t = (lam - lo) / (hi - lo)
-            return b_lo + t * (b_hi - b_lo)
-    return knots[-1][1].copy()
+            return [a + t * (b - a) for a, b in zip(v_lo, v_hi)]
+    return knots[-1][1]
 
 
-def _lasso_path(x: np.ndarray, y: np.ndarray, lambdas: Sequence[float]) -> dict:
-    """Lasso solutions at every requested lambda from one homotopy path.
-    Returns {lambda: (beta, intercept)} on the original feature scale."""
-    n, p = x.shape
-    xs, mean, std, keep = _standardize(x)
-    y_mean = float(y.mean())
-    yc = y - y_mean
-    corr = (xs.T @ xs) / n
-    b = (xs.T @ yc) / n
-    knots = _lars_knots(corr, b, min(lambdas))
-    out = {}
-    for lam in lambdas:
-        full = np.zeros(p)
-        full[keep] = _beta_at(knots, lam) / std[keep]
-        out[lam] = (full, y_mean - float(full[keep] @ mean[keep]))
-    return out
+def _solution(moments: tuple, lam: float) -> tuple:
+    """(beta, intercept, kept columns) at lam, on the original scale."""
+    keep, mean, std, y_mean, knots = _path(moments, lam)
+    beta = [0.0] * (len(moments[1]) - 1)
+    for j, bj, sj in zip(keep, _at(knots, lam), std):
+        beta[j] = bj / sj
+    return beta, y_mean - sum(beta[j] * m for j, m in zip(keep, mean)), keep
 
 
-def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float):
+def lasso_fit(x: Sequence, y: Sequence, lam: float):
     """Minimize the penalized least-squares objective at one lambda.
 
     Returns (beta, intercept, dropped) on the original feature scale;
-    `dropped` lists indices of constant columns removed before the fit.
-    """
-    n, p = x.shape
-    if n < 2:
+    `dropped` lists the indices of the columns left out of the path."""
+    if len(y) < 2:
         raise DegenerateDesign("need at least two rows")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    keep = set(_standardize(x)[3].tolist())
-    dropped = [j for j in range(p) if j not in keep]
-    beta, intercept = _lasso_path(x, y, [lam])[lam]
-    return beta, intercept, dropped
+    beta, intercept, keep = _solution(_moments(x, y), lam)
+    return beta, intercept, [j for j in range(len(beta)) if j not in keep]
 
 
-def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty at which the Lasso solution is identically zero."""
-    xs, _, _, _ = _standardize(x)
-    if xs.shape[1] == 0:
-        return 0.0
-    yc = y - y.mean()
-    return float(np.abs(xs.T @ yc).max()) / x.shape[0]
+def lambda_max(x: Sequence, y: Sequence) -> float:
+    """Smallest penalty at which the Lasso solution is identically zero:
+    the path's first knot."""
+    return _path(_moments(x, y), math.inf)[4][0][0]
 
 
-def cv_lasso_regression(x: np.ndarray, y: np.ndarray, lambdas: Sequence[float],
+def cv_lasso_regression(x: Sequence, y: Sequence, lambdas: Sequence[float],
                         cv_seed: int = 0):
     """Select lambda by `FOLDS`-fold cross-validation on mean squared
     validation error (ties broken towards the larger lambda), then refit on
-    all rows.
+    all rows.  Each fold's moments are taken once: a fold is fitted on the
+    sum of the others' and the refit on the sum of all.
 
     Returns (beta, intercept, selected_lambda)."""
-    n = x.shape[0]
+    n = len(y)
     if n < FOLDS:
         raise DegenerateDesign(f"{n} rows cannot be split into {FOLDS} folds")
-    import random
-
     order = list(range(n))
     random.Random(cv_seed).shuffle(order)
-    fold_of = {row: i % FOLDS for i, row in enumerate(order)}
-    masks = [np.array([fold_of[r] == f for r in range(n)]) for f in range(FOLDS)]
-
+    folds = [sorted(order[f::FOLDS]) for f in range(FOLDS)]
+    parts = [_moments([x[i] for i in rows], [y[i] for i in rows]) for rows in folds]
     grid = sorted(set(lambdas))
-    cv_err = {lam: [] for lam in grid}
-    for mask in masks:
-        if mask.all() or (~mask).all():
-            continue
-        path = _lasso_path(x[~mask], y[~mask], grid)
-        for lam, (beta, b0) in path.items():
-            pred = x[mask] @ beta + b0
-            cv_err[lam].append(float(((y[mask] - pred) ** 2).mean()))
-
+    cv_err = [0.0] * len(grid)
+    for f, rows in enumerate(folds):
+        keep, mean, std, y_mean, knots = _path(_total(parts[:f] + parts[f + 1:]), grid[0])
+        # the validation residuals at each knot, over its nonzero
+        # coefficients; between knots they are linear in lambda too
+        cols = [[(float(x[i][j]) - m) / sj for i in rows] for j, m, sj in zip(keep, mean, std)]
+        yc = [float(y[i]) - y_mean for i in rows]
+        resid = []
+        for lam, beta in knots:
+            r = yc
+            for col, bj in zip(cols, beta):
+                if bj:
+                    r = [a - bj * v for a, v in zip(r, col)]
+            resid.append((lam, r))
+        for k, lam in enumerate(grid):
+            cv_err[k] += sum(v * v for v in _at(resid, lam)) / len(rows)
     best_lam, best_err = None, math.inf
-    for lam in grid:  # ascending, so ties resolve to the larger lambda
-        err = float(np.mean(cv_err[lam]))
+    for lam, err in zip(grid, cv_err):  # ascending: ties go to the larger lambda
         if err <= best_err:
             best_err, best_lam = err, lam
-    beta, b0 = _lasso_path(x, y, [best_lam])[best_lam]
+    beta, b0, _ = _solution(_total(parts), best_lam)
     return beta, b0, best_lam
 
 
-def remove_terms(names: Sequence[str], beta: np.ndarray):
+def remove_terms(names: Sequence[str], beta: Sequence[float]):
     """Drop base functions whose |coefficient| < `EPSILON`.
 
     Returns (surviving indices, their names); both are empty when every
@@ -277,20 +281,20 @@ def _exact(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def _solve_exact(gram: list, rhs: list) -> list:
-    """Solve gram w = rhs over the rationals by Gauss-Jordan elimination.
-    A zero pivot means a design column is a combination of the ones before
-    it (column 0 is the intercept), and raises DegenerateDesign."""
-    m = len(gram)
-    rows = [list(r) + [b] for r, b in zip(gram, rhs)]
+def _solve(a: list, rhs: list) -> list:
+    """Solve a w = rhs by Gauss-Jordan elimination in the arithmetic of the
+    entries: floats on the Lasso path, Fractions in the exact refit.  A zero
+    pivot means a column of a is a combination of the ones before it, and
+    raises DegenerateDesign."""
+    m = len(a)
+    rows = [list(r) + [v] for r, v in zip(a, rhs)]
     for col in range(m):
         piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
         if piv is None:
-            raise DegenerateDesign(f"design column {col} depends on the ones before it")
+            raise DegenerateDesign(f"column {col} depends on the ones before it")
         rows[col], rows[piv] = rows[piv], rows[col]
         p = rows[col][col]
-        top = [Fraction(v, p) for v in rows[col]]
-        rows[col] = top
+        rows[col] = top = [v / p for v in rows[col]]
         for r in range(m):
             f = rows[r][col]
             if r != col and f != 0:
@@ -308,10 +312,9 @@ def linear_regression(x_train: Sequence, y_train: Sequence,
     p = len(x_train[0]) if n else 0
     if n <= p:
         raise DegenerateDesign(f"{n} rows for {p} surviving columns")
-    cols = [[1] * n] + [[_exact(v) for v in col] for col in zip(*x_train)]
-    y = [_exact(v) for v in y_train]
-    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-    w = _solve_exact(gram, [sum(map(mul, a, y)) for a in cols])
+    # the normal equations from the moments, column 0 being the intercept
+    g = _moments([(1, *row) for row in x_train], y_train)[2]
+    w = _solve([[Fraction(v) for v in row[:-1]] for row in g[:-1]], [row[-1] for row in g[:-1]])
     intercept, beta = w[0], w[1:]
 
     y_test = [_exact(v) for v in y_test]
@@ -380,17 +383,16 @@ def guess(rdef: RecurrenceDef, reg_cfg: RegressionConfig, sample_cfg: SampleConf
     if len(train_idx) < FOLDS or not test_idx:
         raise LikelyNonterminating(len(ts.inputs), ts.dropped_inputs)
 
-    x_all, y_all = ts.to_arrays()
+    y_train = [ts.values[i] for i in train_idx]
     beta_cv, _, lam = cv_lasso_regression(
-        x_all[train_idx], y_all[train_idx], reg_cfg.lambdas, sample_cfg.seed)
+        [ts.features[i] for i in train_idx], y_train, reg_cfg.lambdas, sample_cfg.seed)
     keep, kept_names = remove_terms(ts.columns, beta_cv)
 
     def rows(idx):
         return [[ts.features[i][j] for j in keep] for i in idx]
 
     beta, intercept, score, raw = linear_regression(
-        rows(train_idx), [ts.values[i] for i in train_idx],
-        rows(test_idx), [ts.values[i] for i in test_idx])
+        rows(train_idx), y_train, rows(test_idx), [ts.values[i] for i in test_idx])
     coefs, b0, delta = rationalize(beta, intercept)
 
     kept_exprs = [ts.column_exprs[j] for j in keep]

@@ -8,7 +8,7 @@ call-free expressions over the argument names, and a column is named by
 the expression's text.  The training set pairs each surviving input's
 recurrence value with the evaluated dictionary, each base function
 compiled once and applied to every kept input; values stay exact
-rationals until the regression boundary.  All inputs of one training set
+(ints and Fractions) throughout.  All inputs of one training set
 are evaluated against one shared memo, so neighbouring points reuse each
 other's subcalls; the evaluation limits still apply to each point on its
 own.
@@ -179,13 +179,6 @@ class TrainingSet:
                 raise ValueError("ragged training set")
         if len(self.inputs) != len(self.values) or len(self.inputs) != len(self.features):
             raise ValueError("misaligned training set")
-
-    def to_arrays(self):
-        import numpy as np
-
-        x = np.array([[float(v) for v in row] for row in self.features], dtype=float)
-        y = np.array([float(v) for v in self.values], dtype=float)
-        return x.reshape(len(self.inputs), len(self.columns)), y
 
 
 def build_training_set(rdef: RecurrenceDef, base_set: Sequence[Expr],

@@ -186,7 +186,7 @@ def test_criterion_6_regression_unit_suite():
         lam_star = lambda_max(x, y)
         for factor in (1.0, 1.25, 4.0):
             beta, _, _ = lasso_fit(x, y, lam_star * factor)
-            assert np.all(beta == 0.0), trial
+            assert np.all(np.asarray(beta) == 0.0), trial
     print("\nPASS criterion 6: lasso KKT at 1e-6, exact OLS orthogonality, "
           "exact nulls at lambda_max")
 

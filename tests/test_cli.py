@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,9 +255,9 @@ def test_bad_option_value(capsys, argv, message):
     assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
-COMMON = {"--seed", "--samples", "--test-samples", "--lambda-grid", "--bounds",
-          "--solver", "--timeout-ms", "--max-depth", "--max-steps",
-          "--eval-timeout-ms", "--emit-smt", "--format"}
+CHECK = {"--solver", "--timeout-ms", "--max-depth", "--max-steps",
+         "--eval-timeout-ms", "--emit-smt", "--format"}
+COMMON = CHECK | {"--seed", "--samples", "--test-samples", "--lambda-grid", "--bounds"}
 
 
 def test_option_names_are_stable():
@@ -265,10 +267,25 @@ def test_option_names_are_stable():
                for name, p in sub.choices.items()}
     assert options == {
         "solve": COMMON,
-        "check": COMMON | {"--cf"},
+        "check": CHECK | {"--cf"},
         "eval": {"--max-depth", "--max-steps", "--eval-timeout-ms"},
         "bench": COMMON | {"--only", "--json-out"},
     }
+
+
+def test_runs_without_numpy():
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy fails\n"
+            "import recsolve\n"
+            "from recsolve.cli import main\n"
+            "sys.exit(main(['bench', '--only', 'nested', '--format', 'json-lines']))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "verified"
 
 
 def test_bench_unknown_name_is_a_harness_error_row(capsys):

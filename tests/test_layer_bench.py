@@ -65,8 +65,7 @@ def test_cv_lasso_regression_merge_sz(benchmark):
     rdef = load_bench("merge-sz")
     ts = build_training_set(rdef, default_base_set(rdef.arg_names),
                             guess_points(rdef))
-    x, y = ts.to_arrays()
-    beta, _, _ = benchmark(cv_lasso_regression, x[:100], y[:100],
+    beta, _, _ = benchmark(cv_lasso_regression, ts.features[:100], ts.values[:100],
                            RegressionConfig().lambdas, SampleConfig().seed)
     assert len(beta) == len(ts.columns)
 

@@ -27,6 +27,21 @@ class TestSolve:
         assert report.closed_form is not None
         assert "total" in report.timings_ms
 
+    @pytest.mark.parametrize("bounds", [(600, 700), (1000, 1200)])
+    def test_nested_far_from_zero(self, solver, bounds):
+        # the column 2^x overflows a float there and is left out of the path
+        cfg = SolveConfig(sample=SampleConfig(bounds=bounds), solver=solver)
+        assert solve(load_bench("nested"), cfg).verdict == "verified"
+
+    def test_values_past_the_float_range_end_the_guess(self, solver):
+        # f(x) = 2^x: the mean of the sampled values overflows a float
+        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 1 if x = 0;\n"
+                                "f(x) = 2 * f(x-1) if x > 0;\n")
+        cfg = SolveConfig(sample=SampleConfig(bounds=(1030, 1100)), solver=solver)
+        report = solve(rdef, cfg)
+        assert (report.verdict, report.verdict_reason) == ("skipped", "guess-error")
+        assert report.error.startswith("OverflowError")
+
     def test_merge_is_piecewise_verified(self, solver):
         report = solve(load_bench("merge"), config(solver))
         assert report.verdict == "verified"

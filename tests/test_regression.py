@@ -20,6 +20,7 @@ from conftest import grid_points, load_bench
 def subgradient_violation(x, y, beta, intercept, lam):
     """Independent KKT check for the standardized Lasso problem.  Returns
     the largest violation of the stationarity conditions."""
+    beta = np.asarray(beta)
     mean, std = x.mean(axis=0), x.std(axis=0)
     keep = std > 0
     xs = (x[:, keep] - mean[keep]) / std[keep]
@@ -53,7 +54,7 @@ class TestLassoFit:
         lam = lambda_max(x, y)
         for factor in (1.0, 1.5, 10.0):
             beta, b0, _ = lasso_fit(x, y, lam * factor)
-            assert np.all(beta == 0.0)
+            assert np.all(np.asarray(beta) == 0.0)
             assert b0 == pytest.approx(y.mean())
 
     def test_constant_target(self):
@@ -61,7 +62,7 @@ class TestLassoFit:
         x = rng.normal(size=(20, 3))
         y = np.full(20, 7.0)
         beta, b0, _ = lasso_fit(x, y, 0.05)
-        assert np.all(beta == 0.0)
+        assert np.all(np.asarray(beta) == 0.0)
         assert b0 == pytest.approx(7.0)
 
     def test_constant_column_dropped(self):
@@ -81,6 +82,28 @@ class TestLassoFit:
             lam = float(rng.uniform(0.005, 0.8))
             beta, b0, _ = lasso_fit(x, y, lam)
             assert subgradient_violation(x, y, beta, b0, lam) < 1e-6, trial
+
+    def test_column_past_float_precision_kept(self):
+        # the moments are exact, so 2^60 + i%2 varies; a float standard
+        # deviation of its values reads 0
+        x = [[2 ** 60 + i % 2] for i in range(20)]
+        y = [i % 2 for i in range(20)]
+        beta, b0, dropped = lasso_fit(x, y, 0.01)
+        assert dropped == []
+        assert beta[0] == pytest.approx(0.98)
+
+    def test_path_past_a_dependent_column(self):
+        # the third column is the sum of the first two: the path completes
+        # and still reproduces y
+        rng = np.random.default_rng(4)
+        for trial in range(30):
+            ab = rng.integers(0, 31, size=(40, 2)).astype(float)
+            x = np.column_stack([ab, ab.sum(axis=1)])
+            y = 5.0 + x @ rng.choice([-2.0, 0.0, 1.0, 3.0], size=3)
+            beta, b0, _ = lasso_fit(x, y, 1e-3)
+            assert subgradient_violation(x, y, beta, b0, 1e-3) < 1e-6, trial
+            resid = y - (x @ np.asarray(beta) + b0)
+            assert np.abs(resid).max() <= 0.01 * max(y.std(), 1.0), trial
 
 
 class TestCvLasso:

@@ -312,10 +312,3 @@ class TestTrainingSetInvariants:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             TrainingSet([(1,)], [Fraction(1)], ["a", "b"], [None, None], [[1]])
-
-    def test_to_arrays_is_float(self):
-        rdef = load_bench("nested")
-        ts = build_training_set(rdef, default_base_set(("x",)), [(2,), (3,)])
-        x, y = ts.to_arrays()
-        assert x.shape == (2, 6)
-        assert y.tolist() == [2.0, 3.0]
