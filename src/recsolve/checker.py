@@ -15,7 +15,8 @@ power) and returns the least factor that makes every constant there whole
 together with the expression multiplied by it; each equation, comparison
 and floor or ceiling argument is cleared that way.  Floors and ceilings of
 divisions become integer `div` (with the sign-correct ceiling encoding
--((-a) div b), valid for divisors entailed positive), and max/min/piecewise
+-((-a) div b), valid for divisors entailed positive), max and min become
+an `ite` over their operands, each bound once by `let`, and piecewise
 terms become `ite`.  One emitter, `emit_term`, writes terms and
 constraints alike.  An equation the emitter cannot translate, or one
 with a divisor that folds to 0 once the candidate is substituted, is
@@ -389,7 +390,9 @@ def _smt_int(v: Fraction) -> str:
 # The nodes written as the SMT-LIB2 operator of the same meaning applied
 # to their children.
 _APPLY = {Add: "+", Sub: "-", Mul: "*", And: "and", Or: "or", Not: "not"}
-_PICK = {Max: ">=", Min: "<="}  # max and min as ite: the test that picks lhs
+# max and min as ite over their operands bound by `let` (`?` occurs in no
+# recsolve name): the test that picks lhs
+_PICK = {Max: ">=", Min: "<="}
 
 
 def emit_term(e: Expr) -> str:
@@ -413,9 +416,9 @@ def emit_term(e: Expr) -> str:
         return base if n == 1 else f"(* {' '.join([base] * n)})"
     if t is Floor or t is Ceil:
         return _emit_floor_ceil(e)
-    if t in _PICK:
-        a, b = emit_term(e.lhs), emit_term(e.rhs)
-        return f"(ite ({_PICK[t]} {a} {b}) {a} {b})"
+    if t in _PICK:  # each operand written once, so nesting stays linear
+        return (f"(let ((?a {emit_term(e.lhs)}) (?b {emit_term(e.rhs)}))"
+                f" (ite ({_PICK[t]} ?a ?b) ?a ?b))")
     if t is Ite:
         return f"(ite {emit_term(e.cond)} {emit_term(e.then)} {emit_term(e.other)})"
     if t is Cmp:

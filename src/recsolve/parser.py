@@ -5,20 +5,35 @@ Grammar (one definition per `.rec` file, `#` comments):
     recdef    := "def" name "(" args ")" ";" "pre" constraint ";" case+
     case      := name "(" args ")" "=" expr "if" constraint ";"
 
-Expressions use the infix operators of `expr.INFIX` (`+ - * /`, with
-their precedence), `^` for powers, the functions of `expr.FUNCTIONS`
-(`floor(e)`, `ceil(e)`, `log2ceil(e)`, `max(e,e)`, `min(e,e)`; the arity is
-the node's field count), `ite(c,e,e)`, function application `f(e,...)`
-and rational literals `p/q`.  Names are ASCII, `[A-Za-z_][A-Za-z0-9_]*`,
-and literals ASCII digits.  Constraints combine the comparisons of
-`expr.CMP` (`= != < <= > >=`) with `and`, `or`, `not`, `true`, `false`.
-The printer (`expr.to_text`) reads the same tables, so printing and
-parsing agree on every operator.
+Expressions and constraints are one grammar, read by one precedence-
+climbing loop (`_Parser.formula`) over one table of binding powers,
+loosest first:
+
+    or                    `expr.CONNECTIVES`
+    and
+    not                   prefix
+    = != < <= > >=        `expr.CMP`; comparisons do not chain
+    + -                   `expr.INFIX`, left-associative
+    * /
+
+Tighter still are unary minus, `^` for powers (right-associative, tighter
+than unary minus) and the atoms: literals, with `p/q` read as one rational
+literal; names; `true` and `false`; a parenthesized formula of either
+kind; the functions of `expr.FUNCTIONS` (`floor(e)`, `ceil(e)`,
+`log2ceil(e)`, `max(e,e)`, `min(e,e)`; the arity is the node's field
+count); `ite(c,e,e)` and function application `f(e,...)`.  Names are
+ASCII, `[A-Za-z_][A-Za-z0-9_]*`, and literals ASCII digits.  The kinds
+are checked where a node is built: `and`, `or`, `not` and an `ite`
+condition take constraints, every other operand an expression.  The
+printer (`expr.to_text`) reads the same tables, so printing and parsing
+agree on every operator.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 from .expr import (
     CMP, CONNECTIVES, FUNCTIONS, INFIX, BoolLit, Call, Cmp, Const, Constraint,
@@ -41,32 +56,28 @@ class Token:
     col: int
 
 
-_TWO_CHAR = ("<=", ">=", "!=")
-_ONE_CHAR = "+-*/^(),;=<>"
-# Literals and names are ASCII only: str.isdigit also takes digits int()
-# rejects, as ², and a solver model names its variables in ASCII
-_DIGITS = "0123456789"
-_NAME_START = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-_NAME_CHARS = _NAME_START + _DIGITS
+# One token per match on a line, the two-character operators first.
+# Literals and names are ASCII only: `[0-9]`, not `\d`, which takes every
+# script's digits, and a solver model names its variables in ASCII.
+_TOKEN = re.compile(r"[ \t\r]+|#.*|(?P<OP><=|>=|!=|[-+*/^(),;=<>])|(?P<INT>[0-9]+)"
+                    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<BAD>.)")
 _KEYWORDS = {"def", "pre", "if", "and", "or", "not", "true", "false"}
 
-
-def _by_precedence(table: dict) -> tuple:
-    """The symbols of an operator table as one {symbol: node} dict per
-    precedence, loosest first."""
-    precs = sorted({prec for _, prec in table.values()})
-    return tuple({symbol: node for node, (symbol, p) in table.items() if p == prec}
-                 for prec in precs)
-
-
-_INFIX = _by_precedence(INFIX)              # + -, then * /
-_CONNECTIVE = _by_precedence(CONNECTIVES)   # or, then and
+# The binding power and node of every infix operator, loosest first: the
+# connectives, then (above prefix `not`) the comparisons and the arithmetic
+_NOT = max(bp for _, bp in CONNECTIVES.values()) + 1
+_CMP = _NOT + 1
+_BINDING = {**{word: (bp, node) for node, (word, bp) in CONNECTIVES.items()},
+            **{op: (_CMP, partial(Cmp, op)) for op in CMP},
+            **{symbol: (_CMP + prec, node) for node, (symbol, prec) in INFIX.items()}}
+_KINDS = ("an expression", "a constraint")
 _ARGUMENTS = {1: "one argument", 2: "two arguments"}
 
-# The deepest nesting of operands (`unary`) and conditions (`negation`) the
-# parser accepts; a division nests its whole chain, as generated code calls
-# it.  That code spends at most 3 of Python's 200 nested parentheses on a
-# level (a recursive call as an operand), so every accepted tree compiles.
+# The deepest nesting of operands (`unary`: an atom, or `-` or `not` with
+# its operand) the parser accepts; a division nests its whole chain, as
+# generated code calls it.  That code spends at most 3 of Python's 200
+# nested parentheses on a level (a recursive call as an operand), so every
+# accepted tree compiles.
 MAX_NESTING = 60
 _TOO_DEEP = f"nested more than {MAX_NESTING} levels deep"
 
@@ -83,51 +94,14 @@ _TOO_LONG = f"operators chained more than {MAX_CHAIN} deep"
 
 def tokenize(text: str) -> list:
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            toks.append(Token("OP", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            toks.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars):
+            kind = m.lastgroup
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+            if kind:
+                toks.append(Token(kind, m.group(), line, m.start() + 1))
+    toks.append(Token("EOF", "", line, len(chars) + 1))
     return toks
 
 
@@ -137,7 +111,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0    # levels open at the current token
         self.deepest = 0  # the deepest level reached, divisions included
-        self.links = 0    # the most operators on a path down from the chain
+        self.links = 0    # the most operators on a path down from the formula
 
     # -- token plumbing ----------------------------------------------------
 
@@ -175,30 +149,51 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(_TOO_DEEP)
 
-    # -- expressions -------------------------------------------------------
+    # -- formulas ----------------------------------------------------------
 
-    def chain(self, levels: tuple, operand, prec: int = 0) -> Expr:
-        """Operands joined left-associatively by the operators of
-        `levels[prec]`; each operand binds tighter, and past the tightest
-        level is an `operand()`.  Each operator nests the chain so far
-        one link deeper (see `MAX_CHAIN`), and a division one level
-        deeper too, as generated code calls it (see `MAX_NESTING`)."""
-        if prec == len(levels):
-            return operand()
-        symbols = levels[prec]
+    @staticmethod
+    def kind(e: Expr, constraint: bool, start: Token) -> Expr:
+        """`e`, which begins at `start`, if it is a constraint exactly when
+        `constraint` is true."""
+        if isinstance(e, Constraint) != constraint:
+            raise ParseError(f"expected {_KINDS[constraint]}, found {_KINDS[not constraint]}",
+                             start.line, start.col)
+        return e
+
+    @staticmethod
+    def build(node, tok: Token, *operands) -> Expr:
+        try:
+            return node(*operands)
+        except ValueError as err:
+            raise ParseError(str(err), tok.line, tok.col) from None
+
+    def formula(self, bp: int = 0, want: bool | None = None) -> Expr:
+        """An operand and every infix operator after it that binds tighter
+        than `bp`, folded left to right, checked to be a constraint when
+        `want` is true and an expression when it is false.  The right
+        operand of each operator is a formula at its binding power.  Each
+        operator but a comparison nests the formula so far one link deeper
+        (see `MAX_CHAIN`), and a division one level deeper too, as
+        generated code calls it (see `MAX_NESTING`)."""
         outer_deepest, outer_links = self.deepest, self.links
         self.deepest, self.links = self.depth, 0
-        e = self.chain(levels, operand, prec + 1)
-        while self.toks[self.pos].text in symbols:
-            tok = self.next()
-            node = symbols[tok.text]
-            rhs = self.chain(levels, operand, prec + 1)
-            if node is Div and isinstance(e, Const) and isinstance(rhs, Const):
-                if rhs.value == 0:
-                    self.fail("division by the literal constant zero")
+        start = self.peek()
+        e = self.unary()
+        while True:
+            tok = self.peek()
+            power, node = _BINDING.get(tok.text, (0, None))
+            if power <= bp:
+                break
+            self.next()
+            constraints = node in CONNECTIVES
+            self.kind(e, constraints, start)
+            rhs = self.formula(power, constraints)
+            if node is Div and isinstance(e, Const) and isinstance(rhs, Const) and rhs.value:
                 e = Const(e.value / rhs.value)  # rational literal p/q
                 continue
-            e = node(e, rhs)
+            e = self.build(node, tok, e, rhs)
+            if power == _CMP:
+                continue
             self.links += 1
             if self.links > MAX_CHAIN:
                 raise ParseError(_TOO_LONG, tok.line, tok.col)
@@ -210,41 +205,42 @@ class _Parser:
             self.deepest = outer_deepest
         if outer_links > self.links:
             self.links = outer_links
-        return e
-
-    def expression(self) -> Expr:
-        return self.chain(_INFIX, self.unary)
+        return e if want is None else self.kind(e, want, start)
 
     def unary(self) -> Expr:
+        """An operand one level deeper (see `MAX_NESTING`): `not` or `-`
+        and its operand, or an atom and the exponent after `^`."""
         self.enter()
-        if self.at("-"):
+        t = self.peek()
+        if t.text == "not":
             self.next()
-            e = self.unary()
+            e = Not(self.formula(_NOT, True))
+        elif t.text == "-":
+            self.next()
+            start = self.peek()
+            e = self.kind(self.unary(), False, start)
             e = Const(-e.value) if isinstance(e, Const) else Sub(Const(Fraction(0)), e)
         else:
-            e = self.power()
+            e = self.atom()
+            if self.at("^"):
+                tok = self.next()
+                exponent = self.peek()
+                e = self.build(Pow, tok, self.kind(e, False, t),
+                               self.kind(self.unary(), False, exponent))
         self.depth -= 1
         return e
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.at("^"):
-            tok = self.next()
-            exp = self.unary()
-            try:
-                return Pow(base, exp)
-            except ValueError as err:
-                raise ParseError(str(err), tok.line, tok.col) from None
-        return base
 
     def atom(self) -> Expr:
         t = self.peek()
         if t.kind == "INT":
             self.next()
             return Const(Fraction(int(t.text)))
+        if t.text in ("true", "false"):
+            self.next()
+            return BoolLit(t.text == "true")
         if t.text == "(":
             self.next()
-            e = self.expression()
+            e = self.formula()
             self.expect(")")
             return e
         if t.kind == "NAME" and t.text not in _KEYWORDS:
@@ -253,17 +249,17 @@ class _Parser:
                 return Var(name)
             self.next()
             if name == "ite":
-                cond = self.constraint()
+                cond = self.formula(want=True)
                 self.expect(",")
-                then = self.expression()
+                then = self.formula(want=False)
                 self.expect(",")
-                other = self.expression()
+                other = self.formula(want=False)
                 self.expect(")")
                 return Ite(cond, then, other)
-            args = [self.expression()]
+            args = [self.formula(want=False)]
             while self.at(","):
                 self.next()
-                args.append(self.expression())
+                args.append(self.formula(want=False))
             self.expect(")")
             if name not in FUNCTIONS:
                 return Call(name, tuple(args))
@@ -273,55 +269,6 @@ class _Parser:
                 raise ParseError(f"{name} takes {_ARGUMENTS[arity]}", t.line, t.col)
             return node(*args)
         self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
-
-    # -- constraints ---------------------------------------------------------
-
-    def constraint(self) -> Constraint:
-        return self.chain(_CONNECTIVE, self.negation)
-
-    def negation(self) -> Constraint:
-        self.enter()
-        if self.at("not"):
-            self.next()
-            c = Not(self.negation())
-        else:
-            c = self.constraint_atom()
-        self.depth -= 1
-        return c
-
-    def constraint_atom(self) -> Constraint:
-        t = self.peek()
-        if t.text in ("true", "false"):
-            self.next()
-            return BoolLit(t.text == "true")
-        if t.text == "(":
-            # either a parenthesised constraint or a parenthesised expression
-            # starting a comparison; try the constraint reading first
-            saved = self.pos, self.depth, self.deepest, self.links
-            try:
-                self.next()
-                c = self.constraint()
-                self.expect(")")
-                if self.peek().text in CMP:
-                    raise ParseError("comparison of constraints", t.line, t.col)
-                return c
-            except ParseError:
-                if self.deepest > MAX_NESTING or self.links > MAX_CHAIN:
-                    raise  # the other reading nests as deep
-                self.pos, self.depth, self.deepest, self.links = saved
-        return self.comparison()
-
-    def comparison(self) -> Constraint:
-        lhs = self.expression()
-        t = self.peek()
-        if t.text not in CMP:
-            self.fail(f"expected a comparison operator, found {t.text or 'end of input'!r}")
-        op = self.next().text
-        rhs = self.expression()
-        try:
-            return Cmp(op, lhs, rhs)
-        except ValueError as err:
-            raise ParseError(str(err), t.line, t.col) from None
 
     # -- recurrence definitions ----------------------------------------------
 
@@ -345,7 +292,7 @@ class _Parser:
             raise ParseError("duplicate argument name", head.line, head.col)
         self.expect(";")
         self.expect("pre")
-        pre = self.constraint()
+        pre = self.formula(want=True)
         self.expect(";")
         cases = []
         while not self.at(""):
@@ -357,9 +304,9 @@ class _Parser:
                 raise ParseError("case arguments differ from the definition header",
                                  t.line, t.col)
             self.expect("=")
-            body = self.expression()
+            body = self.formula(want=False)
             self.expect("if")
-            guard = self.constraint()
+            guard = self.formula(want=True)
             self.expect(";")
             cases.append(Case(body, guard))
         if not cases:
@@ -369,7 +316,7 @@ class _Parser:
 
 def parse_expression(text: str) -> Expr:
     p = _Parser(text)
-    e = p.expression()
+    e = p.formula(want=False)
     if p.peek().kind != "EOF":
         p.fail("trailing input after expression")
     return e
@@ -377,7 +324,7 @@ def parse_expression(text: str) -> Expr:
 
 def parse_constraint(text: str) -> Constraint:
     p = _Parser(text)
-    c = p.constraint()
+    c = p.formula(want=True)
     if p.peek().kind != "EOF":
         p.fail("trailing input after constraint")
     return c

@@ -3,9 +3,9 @@
 `solve_script` reads the SMT-LIB2 subset that `emit_smtlib` and `entails`
 produce (`set-logic`, `declare-const` of Int constants, `assert`,
 `check-sat`, `get-model`; terms built from integer literals, `+ - *`,
-`div` and `ite`; comparisons, `and`, `or`, `not`, `=>`) and answers in the
-text a solver would print: `sat` with a `define-fun` model, `unsat`, or
-`unknown`.  `div` keeps its SMT-LIB meaning (the remainder lies in
+`div`, `ite` and `let`; comparisons, `and`, `or`, `not`, `=>`) and
+answers in the text a solver would print: `sat` with a `define-fun`
+model, `unsat`, or `unknown`.  `div` keeps its SMT-LIB meaning (the remainder lies in
 [0, |b|); division by zero is an unspecified function).
 
 The answers are never guesses:
@@ -27,7 +27,9 @@ The answers are never guesses:
   integer infeasibility, so a closed cell has no integer point.  The
   formula is unsat when every cell is closed.
 * `unknown` for everything else, such as a bounded cell with rational
-  points but no integer point (`0 <= x <= 3 and 0 <= y <= 3 and x*y = 5`).
+  points but no integer point (`0 <= x <= 3 and 0 <= y <= 3 and x*y = 5`),
+  a script nested past Python's recursion limit, or a bound no float
+  holds.
 """
 from __future__ import annotations
 
@@ -90,15 +92,19 @@ class _Reader:
     node is (kind, *children): terms ("add", *terms), ("mul", *terms),
     ("neg", t), ("div", a, b), ("ite", f, a, b); formulas ("and", *fs),
     ("or", *fs), ("not", f), and the comparison ("cmp", op, a, b), whose
-    operator comes first."""
+    operator comes first.  A `let` is read as its body, each bound name
+    standing for the one tuple of its term, shared wherever it occurs."""
 
     def __init__(self):
         self.names: list = []
+        self.bound: dict = {}   # the `let` names in scope and their terms
 
     def term(self, s):
         if isinstance(s, str):
             if s.isdigit():
                 return ("num", int(s))
+            if s in self.bound:
+                return self.bound[s]
             if s in self.names:
                 return ("var", s)
             raise Unsupported(f"unknown symbol {s}")
@@ -115,6 +121,14 @@ class _Reader:
             return ("div", self.term(args[0]), self.term(args[1]))
         if head == "ite" and len(args) == 3:
             return ("ite", self.formula(args[0]), self.term(args[1]), self.term(args[2]))
+        if head == "let" and len(args) == 2 and isinstance(args[0], list) \
+                and all(isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)
+                        for b in args[0]):
+            outer = self.bound
+            self.bound = {**outer, **{name: self.term(value) for name, value in args[0]}}
+            body = self.term(args[1])
+            self.bound = outer
+            return body
         raise Unsupported(f"unsupported term {head}")
 
     def formula(self, s):
@@ -148,28 +162,34 @@ _LEAVES = ("num", "var")
 _APPLY = {"add": sum, "mul": math.prod, "neg": lambda a: -a[0], "div": lambda a: _div(*a)}
 
 
-def _eval_term(t, env) -> int:
+def _eval_term(t, env, ites) -> int:
+    """The value of `t` at `env`; `ites` holds the value of each ite node
+    evaluated so far, by identity, so a term that a `let` shares is
+    evaluated once however often its ite reads it."""
     kind = t[0]
     if kind == "num":
         return t[1]
     if kind == "var":
         return env[t[1]]
     if kind == "ite":  # only the branch taken: the other may divide by zero
-        return _eval_term(t[2] if _eval_formula(t[1], env) else t[3], env)
-    return _APPLY[kind]([_eval_term(a, env) for a in t[1:]])
+        key = id(t)
+        if key not in ites:
+            ites[key] = _eval_term(t[2] if _eval_formula(t[1], env, ites) else t[3], env, ites)
+        return ites[key]
+    return _APPLY[kind]([_eval_term(a, env, ites) for a in t[1:]])
 
 
-def _eval_formula(f, env) -> bool:
+def _eval_formula(f, env, ites) -> bool:
     kind = f[0]
     if kind == "bool":
         return f[1]
     if kind == "and":
-        return all(_eval_formula(a, env) for a in f[1:])
+        return all(_eval_formula(a, env, ites) for a in f[1:])
     if kind == "or":
-        return any(_eval_formula(a, env) for a in f[1:])
+        return any(_eval_formula(a, env, ites) for a in f[1:])
     if kind == "not":
-        return not _eval_formula(f[1], env)
-    return _CMP[f[1]](_eval_term(f[2], env), _eval_term(f[3], env))
+        return not _eval_formula(f[1], env, ites)
+    return _CMP[f[1]](_eval_term(f[2], env, ites), _eval_term(f[3], env, ites))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +561,7 @@ class _Problem:
 
     def holds(self, env) -> bool:
         try:
-            return _eval_formula(self.formula, env)
+            return _eval_formula(self.formula, env, {})
         except _Undefined:
             return False
 
@@ -580,6 +600,8 @@ class _Problem:
         comparison, become branch points; each branch is pruned as soon as
         its atoms are refuted, and the exploration stops at the first open
         cell, after which the formula cannot be refuted."""
+        if time.monotonic() > self.deadline:
+            raise _Timeout  # cells that close without elimination check no clock
         todo, atoms, branches = list(todo), list(atoms), list(branches)
         while todo:
             f, positive = todo.pop()
@@ -665,7 +687,7 @@ def solve_script(script: str, timeout_ms: int = 10_000) -> tuple:
                     out.append(_model_text(reader.names, model))
             else:
                 raise Unsupported(f"unsupported command {head}")
-    except (Unsupported, RecursionError) as err:
+    except (Unsupported, RecursionError, OverflowError) as err:
         return "unknown", "\n".join(out + ["unknown", f'(error "{err}")']) + "\n"
     except _Timeout:
         return "timeout", ""

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .expr import (
@@ -278,7 +278,14 @@ def remove_terms(names: Sequence[str], beta: Sequence[float]):
 
 
 def _exact(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    """`v` as an int or a Fraction.  An integer of another type, such as
+    numpy's int64, becomes an int, whose arithmetic cannot wrap."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    try:
+        return index(v)
+    except TypeError:
+        return Fraction(v)
 
 
 def _solve(a: list, rhs: list) -> list:

@@ -193,8 +193,28 @@ class TestEmission:
         ef = formula(("x", "y"), (Implication(
             TRUE, parse_expression("max(x, y)"), parse_expression("min(x, y)")),))
         text = emit_smtlib(ef)
-        assert "(ite (>= x y) x y)" in text
-        assert "(ite (<= x y) x y)" in text
+        assert "(let ((?a x) (?b y)) (ite (>= ?a ?b) ?a ?b))" in text
+        assert "(let ((?a x) (?b y)) (ite (<= ?a ?b) ?a ?b))" in text
+
+    @pytest.mark.parametrize("step, refuted", [
+        ("max({}, 1)", Refuted((0,), 0, 1)),
+        ("max({}, 0)", None),  # right, so verified or unknown
+    ])
+    def test_nested_max_writes_each_operand_once(self, step, refuted):
+        # 40 levels, inside MAX_NESTING: an operand written twice per level
+        # would emit 2^40 copies of x
+        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                                "f(x) = f(x - 1) + 1 if x > 0;\n")
+        text = "x"
+        for _ in range(40):
+            text = step.format(text)
+        cf = cf_for(rdef, text)
+        assert len(emit_smtlib(encode(rdef, cf, brute_entails))) < 10_000
+        verdict = check_solution(rdef, cf, SolverConfig((BUILTIN,), timeout_ms=300))
+        if refuted:
+            assert verdict == refuted
+        else:
+            assert isinstance(verdict, (Verified, Unknown))
 
     def test_negative_literals(self):
         ef = formula(("x",), (Implication(

@@ -11,7 +11,7 @@ on the in-process prover,
 cold `eval_fun` calls (each with a fresh memo), a grid sweep through
 one shared memo, and what one `recsolve eval` op does with its fresh
 definition (parse, compile, evaluate a small point) with the generated
-code cached and not."""
+code cached and not; and `parse_recurrence` over the nine corpus texts."""
 import os
 
 import pytest
@@ -20,6 +20,7 @@ from recsolve.checker import (
     BUILTIN, SolverConfig, Verified, absorb_covered_pieces, check_solution, encode,
     make_domain_checker,
 )
+from recsolve.cli import BENCHMARKS
 from recsolve.expr import _code, compile_expr
 from recsolve.parser import parse_recurrence
 from recsolve.recurrence import EvalLimits, Value, eval_fun
@@ -116,6 +117,15 @@ def test_eval_merge_sz_grid_shared_memo(benchmark):
         return [eval_fun(rdef, p, EvalLimits(), memo) for p in points]
 
     assert benchmark(sweep) == [Value(x + y) for x, y in points]
+
+
+def test_parse_corpus(benchmark):
+    texts = []
+    for name in BENCHMARKS:
+        with open(os.path.join(BENCH_DIR, f"{name}.rec"), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    rdefs = benchmark(lambda: [parse_recurrence(t) for t in texts])
+    assert len(rdefs) == len(BENCHMARKS) == 9
 
 
 @pytest.mark.parametrize("cache", ["cold", "warm"])

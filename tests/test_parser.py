@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import fields
 from fractions import Fraction
 
@@ -96,6 +97,22 @@ class TestConstraints:
         assert isinstance(c, And)
         c = parse_constraint("x >= 0 and (x > 0 or y > 0)")
         assert isinstance(c.rhs, Or)
+
+    @pytest.mark.parametrize("text, expected, col", [
+        ("(x > 0) + 1", "an expression", 1),
+        ("max(x < 1, 2)", "an expression", 5),
+        ("-(x > 0)", "an expression", 2),
+        ("2^(x > 0)", "an expression", 3),
+        ("x < y < 1", "an expression", 1),
+        ("not x", "a constraint", 5),
+        ("x > 0 and y", "a constraint", 11),
+        ("ite(x, 1, 2)", "a constraint", 5),
+    ])
+    def test_mixed_kinds_name_what_was_expected(self, text, expected, col):
+        for parse in (parse_expression, parse_constraint):
+            with pytest.raises(ParseError, match=f"expected {expected}, found") as err:
+                parse(text)
+            assert (err.value.line, err.value.col) == (1, col)
 
     def test_not(self):
         c = parse_constraint("not x = 0")
@@ -308,6 +325,7 @@ EXPRESSION_SHAPES = {
 CONSTRAINT_SHAPES = {
     "not": ("not {}", 1),
     "parenthesized-or": ("({} or x < 0)", 1),
+    "parenthesized-ite": ("(ite({}, x, 0)) >= 0", 2),
 }
 
 
@@ -378,6 +396,15 @@ class TestNestingBound:
         for parse in (parse_constraint, lambda t: self.recurrence(guard=t)):
             with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels"):
                 parse(deeper)
+
+    def test_deepest_parenthesized_ite_parses_in_linear_time(self):
+        # a parser that reads the parenthesis as a constraint first and
+        # backtracks takes time exponential in the nesting of this shape
+        deepest, _ = _at_and_past_the_bound(*CONSTRAINT_SHAPES["parenthesized-ite"],
+                                            "x > 1", parse_constraint)
+        start = time.perf_counter()
+        parse_constraint(deepest)
+        assert time.perf_counter() - start < 0.5
 
     def test_position_of_the_level_too_deep(self):
         with pytest.raises(ParseError) as err:

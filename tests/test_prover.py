@@ -2,6 +2,7 @@
 model that satisfies the script, and no `unsat` hides a point that does."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -50,6 +51,12 @@ class TestProtocol:
         # div(x - y, y) + 1 = div(x, y) for y > 0
         text = script("(and (> y 0) (not (= (+ (div (- x y) y) 1) (div x y))))")
         assert solve_script(text)[0] == "unsat"
+
+    def test_bound_past_float_range_is_unknown(self):
+        # y's upper bound, 5 - 10^400, is an int no float holds
+        text = script(f"(and (>= (- x y) {10 ** 400}) (<= x 5) (= (* x y) 7))")
+        assert solve_script(text) == (
+            "unknown", 'unknown\n(error "int too large to convert to float")\n')
 
     def test_fourier_motzkin_give_up_is_unknown(self, monkeypatch):
         # no interval bound closes the cycle; only elimination refutes it
@@ -150,3 +157,47 @@ def test_answers_agree_with_exact_evaluation():
             for x, y in itertools.product(range(-8, 9), repeat=2):
                 assert holds(text, {"x": x, "y": y}) is not True, (text, x, y)
     assert tally["sat"] > 0 and tally["unsat"] > 0
+
+
+def random_pick(rng, depth):
+    """A max or min as the checker writes it, with `let` binding each
+    operand once, and the same term with the operands written out.  The
+    inner `let`s rebind the names of the outer ones."""
+    def operand():
+        if depth and rng.random() < 0.6:
+            return random_pick(rng, depth - 1)
+        t = random_term(rng, 1)
+        return t, t
+
+    (a_let, a), (b_let, b) = operand(), operand()
+    op = rng.choice([">=", "<="])
+    return (f"(let ((?a {a_let}) (?b {b_let})) (ite ({op} ?a ?b) ?a ?b))",
+            f"(ite ({op} {a} {b}) {a} {b})")
+
+
+def test_let_answers_as_its_expansion():
+    rng = random.Random(7)
+    for _ in range(100):
+        let, expanded = random_pick(rng, 2)
+        atom = f"({rng.choice(['=', '<', '>='])} {let} {random_term(rng, 2)})"
+        assert solve_script(script(atom)) == solve_script(script(atom.replace(let, expanded)))
+
+
+def test_let_scopes():
+    # a name is bound in the body only, the inner binding shadowing the outer
+    assert solve_script(script("(not (= (let ((?a 1)) (+ ?a (let ((?a 2)) ?a))) 3))"))[0] \
+        == "unsat"
+    assert solve_script(script("(= (+ (let ((?a 1)) ?a) ?a) 0)"))[0] == "unknown"
+    assert solve_script(script("(= (let ((?a)) 1) 0)"))[0] == "unknown"
+
+
+def test_refutation_keeps_the_deadline():
+    # max(x, 0) nested 8 deep equals x for x >= 0, but its case split has
+    # thousands of cells, each closed by crossed bounds alone
+    m = "x"
+    for _ in range(8):
+        m = f"(let ((?a {m}) (?b 0)) (ite (>= ?a ?b) ?a ?b))"
+    start = time.monotonic()
+    assert solve_script(script(f"(and (>= x 0) (not (= {m} x)))", ("x",)), 200) \
+        == ("timeout", "")
+    assert time.monotonic() - start < 5

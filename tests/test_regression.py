@@ -193,6 +193,15 @@ class TestLinearRegression:
         assert b0 == Fraction(-1, 3)
         assert s == raw == 1.0
 
+    def test_int64_rows_read_as_ints(self):
+        # the moments of columns near 2**60 pass 2**63, where int64 wraps
+        x = [[2 ** 60 + i, i % 3] for i in range(20)]
+        y = [3 * a - 2 * b + 7 for a, b in x]
+        exact = linear_regression(x, y, x, y)
+        assert exact[:2] == ([3, -2], 7)
+        x64, y64 = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+        assert linear_regression(x64, y64, x64, y64) == exact
+
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
             linear_regression(np.ones((2, 3)), np.ones(2), np.ones((1, 3)), np.ones(1))
