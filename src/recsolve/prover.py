@@ -410,11 +410,14 @@ def _monomial_interval(m: tuple, lo: dict, hi: dict):
     return out
 
 
-def _propagate(cons: list, cols: set):
-    """Interval bounds for every column, or None when they cross."""
+def _propagate(cons: list, cols):
+    """Interval bounds for every column, or None when they cross.  The
+    columns are visited in sorted order, so the bounds reached within the
+    rounds do not depend on the order (or the hashing) of `cols`."""
+    cols = sorted(cols)
     lo = {m: -math.inf for m in cols}
     hi = {m: math.inf for m in cols}
-    for v in {(v,) for m in cols for v in m}:
+    for v in sorted({(v,) for m in cols for v in m}):
         lo.setdefault(v, -math.inf)
         hi.setdefault(v, math.inf)
     for _ in range(8):
@@ -450,7 +453,7 @@ def _propagate(cons: list, cols: set):
     return lo, hi
 
 
-def _bound_products(cols: set, lo: dict, hi: dict) -> list:
+def _bound_products(cols: list, lo: dict, hi: dict) -> list:
     """Valid inequalities (u - l_u)(v - l_v) >= 0 and the like for every
     quadratic monomial u*v whose factors have finite bounds."""
     out = []
@@ -533,12 +536,12 @@ def _closed(atoms, deadline: float) -> bool:
     interval bounds cross, or Fourier-Motzkin elimination refutes it
     together with the finite bounds and their products."""
     polys = []
-    for op, key in atoms:
+    for op, key in sorted(atoms):  # in an order no hash decides
         p = dict(key)
         polys.append(p)
         if op == "eq":
             polys.append(_padd({}, p, -1))
-    cols = {m for p in polys for m in p if m}
+    cols = sorted({m for p in polys for m in p if m})
     bounds = _propagate(polys, cols)
     if bounds is None:
         return True
@@ -587,22 +590,34 @@ class _Problem:
         return None
 
     def refute(self) -> bool:
-        """True when every cell of the formula is closed."""
+        """True when every cell of the formula is closed.  The cells are
+        explored depth first from a stack of alternatives, each with the
+        atoms and the branch points left on its path, so a deep case split
+        meets the deadline, not Python's recursion limit.  Each branch is
+        pruned as soon as its atoms are refuted, and the exploration stops
+        at the first open cell, after which the formula cannot be refuted."""
         self.norm = _Normalizer()
         self.cells: dict = {}    # frozenset of atoms -> closed
-        return self.expand([(self.formula, True)], [], [])
+        stack = [([(self.formula, True)], [], [])]
+        while stack:
+            if time.monotonic() > self.deadline:
+                raise _Timeout  # cells that close without elimination check no clock
+            todo, atoms, branches = map(list, stack.pop())
+            if self.expand(todo, atoms, branches):
+                continue
+            if not branches:
+                return False
+            stack += [(alternative, atoms, branches[1:])
+                      for alternative in reversed(branches[0])]
+        return True
 
     def expand(self, todo: list, atoms: list, branches: list) -> bool:
-        """Explore the cells depth first; True when every cell below is
-        closed.  A pending item is a parsed formula with its polarity or a
-        normalized node ("and", "or", "bool", "ge", "eq"), which all read
-        positively.  Disjunctions, and the two sides of an ite inside a
-        comparison, become branch points; each branch is pruned as soon as
-        its atoms are refuted, and the exploration stops at the first open
-        cell, after which the formula cannot be refuted."""
-        if time.monotonic() > self.deadline:
-            raise _Timeout  # cells that close without elimination check no clock
-        todo, atoms, branches = list(todo), list(atoms), list(branches)
+        """True when the cell that `todo` adds to `atoms` is closed; reads
+        `todo` into `atoms` and `branches` in place.  A pending item is a
+        parsed formula with its polarity or a normalized node ("and",
+        "or", "bool", "ge", "eq"), which all read positively.
+        Disjunctions, and the two sides of an ite inside a comparison,
+        become branch points."""
         while todo:
             f, positive = todo.pop()
             kind = f[0]
@@ -634,10 +649,7 @@ class _Problem:
         key = frozenset(atoms)
         if key not in self.cells:
             self.cells[key] = _closed(key, self.deadline)
-        if self.cells[key]:
-            return True
-        return bool(branches) and all(self.expand(alternative, atoms, branches[1:])
-                                      for alternative in branches[0])
+        return self.cells[key]
 
     def check(self):
         model = self.search(0, SEARCH_RADIUS, SEARCH_POINTS)

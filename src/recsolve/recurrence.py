@@ -2,7 +2,7 @@
 
 Evaluation follows the first-matching-guard order of the cases (a nested
 if-then-else).  On the first `eval_fun` call on a definition, its cases
-are generated as the Python source of one `step` function by the
+are generated as the Python source of one `step` generator by the
 compiler of every expression (`expr.Emitter`), which tries the guards in
 order and evaluates the first matching body inline; the definition keeps
 the function.  The source holds no constant and no name of the
@@ -11,9 +11,9 @@ constants, reuses its cached code; each binds its own constants.
 The evaluator is iterative with memoization on concrete argument tuples,
 so deeply recursive or non-terminating definitions hit the configured
 limits instead of exhausting the Python stack: a body that reaches a
-call missing from the memo is restarted once that call is evaluated.  A
-step is one evaluation of a body, each restart counting again, and only
-the evaluator's loop (`_run`) counts them.  A caller that
+call missing from the memo yields the call's key and is suspended until
+that call's value is sent back.  A step is one body begun, so one point
+memoized, and only the evaluator's loop (`_run`) counts them.  A caller that
 evaluates many points of one recurrence may pass one memo to every
 `eval_fun` call; the limits still apply to each call on its own.
 """
@@ -198,49 +198,48 @@ def _canon(v):
     return int(v)
 
 
-class _NeedCall(Exception):
-    """A recursive call whose value is not in the memo yet, raised with
-    its key."""
-
-
 def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutcome:
-    """Evaluate one point with a definition's `step` function: step,
+    """Evaluate one point with a definition's `step` generator: step,
     depth and time accounting against the limits, over a memo of
     completed values.  The memo maps argument tuples to values and holds
     nothing else, so a run that stops at a limit leaves only correct
     entries and the memo may be shared by later runs on the same
     recurrence.
 
-    A body that needs a call missing from the memo pushes the call and is
-    restarted, guards included, once the call's value is in the memo.  A
-    step is one call of `step`: one evaluation of a body, finished or cut
-    short by a missing call, so a run takes at most `max_steps` of them."""
+    `body` is the innermost pending call and `below` holds the suspended
+    bodies of the others, so Python does not recurse.  A body that reaches
+    a call missing from the memo yields its key and is suspended while
+    that call's body runs; a returned value is memoized and sent to the
+    body below, which resumes where it stopped.  So each body is evaluated
+    once: a step, one body begun, is one point memoized.  Depth counts the
+    bodies pending, and the clock is read once per begin or resume."""
+    if point in memo:
+        return Value(memo[point])
     max_depth, max_steps = limits.max_depth, limits.max_steps
-    deadline = time.monotonic() + limits.timeout_ms / 1000.0
-    steps = 0
-    pending = [point]
-    while pending:
-        if len(pending) > max_depth:
+    clock = time.monotonic
+    deadline = clock() + limits.timeout_ms / 1000.0
+    steps, key, body, below, value = 1, point, step(point, memo), [], None
+    while True:
+        if clock() > deadline:
+            return LimitExceeded("timeout")
+        try:
+            need = body.send(value)
+        except StopIteration as done:
+            value = done.value
+            if value is None:
+                return GuardFallthrough(key)
+            memo[key] = value
+            if not below:
+                return Value(value)
+            key, body = below.pop()
+            continue
+        below.append((key, body))
+        if len(below) >= max_depth:
             return LimitExceeded("depth")
         if steps >= max_steps:
             return LimitExceeded("steps")
-        if time.monotonic() > deadline:
-            return LimitExceeded("timeout")
-        top = pending[-1]
-        if top in memo:
-            pending.pop()
-            continue
         steps += 1
-        try:
-            value = step(top, memo)
-        except _NeedCall as need:
-            pending.append(need.args[0])
-            continue
-        if value is None:
-            return GuardFallthrough(top)
-        memo[top] = value
-        pending.pop()
-    return Value(memo[point])
+        key, body, value = need, step(need, memo), None
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +247,10 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
 # ---------------------------------------------------------------------------
 
 class _StepWriter(Emitter):
-    """Writes the `step(a, m)` function of a definition: it returns the
+    """Writes the `step(a, m)` generator of a definition: it returns the
     value of the body of the first case whose guard holds, or None.  A
-    call missing from the memo `m` raises `_NeedCall` with its key."""
-
-    namespace = {**Emitter.namespace, "_NeedCall": _NeedCall}
+    call missing from the memo `m` yields its key and reads the value
+    sent back."""
 
     def __init__(self, rdef: RecurrenceDef):
         super().__init__(rdef.arg_names)
@@ -262,7 +260,7 @@ class _StepWriter(Emitter):
         if e.fname != self.name:
             return self.raising(UnknownFunction, e.fname)
         key = "".join(self.operand(arg) + ", " for arg in e.args)
-        return f"m[k] if (k := ({key})) in m else _raise(_NeedCall, k)", _COND
+        return f"m[k] if (k := ({key})) in m else (yield k)", _COND
 
     def step(self) -> Callable:
         lines = []

@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from recsolve.expr import (
 )
 from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.pipeline import SolveConfig, solve
+from recsolve.prover import solve_script
 from recsolve.recurrence import Value, eval_closed_form, eval_fun
 from recsolve.regression import RegressionConfig, guess
 from recsolve.sampling import SampleConfig
@@ -215,6 +217,21 @@ class TestEmission:
             assert verdict == refuted
         else:
             assert isinstance(verdict, (Verified, Unknown))
+
+    def test_deep_case_split_meets_the_deadline(self):
+        # 14 nested max(…, 0): the prover's case split is deeper than
+        # Python's stack would allow if it recursed once per branch point
+        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                                "f(x) = f(x - 1) + 1 if x > 0;\n")
+        text = "x"
+        for _ in range(14):
+            text = f"max({text}, 0)"
+        script = emit_smtlib(encode(rdef, cf_for(rdef, text), brute_entails))
+        start = time.monotonic()
+        status, out = solve_script(script, 300)
+        assert time.monotonic() - start < 5
+        assert status in ("timeout", "unsat", "sat"), out
+        assert "error" not in out
 
     def test_negative_literals(self):
         ef = formula(("x",), (Implication(

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -139,6 +140,20 @@ class TestLimits:
         assert memo and all(memo[p] == value(eval_fun(rdef, p)) for p in memo)
         assert value(eval_fun(rdef, (25,), memo=memo)) == 121393
 
+    def test_a_chain_deeper_than_python_recursion(self):
+        # the pending bodies are held in a list, not on Python's stack
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            "f(x) = 0 if x = 0;\n"
+            "f(x) = f(x - 1) + 1 if x > 0;\n")
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert eval_fun(rdef, (9_999,)) == Value(9_999)
+            assert eval_fun(rdef, (10_001,)) == LimitExceeded("depth")
+        finally:
+            sys.setrecursionlimit(old)
+
 
 # A recurrence whose bodies visit Ite branches before, around and after
 # their calls
@@ -160,9 +175,11 @@ def _accounting_rdef(name):
     return load_bench(name)
 
 
-# (recurrence, point, value, smallest max_steps, smallest max_depth) at which
-# a cold eval_fun returns the value, as `smallest_limits` finds them.  A
-# step is one evaluation of a body, also one cut short by a missing call.
+# (recurrence, point, value, loop iterations, smallest max_depth) of a cold
+# eval_fun.  An iteration of the evaluator's loop begins a body or resumes
+# one.  A step is one body begun, so one point memoized; each point but
+# the first resumes the body below it once, so a run of n steps takes
+# 2n - 1 iterations and reads the clock 2n times.
 ACCOUNTING = [
     ("nested", (5,), 5, 11, 6),
     ("nested", (40,), 40, 81, 41),
@@ -194,22 +211,35 @@ ACCOUNTING = [
 
 
 class TestLimitAccounting:
-    @pytest.mark.parametrize("name,point,v,steps,depth", ACCOUNTING)
-    def test_smallest_limits(self, name, point, v, steps, depth):
+    @pytest.mark.parametrize("name,point,v,iterations,depth", ACCOUNTING)
+    def test_smallest_limits(self, name, point, v, iterations, depth, monkeypatch):
         rdef = _accounting_rdef(name)
+        steps = (iterations + 1) // 2
+        memo: dict = {}
+        assert eval_fun(rdef, point, memo=memo) == Value(v)
+        assert len(memo) == steps
         assert eval_fun(rdef, point, EvalLimits(max_steps=steps)) == Value(v)
         assert eval_fun(rdef, point, EvalLimits(max_steps=steps - 1)) \
             == LimitExceeded("steps")
         assert eval_fun(rdef, point, EvalLimits(max_depth=depth)) == Value(v)
         assert eval_fun(rdef, point, EvalLimits(max_depth=depth - 1)) \
             == LimitExceeded("depth")
+        reads = itertools.count()
+        monkeypatch.setattr(recurrence.time, "monotonic", lambda: next(reads))
+        assert eval_fun(rdef, point, EvalLimits(timeout_ms=10**9)) == Value(v)
+        assert next(reads) == 1 + iterations  # the deadline, then one a loop
 
     @pytest.mark.parametrize("name,n", [("size", 30), ("nested", 40), ("fib", 25)])
-    def test_a_chain_of_missed_calls_takes_two_steps_a_point(self, name, n):
-        # from n down to the base case each point misses one call (n
-        # steps), the base case takes one, and each of the n points is
-        # restarted once its call is in the memo
-        assert smallest_limits(load_bench(name), (n,))[0] == 2 * n + 1
+    def test_a_chain_of_missed_calls_takes_one_step_a_point(self, name, n):
+        # each point from n down to the base case is evaluated once, and
+        # resumed where it stopped once its call is in the memo
+        assert smallest_limits(load_bench(name), (n,))[0] == n + 1
+
+    def test_a_cold_run_takes_one_step_a_memo_entry(self):
+        rdef = load_bench("merge")
+        memo: dict = {}
+        assert eval_fun(rdef, (30, 25), memo=memo) == Value(54)
+        assert smallest_limits(rdef, (30, 25))[0] == len(memo) == 805
 
 
 def smallest_limits(rdef, point) -> tuple:
@@ -385,6 +415,11 @@ class TestSharedMemo:
         assert value(eval_fun(rdef, (4,), memo=memo)) == 2
         assert eval_fun(rdef, (5,), memo=memo) == GuardFallthrough((Fraction(1),))
         assert value(eval_fun(rdef, (6,), memo=memo)) == 3
+
+    def test_a_point_in_the_memo_returns_its_value(self):
+        # no body runs: the memo's value is returned as it is
+        rdef = load_bench("size")
+        assert eval_fun(rdef, (5,), memo={(5,): 7}) == Value(7)
 
 
 class TestMemoAgainstNaive:
