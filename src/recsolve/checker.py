@@ -26,18 +26,16 @@ from __future__ import annotations
 
 import os
 import re
-import shlex
 import shutil
-import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
-    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub, Var,
-    children, compile_expr, conj, contains_calls, free_vars, nodes,
+    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Record,
+    Sub, Var, children, compile_expr, conj, contains_calls, free_vars, nodes,
     replace_calls, simplify, to_text,
 )
 from .recurrence import (
@@ -70,27 +68,24 @@ class SolverTimeout(CheckerError):
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckVerdict:
-    pass
+class CheckVerdict(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Verified(CheckVerdict):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Refuted(CheckVerdict):
-    counterexample: tuple
-    recurrence_value: Fraction
-    candidate_value: Fraction
+    __slots__ = ("counterexample", "recurrence_value", "candidate_value")
 
 
-@dataclass(frozen=True)
 class Unknown(CheckVerdict):
-    reason: str  # residual-call | unsupported-operator | solver-timeout | solver-unknown
-    detail: str = ""
+    __slots__ = ("reason",  # residual-call | unsupported-operator | solver-timeout | solver-unknown
+                 "detail")
+
+    def __init__(self, reason: str, detail: str = ""):
+        self._set_fields(reason, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +107,12 @@ class SolverConfig:
 
 
 def _argv_for(path: str) -> tuple:
-    parts = shlex.split(path) if " " in path else [path]
+    if " " in path:
+        import shlex  # only a solver path with a space needs it
+
+        parts = shlex.split(path)
+    else:
+        parts = [path]
     head = os.path.basename(parts[0])
     if head.endswith((".cjs", ".js", ".mjs")):
         return ("node", *parts)
@@ -133,10 +133,9 @@ def resolve_solver(path: str | None = None, timeout_ms: int = 10_000) -> SolverC
     return SolverConfig(_argv_for(cand), timeout_ms=timeout_ms)
 
 
-@dataclass(frozen=True)
-class SolverResult:
-    status: str  # sat | unsat | unknown | timeout
-    output: str
+class SolverResult(Record):
+    __slots__ = ("status",  # sat | unsat | unknown | timeout
+                 "output")
 
 
 def run_solver(script: str, cfg: SolverConfig) -> SolverResult:
@@ -144,6 +143,8 @@ def run_solver(script: str, cfg: SolverConfig) -> SolverResult:
         from .prover import solve_script
 
         return SolverResult(*solve_script(script, cfg.timeout_ms))
+    import subprocess  # imported only to start an external solver
+
     env = dict(os.environ)
     env["RECSOLVE_SMT_TIMEOUT_MS"] = str(cfg.timeout_ms)
     try:
@@ -209,27 +210,22 @@ def absorb_covered_pieces(cf: ClosedForm) -> ClosedForm:
             absorbed = False
         if not absorbed:
             kept.insert(0, piece)
-    return replace(cf, pieces=(Piece(main.expr, conj([Not(k.guard) for k in kept])), *kept))
+    return ClosedForm(cf.arg_names, cf.precondition,
+                      (Piece(main.expr, conj([Not(k.guard) for k in kept])), *kept))
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Implication:
-    antecedent: Constraint
-    lhs: Expr
-    rhs: Expr
+class Implication(Record):
+    __slots__ = ("antecedent", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class EncodedFormula:
+class EncodedFormula(Record):
     """The implications and, aligned with them, the SMT-LIB2 text that
     `encode` emitted for each (`emit_implication`)."""
-    variables: tuple
-    implications: tuple
-    emitted: tuple
+    __slots__ = ("variables", "implications", "emitted")
 
 
 def encode(rdef: RecurrenceDef, fhat: ClosedForm,

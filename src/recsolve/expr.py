@@ -1,10 +1,12 @@
 """Symbolic expression trees and boolean constraints over exact rationals.
 
-Everything here is immutable and evaluated with ints and
-`fractions.Fraction`, so no floating point can leak into guards,
-recurrence values or candidate coefficients.  A constraint (a boolean
-literal, a comparison, `and`, `or` or `not`) is an expression whose value
-is a bool, so one walker, simplifier, compiler and printer serve both.
+Every node is a `Record`: its fields are slots, set once when it is
+built and never again, since assigning or deleting one raises
+AttributeError.  Nodes are evaluated with ints and `fractions.Fraction`,
+so no floating point can leak into guards, recurrence values or
+candidate coefficients.  A constraint (a boolean literal, a comparison,
+`and`, `or` or `not`) is an expression whose value is a bool, so one
+walker, simplifier, compiler and printer serve both.
 Expressions may contain `Call` nodes (references to a recurrence being
 solved); comparisons may not.  Evaluation compiles a tree once into a
 generated Python function of an argument tuple (`compile_expr`), for code
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -48,111 +49,182 @@ class UnexpandedCall(ExprError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+def _field_setter(setters: tuple) -> Callable:
+    """A method that sets the fields from positional arguments, in slot
+    order, through their slot descriptors (below the frozen
+    `__setattr__`)."""
+    if len(setters) == 1:
+        (first,) = setters
+
+        def __init__(self, a):
+            first(self, a)
+    elif len(setters) == 2:
+        first, second = setters
+
+        def __init__(self, a, b):
+            first(self, a)
+            second(self, b)
+    elif len(setters) == 3:
+        first, second, third = setters
+
+        def __init__(self, a, b, c):
+            first(self, a)
+            second(self, b)
+            third(self, c)
+    else:
+        def __init__(self, *values):
+            if len(values) != len(setters):
+                raise TypeError(f"{type(self).__name__}() takes {len(setters)} "
+                                f"arguments ({len(values)} given)")
+            for set_field, value in zip(setters, values):
+                set_field(self, value)
+    return __init__
+
+
+def _equality(fields: tuple) -> tuple:
+    """`__eq__` and `__hash__` over the tuple of `fields`: records are equal
+    only when their classes are the same and their fields are equal."""
+    get = operator.attrgetter(*fields) if fields else (lambda record: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    if len(fields) == 1:  # the getter gives the bare value
+        def __hash__(self):
+            return hash((get(self),))
+    else:
+        def __hash__(self):
+            return hash(get(self))
+    return __eq__, __hash__
+
+
+class Record:
+    """An immutable record whose fields are the names in its class's
+    `__slots__` (a `__dict__` slot aside, which holds cached properties),
+    after those of its base classes.
+
+    A subclass is complete once its class statement has run: it gets
+    `_set_fields`, which sets the fields from positional arguments, as its
+    `__init__` unless it defines its own, and equality and a hash over
+    the field tuple, which behave as a frozen dataclass's do.  An
+    `__init__` of its own checks or normalizes its arguments and then
+    calls `_set_fields`; after that, assigning or deleting a field raises
+    AttributeError.  No source is generated, so defining a record
+    compiles nothing."""
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
+        cls._fields = cls._fields + own
+        if own:
+            cls._set_fields = _field_setter(tuple(getattr(cls, name).__set__
+                                                  for name in cls._fields))
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = cls._set_fields
+        cls.__eq__, cls.__hash__ = _equality(cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record):
+    __slots__ = ()
+
     def __str__(self):
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value):
+        self._set_fields(value if isinstance(value, Fraction) else Fraction(value))
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
-        if isinstance(self.rhs, Const) and self.rhs.value == 0:
+    def __init__(self, lhs, rhs):
+        if isinstance(rhs, Const) and rhs.value == 0:
             raise ValueError("division by the literal constant zero")
+        self._set_fields(lhs, rhs)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
+    def __init__(self, base, exponent):
         # general x^y is out of the language: a non-constant exponent is
         # only allowed over a constant base (supports 2^x)
-        if not isinstance(self.exponent, Const) and not isinstance(self.base, Const):
+        if not isinstance(exponent, Const) and not isinstance(base, Const):
             raise ValueError("Pow with non-constant exponent requires a constant base")
+        self._set_fields(base, exponent)
 
 
-@dataclass(frozen=True)
 class Floor(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Ceil(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Log2Ceil(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Max(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Min(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fname: str
-    args: tuple
+    __slots__ = ("fname", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, fname, args):
+        self._set_fields(fname, tuple(args))
 
 
-@dataclass(frozen=True)
 class Ite(Expr):
     """Conditional term, used when a piecewise closed form is inlined."""
-    cond: "Constraint"
-    then: Expr
-    other: Expr
+    __slots__ = ("cond", "then", "other")
 
 
 def con(v: Rational) -> Const:
@@ -168,46 +240,38 @@ CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
 class Constraint(Expr):
     """A bool-valued expression; comparisons of call-free expressions are
     its atoms."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BoolLit(Constraint):
-    value: bool
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Cmp(Constraint):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.op not in CMP:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
-        for side in (self.lhs, self.rhs):
+    def __init__(self, op, lhs, rhs):
+        if op not in CMP:
+            raise ValueError(f"unknown comparison operator {op!r}")
+        for side in (lhs, rhs):
             if contains_calls(side):
                 raise ValueError("constraints must be call-free")
+        self._set_fields(op, lhs, rhs)
 
 
-@dataclass(frozen=True)
 class And(Constraint):
-    lhs: Constraint
-    rhs: Constraint
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Or(Constraint):
-    lhs: Constraint
-    rhs: Constraint
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Not(Constraint):
-    arg: Constraint
+    __slots__ = ("arg",)
 
 
 TRUE = BoolLit(True)
@@ -651,32 +715,27 @@ def simplify(e: Expr) -> Expr:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Piece:
-    expr: Expr
-    guard: Constraint
+class Piece(Record):
+    __slots__ = ("expr", "guard")
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Record):
     """Piecewise candidate: first-matching-guard pieces over a domain
     precondition.  Call-free by construction; coefficients are exact."""
-    arg_names: tuple
-    precondition: Constraint
-    pieces: tuple
+    __slots__ = ("arg_names", "precondition", "pieces", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arg_names", tuple(self.arg_names))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.pieces:
+    def __init__(self, arg_names, precondition, pieces):
+        arg_names, pieces = tuple(arg_names), tuple(pieces)
+        if not pieces:
             raise ValueError("closed form needs at least one piece")
-        for p in self.pieces:
+        for p in pieces:
             if contains_calls(p.expr):
                 raise ValueError("closed form pieces must be call-free")
-            loose = (free_vars(p.expr) | free_vars(p.guard)) - set(self.arg_names)
+            loose = (free_vars(p.expr) | free_vars(p.guard)) - set(arg_names)
             if loose:
                 raise ValueError(
                     f"closed form uses variables {sorted(loose)} that are not arguments")
+        self._set_fields(arg_names, precondition, pieces)
 
     @cached_property
     def compiled_pieces(self) -> tuple:

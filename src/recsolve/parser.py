@@ -31,7 +31,6 @@ agree on every operator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 
@@ -48,12 +47,17 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
 class Token:
-    kind: str  # NAME INT OP EOF
-    text: str
-    line: int
-    col: int
+    """A token of the text, at a 1-based line and column.  It is not a
+    `Record`: a parse makes one per token, and plain attribute stores keep
+    that cheaper than a frozen record's slot setters."""
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # NAME INT OP EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 # One token per match on a line, the two-character operators first.
@@ -264,7 +268,7 @@ class _Parser:
             if name not in FUNCTIONS:
                 return Call(name, tuple(args))
             node = FUNCTIONS[name]
-            arity = len(fields(node))
+            arity = len(node.__slots__)
             if len(args) != arity:
                 raise ParseError(f"{name} takes {_ARGUMENTS[arity]}", t.line, t.col)
             return node(*args)

@@ -11,7 +11,7 @@ the counterexample that evaluation confirmed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .checker import (
     CheckVerdict, Refuted, SolverConfig, SolverProcessFailure, SolverTimeout,
@@ -22,7 +22,7 @@ from .expr import ClosedForm, to_text
 from .recurrence import (
     EvalLimits, RecurrenceDef, UnknownFunction, foreign_names, validate_coverage,
 )
-from .regression import GuessResult, RegressionConfig, RegressionError, guess
+from .regression import RegressionConfig, RegressionError, guess
 from .sampling import SampleConfig, SamplingError
 
 
@@ -164,12 +164,7 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
         return report
     timings["validate"] = (time.monotonic() - t0) * 1000
 
-    result, verdict = _guess_and_check(rdef, cfg, timings, report, solver_failure)
-    if result is not None:
-        report.closed_form = result.closed_form
-        report.score = result.fit.score
-        report.raw_score = result.fit.raw_score
-        report.exact_fit = result.exact_fit
+    verdict = _guess_and_check(rdef, cfg, timings, report, solver_failure)
     if verdict is not None:
         report.verdict_from_checker = isinstance(verdict, Verified)
         report.verdict, report.verdict_reason, report.counterexample, detail = \
@@ -183,8 +178,9 @@ def solve(rdef: RecurrenceDef, cfg: SolveConfig, name: str | None = None) -> Sol
 
 def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
                      report: SolveReport, solver_failure: Exception | None):
-    """One guess, one absorption and one check: the guess and the
-    checker's verdict, each None where its stage did not run."""
+    """One guess, one absorption and one check: the guess fills the
+    report's candidate and scores, and the checker's verdict is returned,
+    None where the check did not run."""
     t0 = time.monotonic()
     try:
         result = guess(rdef, cfg.regression, cfg.sample, cfg.limits)
@@ -192,34 +188,37 @@ def _guess_and_check(rdef: RecurrenceDef, cfg: SolveConfig, timings: dict,
         # OverflowError: a value or a mean beyond the range of the Lasso's floats
         report.error = f"{type(err).__name__}: {err}"
         report.verdict_reason = getattr(err, "reason", "guess-error")
-        return None, None
+        return None
     finally:
         timings["guess"] = (time.monotonic() - t0) * 1000
 
+    report.closed_form = result.closed_form
+    report.score, report.raw_score = result.fit.score, result.fit.raw_score
+    report.exact_fit = result.exact_fit
     if not result.exact_fit:
         report.verdict_reason = "score-below-threshold"
         report.note = APPROXIMATION_NOTE
-        return result, None
+        return None
     t0 = time.monotonic()
-    result = replace(result, closed_form=absorb_covered_pieces(result.closed_form))
+    report.closed_form = absorb_covered_pieces(result.closed_form)
     timings["simplify"] = (time.monotonic() - t0) * 1000
     if cfg.solver is None or solver_failure is not None:
-        return _unchecked(result, report, solver_failure)
+        return _unchecked(report, solver_failure)
 
     t0 = time.monotonic()
     try:
-        return result, check_solution(rdef, result.closed_form, cfg.solver,
-                                      cfg.limits, cfg.emit_dir, report.name)
+        return check_solution(rdef, report.closed_form, cfg.solver,
+                              cfg.limits, cfg.emit_dir, report.name)
     except SolverProcessFailure as err:
-        return _unchecked(result, report, err)
+        return _unchecked(report, err)
     finally:
         timings["check"] = (time.monotonic() - t0) * 1000
 
 
-def _unchecked(result: GuessResult, report: SolveReport, failure: Exception | None):
+def _unchecked(report: SolveReport, failure: Exception | None):
     """An exact candidate that no solver could check."""
     report.verdict_reason = "solver-unavailable"
     report.note = APPROXIMATION_NOTE
     if failure is not None:
         report.error = f"SolverProcessFailure: {failure}"
-    return result, None
+    return None

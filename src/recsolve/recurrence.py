@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
-    _COND, Call, ClosedForm, Constraint, Emitter, Expr, Not, conj,
+    _COND, Call, ClosedForm, Constraint, Emitter, Expr, Not, Record, conj,
     contains_calls, disj, free_vars, map_children, nodes, to_text,
 )
 
@@ -53,22 +53,15 @@ class UnknownFunction(RecurrenceError):
     pass
 
 
-@dataclass(frozen=True)
-class Case:
-    body: Expr
-    guard: Constraint
+class Case(Record):
+    __slots__ = ("body", "guard")
 
 
-@dataclass(frozen=True)
-class RecurrenceDef:
-    name: str
-    arg_names: tuple
-    precondition: Constraint
-    cases: tuple
+class RecurrenceDef(Record):
+    __slots__ = ("name", "arg_names", "precondition", "cases", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arg_names", tuple(self.arg_names))
-        object.__setattr__(self, "cases", tuple(self.cases))
+    def __init__(self, name, arg_names, precondition, cases):
+        self._set_fields(name, tuple(arg_names), precondition, tuple(cases))
         self._validate()
 
     @property
@@ -170,24 +163,20 @@ class EvalLimits:
             raise ValueError("evaluation limits must be strictly positive")
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    pass
+class EvalOutcome(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Value(EvalOutcome):
-    value: Fraction
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class LimitExceeded(EvalOutcome):
-    limit: str  # depth | steps | timeout
+    __slots__ = ("limit",)  # depth | steps | timeout
 
 
-@dataclass(frozen=True)
 class GuardFallthrough(EvalOutcome):
-    point: tuple
+    __slots__ = ("point",)
 
 
 def _canon(v):

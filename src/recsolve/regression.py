@@ -30,8 +30,8 @@ from operator import index, mul
 from typing import Sequence
 
 from .expr import (
-    Add, ClosedForm, Const, Expr, Mul, Not, Piece, compile_expr, conj,
-    simplify,
+    Add, ClosedForm, Const, Expr, Mul, Not, Piece, Record, compile_expr,
+    conj, simplify,
 )
 from .recurrence import EvalLimits, RecurrenceDef
 from .sampling import (
@@ -69,15 +69,14 @@ class RegressionConfig:
             raise ValueError("lambda grid must be non-empty and positive")
 
 
-@dataclass
-class FitResult:
-    coefficients: list        # exact rationals, aligned with surviving_names
-    intercept: Fraction
-    surviving_names: list
-    score: float              # R^2 on the held-out test set, clamped to [0, 1]
-    raw_score: float
-    selected_lambda: float
-    rationalization_delta: float
+class FitResult(Record):
+    __slots__ = ("coefficients",     # exact rationals, aligned with surviving_names
+                 "intercept",
+                 "surviving_names",
+                 "score",            # R^2 on the held-out test set, clamped to [0, 1]
+                 "raw_score",
+                 "selected_lambda",
+                 "rationalization_delta")
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +350,14 @@ def rationalize(beta: Sequence, intercept: Fraction | float):
 # End-to-end guess
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GuessResult:
-    closed_form: ClosedForm
-    fit: FitResult
-    exact_fit: bool           # rationalized candidate reproduces the test set exactly
-    train_rows: int
-    test_rows: int
-    dropped_inputs: int
-    dropped_columns: list
+class GuessResult(Record):
+    __slots__ = ("closed_form",
+                 "fit",
+                 "exact_fit",        # rationalized candidate reproduces the test set exactly
+                 "train_rows",
+                 "test_rows",
+                 "dropped_inputs",
+                 "dropped_columns")
 
 
 def assemble_candidate(coefficients: Sequence[Fraction], intercept: Fraction,

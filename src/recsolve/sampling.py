@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .expr import (
     Ceil, Const, Constraint, Div, Expr, ExprError, Floor, Log2Ceil, Max, Mul,
-    Pow, Var, compile_expr, to_text,
+    Pow, Record, Var, compile_expr, to_text,
 )
 from .recurrence import EvalLimits, RecurrenceDef, Value, eval_fun
 
@@ -161,24 +161,25 @@ def sample_train_test(pre: Constraint, arity: int, cfg: SampleConfig,
     return points[:len(points) - n_test], points[len(points) - n_test:]
 
 
-@dataclass
-class TrainingSet:
+class TrainingSet(Record):
     """Rows of (recurrence value, base-function values) for surviving inputs."""
-    inputs: list            # integer tuples, aligned with rows
-    values: list            # exact recurrence outputs b
-    columns: list           # surviving base-function names
-    column_exprs: list      # their expressions
-    features: list          # row-major exact feature values
-    dropped_inputs: int = 0
-    dropped_columns: list = field(default_factory=list)
+    __slots__ = ("inputs",          # integer tuples, aligned with rows
+                 "values",          # exact recurrence outputs b
+                 "columns",         # surviving base-function names
+                 "column_exprs",    # their expressions
+                 "features",        # row-major exact feature values
+                 "dropped_inputs",
+                 "dropped_columns")
 
-    def __post_init__(self):
-        width = len(self.columns)
-        for row in self.features:
-            if len(row) != width:
+    def __init__(self, inputs: list, values: list, columns: list, column_exprs: list,
+                 features: list, dropped_inputs: int = 0, dropped_columns: list | None = None):
+        for row in features:
+            if len(row) != len(columns):
                 raise ValueError("ragged training set")
-        if len(self.inputs) != len(self.values) or len(self.inputs) != len(self.features):
+        if len(inputs) != len(values) or len(inputs) != len(features):
             raise ValueError("misaligned training set")
+        self._set_fields(inputs, values, columns, column_exprs, features, dropped_inputs,
+                         [] if dropped_columns is None else dropped_columns)
 
 
 def build_training_set(rdef: RecurrenceDef, base_set: Sequence[Expr],

@@ -273,19 +273,35 @@ def test_option_names_are_stable():
     }
 
 
-def test_runs_without_numpy():
-    code = ("import sys\n"
-            "sys.modules['numpy'] = None  # any import of numpy fails\n"
-            "import recsolve\n"
-            "from recsolve.cli import main\n"
-            "sys.exit(main(['bench', '--only', 'nested', '--format', 'json-lines']))\n")
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports recsolve from `src`."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.abspath(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_runs_without_numpy():
+    proc = run_fresh("import sys\n"
+                     "sys.modules['numpy'] = None  # any import of numpy fails\n"
+                     "import recsolve\n"
+                     "from recsolve.cli import main\n"
+                     "sys.exit(main(['bench', '--only', 'nested', '--format', 'json-lines']))\n")
     assert json.loads(proc.stdout)["verdict"] == "verified"
+
+
+def test_import_starts_no_process_machinery():
+    # subprocess and shlex are imported only to start an external solver
+    proc = run_fresh("import sys\n"
+                     "before = set(sys.modules)\n"
+                     "import recsolve.cli\n"
+                     "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    added = proc.stdout.split()
+    assert "recsolve.checker" in added
+    assert "subprocess" not in added and "shlex" not in added
 
 
 def test_bench_unknown_name_is_a_harness_error_row(capsys):

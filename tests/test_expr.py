@@ -12,6 +12,7 @@ from recsolve.expr import (
     is_syntactically_integer, map_children, nodes, replace_calls, simplify,
     single_piece, substitute, to_text, FALSE, TRUE,
 )
+from recsolve.checker import Unknown, Verified
 from recsolve.parser import parse_constraint, parse_expression
 
 from conftest import brute_entails
@@ -157,6 +158,50 @@ def _rename(e):
 def _cmp_sides(c):
     # the comparison sides in the order `nodes` reaches them
     return tuple(side for n in nodes(c) if type(n) is Cmp for side in children(n))
+
+
+class TestRecords:
+    def test_equality_needs_the_same_class(self):
+        assert Add(X, Y) != Sub(X, Y)
+        assert not Add(X, Y) == Sub(X, Y)
+        assert Add(X, Y) != (X, Y)
+        assert Add(X, Floor(Y)) == Add(Var("x"), Floor(Var("y")))
+
+    def test_equal_trees_hash_equal(self):
+        a, b = Add(X, Floor(Y)), Add(Var("x"), Floor(Var("y")))
+        assert a is not b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        # the hash of the field tuple, as a frozen dataclass has it
+        assert hash(a) == hash((X, Floor(Y))) and hash(X) == hash(("x",))
+
+    @pytest.mark.parametrize("record,field", [
+        (X, "name"), (con(1), "value"), (Add(X, Y), "lhs"), (Cmp("<", X, Y), "op"),
+        (single_piece(X, ("x",), TRUE), "pieces"), (Unknown("solver-timeout"), "detail"),
+    ])
+    def test_fields_are_frozen(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, X)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(Add(X, con(1))) == \
+            "Add(lhs=Var(name='x'), rhs=Const(value=Fraction(1, 1)))"
+        assert repr(Call("f", [X])) == "Call(fname='f', args=(Var(name='x'),))"
+        assert repr(Cmp("<", X, Y)) == "Cmp(op='<', lhs=Var(name='x'), rhs=Var(name='y'))"
+        assert repr(Unknown("solver-timeout")) == "Unknown(reason='solver-timeout', detail='')"
+        assert repr(Verified()) == "Verified()"
+        cf = single_piece(X, ("x",), TRUE)
+        cf.compiled_pieces  # a cached property is not a field
+        assert repr(cf) == ("ClosedForm(arg_names=('x',), precondition=BoolLit(value=True), "
+                            "pieces=(Piece(expr=Var(name='x'), guard=BoolLit(value=True)),))")
+
+    def test_fields_are_normalized(self):
+        assert type(Const(3).value) is Fraction and Const(3).value == Fraction(3)
+        assert type(Call("f", [X, Y]).args) is tuple
+        assert Const(3) == con(3) and Call("f", [X]) == Call("f", (X,))
 
 
 class TestWalker:

@@ -11,8 +11,13 @@ on the in-process prover,
 cold `eval_fun` calls (each with a fresh memo), a grid sweep through
 one shared memo, and what one `recsolve eval` op does with its fresh
 definition (parse, compile, evaluate a small point) with the generated
-code cached and not; and `parse_recurrence` over the nine corpus texts."""
+code cached and not; `parse_recurrence` over the nine corpus texts; and
+`import recsolve.cli` in a fresh interpreter that compiles recsolve's
+source (interpreter start-up included)."""
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +144,18 @@ def test_eval_op_fresh_definition_merge(benchmark, cache):
         return eval_fun(parse_recurrence(text), (3, 4))
 
     assert benchmark(op) == Value(6)
+
+
+def test_import_cold(benchmark, tmp_path):
+    # a copy of the package holds no bytecode and -B writes none, so every
+    # import compiles recsolve's source, as the benchmark's set-up probe does
+    # where PYTHONDONTWRITEBYTECODE is set; the standard library's bytecode
+    # is read as usual, and the interpreter's own start-up is in the time
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "recsolve")
+    shutil.copytree(src, tmp_path / "recsolve", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    argv = [sys.executable, "-B", "-c", "import recsolve.cli"]
+    proc = benchmark.pedantic(subprocess.run, args=(argv,), rounds=5,
+                              kwargs={"env": env, "capture_output": True, "timeout": 60})
+    assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.rglob("__pycache__"))

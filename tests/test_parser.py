@@ -1,6 +1,5 @@
 import itertools
 import time
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -216,7 +215,7 @@ def _apply(drawn):
 
 def _arithmetic(children):
     def applied(arity):
-        nodes = [n for n in _OPERATORS if len(fields(n)) == arity]
+        nodes = [n for n in _OPERATORS if len(n.__slots__) == arity]
         return st.tuples(st.sampled_from(nodes), *[children] * arity).map(_apply)
 
     return st.one_of(
