@@ -30,13 +30,13 @@ import shutil
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .expr import (
     Add, And, BoolLit, Call, Ceil, ClosedForm, Cmp, Const, Constraint, Div,
-    Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Record,
-    Sub, Var, children, compile_expr, conj, contains_calls, free_vars, nodes,
-    replace_calls, simplify, to_text,
+    DomainChecker, Expr, Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece,
+    Pow, Record, Sub, Var, children, compile_expr, conj, constant_factor,
+    contains_calls, free_vars, nodes, replace_calls, simplify, to_text,
 )
 from .recurrence import (
     EvalLimits, GuardFallthroughError, RecurrenceDef, Value, eval_closed_form,
@@ -186,7 +186,7 @@ def entails(hypothesis: Constraint, conclusion: Constraint, cfg: SolverConfig) -
     return _ENTAILMENT_CACHE[key]
 
 
-def make_domain_checker(cfg: SolverConfig) -> Callable[[Constraint, Constraint], bool]:
+def make_domain_checker(cfg: SolverConfig) -> DomainChecker:
     return lambda hyp, concl: entails(hyp, concl, cfg)
 
 
@@ -229,7 +229,7 @@ class EncodedFormula(Record):
 
 
 def encode(rdef: RecurrenceDef, fhat: ClosedForm,
-           domain_checker: Callable[[Constraint, Constraint], bool]) -> EncodedFormula:
+           domain_checker: DomainChecker) -> EncodedFormula:
     """Build one implication per case, in case order: the antecedent is the
     precondition plus the negations of the earlier guards plus the case
     guard; the consequent equates the candidate at the arguments with the
@@ -298,19 +298,6 @@ def _linear(e: Expr):
     return None
 
 
-def _factor(e: Expr):
-    """(c, operand) when `e` is the constant c times `operand`."""
-    t = type(e)
-    if t is Mul:
-        if type(e.lhs) is Const:
-            return e.lhs.value, e.rhs
-        if type(e.rhs) is Const:
-            return e.rhs.value, e.lhs
-    elif t is Div and type(e.rhs) is Const:
-        return 1 / e.rhs.value, e.lhs
-    return None
-
-
 def _clear(e: Expr) -> tuple:
     """(d*e, d) for the least d that makes whole every constant the
     clearing reaches: the operands of `_linear`, the operand of a constant
@@ -329,7 +316,7 @@ def _clear(e: Expr) -> tuple:
         (x, a), (y, b) = map(_clear, operands)
         d = lcm(a, b)
         return (e, 1) if d == 1 else (rebuild(_times(x, d // a), _times(y, d // b)), d)
-    factor = _factor(e)
+    factor = constant_factor(e)
     if factor is not None:
         c, operand = factor
         x, a = _clear(operand)
@@ -354,7 +341,7 @@ def _times(e: Expr, k) -> Expr:
     if linear is not None:
         operands, rebuild = linear
         return rebuild(*(_times(x, k) for x in operands))
-    factor = _factor(e)
+    factor = constant_factor(e)
     if factor is not None:
         return _carry(factor[0] * k, factor[1])
     return Mul(Const(Fraction(k)), e)

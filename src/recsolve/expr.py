@@ -16,9 +16,13 @@ applies in one call.  Its `Emitter` also writes the recurrence evaluator's
 
 Each node has one row per table: its children in `_CHILDREN` (the
 walker) and its rewrite in `_RULES`; an arithmetic operator also has its
-arithmetic in `OPS` and its syntax in `INFIX` or `FUNCTIONS` (the printer
-and the parser).  `simplify` folds constants through `OPS` and
-comparisons through `CMP`, and has no arithmetic of its own.
+arithmetic in `OPS` and its syntax in `INFIX` or `FUNCTIONS`, and a
+connective its syntax in `CONNECTIVES`.  The binding powers of the syntax
+are one scale, Python's order (`COND` to `ATOM`), which the printer
+(`to_text`), the parser and the compiler (`Emitter`) all read.
+`simplify` folds constants through `OPS` and comparisons through `CMP`,
+and has no arithmetic of its own; `constant_factor` alone decides what
+a constant factor is, for `simplify` and for the checker's clearing.
 """
 from __future__ import annotations
 
@@ -300,6 +304,31 @@ def disj(items: Iterable[Constraint]) -> Constraint:
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax: one operator order for the printer, the parser and the
+# compiler
+# ---------------------------------------------------------------------------
+
+# The binding powers, loosest first.  This is Python's own order, so the
+# compiler writes Python on the same scale.
+COND, OR, AND, NOT, COMPARE, ADD, MUL, UNARY, POW, ATOM = range(10)
+
+# The operators written between their operands: word or symbol, and
+# binding power.  Each is left-associative, except that a connective's
+# right operand may be a chain of its own (grouping changes neither value
+# nor short-circuit), so a right-nested chain prints flat and parses back
+# left-nested.  The comparisons (`CMP`, at COMPARE) do not chain, and `^`
+# (at POW) is right-associative.
+CONNECTIVES = {Or: ("or", OR), And: ("and", AND)}
+INFIX = {Add: ("+", ADD), Sub: ("-", ADD), Mul: ("*", MUL), Div: ("/", MUL)}
+
+# The named functions, written `name(arg, ...)` with one argument per
+# field of the node.
+FUNCTIONS = {"floor": Floor, "ceil": Ceil, "log2ceil": Log2Ceil,
+             "max": Max, "min": Min}
+_FUNCTION_NAMES = {node: name for name, node in FUNCTIONS.items()}
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -358,13 +387,6 @@ OPS = {
 # Compilation
 # ---------------------------------------------------------------------------
 
-_COND, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _ATOM = range(8)  # binding powers
-_INLINE = {operator.add: ("+", _ADD), operator.sub: ("-", _ADD),
-           operator.mul: ("*", _MUL),
-           **{op: ("==" if sym == "=" else sym, _CMP) for sym, op in CMP.items()}}
-_CONNECTIVE = {And: ("and", _AND), Or: ("or", _OR)}
-
-
 def _raise(error: type, *args):
     raise error(*args)
 
@@ -380,12 +402,14 @@ class Emitter:
     locals `a0, a1, ...`.
     Constants, names included, are lifted by position into `consts`, read
     as `c0, c1, ...`, so trees that differ only in those share compiled
-    code.  `+ - *`, the comparisons and `and`/`or`/`not` are Python's, the
-    other operators calls of their `OPS` entry; operands are evaluated left
-    to right, and text is parenthesized only where Python would read it
-    otherwise, so long sums and `and` chains stay flat.  An unbound variable
-    or a Call raises only when its branch is evaluated.  A subclass may
-    write calls its own way."""
+    code.  Every operator of `INFIX` and `CONNECTIVES` but `/`, the
+    comparisons and `not` are Python's, at their binding powers; a division
+    and the other operators are calls of their `OPS` entry, since Python's
+    `/` and `^` mean other things.  Operands are evaluated left to right,
+    and text is parenthesized only where Python would read it otherwise, so
+    long sums and `and` chains stay flat.  An unbound variable or a Call
+    raises only when its branch is evaluated.  A subclass may write calls
+    its own way."""
 
     namespace = {"_raise": _raise, **{"_" + t.__name__: op for t, op in OPS.items()}}
 
@@ -399,9 +423,9 @@ class Emitter:
         return f"c{len(self.consts) - 1}"
 
     def raising(self, error: type, name: str) -> tuple:
-        return f"_raise({self.lift(error)}, {self.lift(name)})", _ATOM
+        return f"_raise({self.lift(error)}, {self.lift(name)})", ATOM
 
-    def operand(self, e: Expr, minimum: int = _COND) -> str:
+    def operand(self, e: Expr, minimum: int = COND) -> str:
         """The text of `e`, parenthesized if it binds looser than `minimum`."""
         text, power = self.emit(e)
         return text if power >= minimum else f"({text})"
@@ -411,31 +435,27 @@ class Emitter:
         t = type(e)
         if t is Const or t is BoolLit:
             v = e.value
-            return self.lift(v.numerator if t is Const and v.denominator == 1 else v), _ATOM
+            return self.lift(v.numerator if t is Const and v.denominator == 1 else v), ATOM
         if t is Var:
             if e.name not in self.index:
                 return self.raising(UnboundVariable, e.name)
-            return f"a{self.index[e.name]}", _ATOM
+            return f"a{self.index[e.name]}", ATOM
         if t is Call:
             return self.call(e)
         if t is Ite:
-            cond = self.operand(e.cond, _OR)
-            return f"{self.operand(e.then, _OR)} if {cond} else {self.operand(e.other)}", _COND
+            cond = self.operand(e.cond, OR)
+            return f"{self.operand(e.then, OR)} if {cond} else {self.operand(e.other)}", COND
         if t is Not:
-            return f"not {self.operand(e.arg, _NOT)}", _NOT
-        if t in _CONNECTIVE:
-            # a chain is written flat: grouping changes neither the order
-            # nor the short-circuit of `and`/`or`
-            word, power = _CONNECTIVE[t]
-            return f"{self.operand(e.lhs, power)} {word} {self.operand(e.rhs, power)}", power
-        kids = children(e)
-        op = CMP[e.op] if t is Cmp else OPS[t]
-        if op not in _INLINE:
-            return f"_{t.__name__}({', '.join(map(self.operand, kids))})", _ATOM
-        sym, power = _INLINE[op]
-        # left-associative, but a comparison does not chain
-        lhs = self.operand(kids[0], power + 1 if power == _CMP else power)
-        return f"{lhs} {sym} {self.operand(kids[1], power + 1)}", power
+            return f"not {self.operand(e.arg, NOT)}", NOT
+        infix = INFIX.get(t) or CONNECTIVES.get(t)
+        if t is Cmp:
+            infix = "==" if e.op == "=" else e.op, COMPARE
+        if infix is None or t is Div:
+            return f"_{t.__name__}({', '.join(map(self.operand, children(e)))})", ATOM
+        symbol, power = infix
+        # associative as `INFIX` and `CONNECTIVES` say; a comparison does not chain
+        lhs = self.operand(e.lhs, power + 1 if power == COMPARE else power)
+        return f"{lhs} {symbol} {self.operand(e.rhs, power if power < NOT else power + 1)}", power
 
     def call(self, e: Call) -> tuple:
         return self.raising(UnexpandedCall, e.fname)
@@ -535,6 +555,20 @@ def free_vars(e: Expr) -> set:
     return {n.name for n in nodes(e) if type(n) is Var}
 
 
+def constant_factor(e: Expr):
+    """(c, operand) when `e` is `c*operand`, `operand*c` or `operand/c`
+    for a constant c (`1/c` in the last), else None."""
+    t = type(e)
+    if t is Mul:
+        if type(e.lhs) is Const:
+            return e.lhs.value, e.rhs
+        if type(e.rhs) is Const:
+            return e.rhs.value, e.lhs
+    elif t is Div and type(e.rhs) is Const:
+        return 1 / e.rhs.value, e.lhs
+    return None
+
+
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     if type(e) is Var:
         return mapping.get(e.name, e)
@@ -586,14 +620,11 @@ def _linear_form(e: Expr) -> tuple:
         c1, t1 = _linear_form(e.lhs)
         c2, t2 = _linear_form(e.rhs)
         return c1 - c2, _merge_terms(t1, t2, -1)
-    if t is Mul and (type(e.lhs) is Const or type(e.rhs) is Const):
-        k, other = (e.lhs.value, e.rhs) if type(e.lhs) is Const else (e.rhs.value, e.lhs)
-        c, terms = _linear_form(other)
+    factor = constant_factor(e)
+    if factor is not None:
+        k, operand = factor
+        c, terms = _linear_form(operand)
         return c * k, {a: v * k for a, v in terms.items()}
-    if t is Div and type(e.rhs) is Const:
-        c, terms = _linear_form(e.lhs)
-        k = e.rhs.value
-        return c / k, {a: v / k for a, v in terms.items()}
     return Fraction(0), {e: Fraction(1)}
 
 
@@ -632,7 +663,7 @@ def _rebuild_linear(const: Fraction, terms: dict) -> Expr:
 
 
 def _linear(e: Expr) -> Expr:
-    if type(e) is Div and type(e.rhs) is not Const:
+    if type(e) is Div and constant_factor(e) is None:
         return e
     return _rebuild_linear(*_linear_form(e))
 
@@ -807,73 +838,46 @@ def replace_calls(e: Expr, fname: str, fhat: ClosedForm, pre: Constraint,
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax: one table for the printer and the parser
+# Printing
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-# The left-associative infix operators: symbol and precedence.  The
-# additive ones print with spaces around the symbol.  `^` (right-associative,
-# binding tighter than unary minus) and the comparisons (`CMP`) are not here.
-INFIX = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
-         Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
-
-# The named functions, written `name(arg, ...)` with one argument per
-# field of the node.
-FUNCTIONS = {"floor": Floor, "ceil": Ceil, "log2ceil": Log2Ceil,
-             "max": Max, "min": Min}
-_FUNCTION_NAMES = {node: name for name, node in FUNCTIONS.items()}
-
-# The connectives, on a scale of their own below every comparison: an
-# operand takes parentheses only when it binds looser than its connective
-# (an `or` under an `and`), or than `not`, which binds as tight as unary
-# minus.  A right-nested chain prints flat and parses back left-nested.
-CONNECTIVES = {Or: ("or", 1), And: ("and", 2)}
-
-_PRECEDENCE = {node: prec for node, (_, prec) in (*INFIX.items(), *CONNECTIVES.items())}
-_PRECEDENCE[Pow] = _PREC_POW
+def _operand(e: Expr, minimum: int) -> str:
+    """The text of `e`, parenthesized if it binds looser than `minimum`."""
+    text, power = _written(e)
+    return text if power >= minimum else f"({text})"
 
 
-def _prec(e: Expr) -> int:
+def _written(e: Expr) -> tuple:
+    """The text of `e` and its binding power."""
     t = type(e)
     if t is Const:
-        if e.value.denominator != 1:
-            return _PREC_MUL  # prints as p/q, -p/q included
-        if e.value < 0:
-            return _PREC_UNARY
-    return _PRECEDENCE.get(t, _PREC_ATOM)
-
-
-def _paren(e: Expr, minimum: int) -> str:
-    text = to_text(e)
-    return f"({text})" if _prec(e) < minimum else text
-
-
-def to_text(e: Expr) -> str:
-    t = type(e)
-    if t is Const:
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        n, d = e.value.numerator, e.value.denominator
+        if d != 1:
+            return f"{n}/{d}", MUL  # -p/q included
+        return str(n), UNARY if n < 0 else ATOM
     if t is Var:
-        return e.name
-    if t in INFIX:
-        symbol, prec = INFIX[t]
-        lhs, rhs = _paren(e.lhs, prec), _paren(e.rhs, prec + 1)
-        return f"{lhs} {symbol} {rhs}" if prec == _PREC_ADD else f"{lhs}{symbol}{rhs}"
+        return e.name, ATOM
+    infix = INFIX.get(t) or CONNECTIVES.get(t)
+    if infix is not None:
+        symbol, power = infix
+        lhs, rhs = _operand(e.lhs, power), _operand(e.rhs, power if power < NOT else power + 1)
+        return f"{lhs}{symbol}{rhs}" if power == MUL else f"{lhs} {symbol} {rhs}", power
     if t is Pow:
-        return f"{_paren(e.base, _PREC_ATOM)}^{_paren(e.exponent, _PREC_UNARY)}"
+        return f"{_operand(e.base, ATOM)}^{_operand(e.exponent, UNARY)}", POW
     if t is Ite:
-        return f"ite({to_text(e.cond)}, {to_text(e.then)}, {to_text(e.other)})"
+        return f"ite({to_text(e.cond)}, {to_text(e.then)}, {to_text(e.other)})", ATOM
     if t is Cmp:
-        return f"{to_text(e.lhs)} {e.op} {to_text(e.rhs)}"
-    if t in CONNECTIVES:
-        word, prec = CONNECTIVES[t]
-        return f"{_paren(e.lhs, prec)} {word} {_paren(e.rhs, prec)}"
+        return f"{to_text(e.lhs)} {e.op} {to_text(e.rhs)}", COMPARE
     if t is Not:
-        return f"not {_paren(e.arg, _PREC_UNARY)}"
+        return f"not {_operand(e.arg, NOT)}", NOT
     if t is BoolLit:
-        return "true" if e.value else "false"
+        return "true" if e.value else "false", ATOM
     name = e.fname if t is Call else _FUNCTION_NAMES.get(t)
     if name is None:
         raise TypeError(f"unknown expression node {e!r}")
-    return f"{name}({', '.join(map(to_text, children(e)))})"
+    return f"{name}({', '.join(map(to_text, children(e)))})", ATOM
+
+
+def to_text(e: Expr) -> str:
+    """`e` in the syntax the parser reads, parenthesized only where needed."""
+    return _written(e)[0]

@@ -6,15 +6,15 @@ Grammar (one definition per `.rec` file, `#` comments):
     case      := name "(" args ")" "=" expr "if" constraint ";"
 
 Expressions and constraints are one grammar, read by one precedence-
-climbing loop (`_Parser.formula`) over one table of binding powers,
+climbing loop (`_Parser.formula`) over the binding powers of `expr`,
 loosest first:
 
-    or                    `expr.CONNECTIVES`
-    and
-    not                   prefix
-    = != < <= > >=        `expr.CMP`; comparisons do not chain
-    + -                   `expr.INFIX`, left-associative
-    * /
+    or                    `expr.CONNECTIVES`, at `expr.OR`
+    and                   at `expr.AND`
+    not                   prefix, at `expr.NOT`
+    = != < <= > >=        `expr.CMP`, at `expr.COMPARE`; they do not chain
+    + -                   `expr.INFIX`, left-associative, at `expr.ADD`
+    * /                   at `expr.MUL`
 
 Tighter still are unary minus, `^` for powers (right-associative, tighter
 than unary minus) and the atoms: literals, with `p/q` read as one rational
@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import partial
 
 from .expr import (
-    CMP, CONNECTIVES, FUNCTIONS, INFIX, BoolLit, Call, Cmp, Const, Constraint,
-    Div, Expr, Ite, Not, Pow, Sub, Var,
+    CMP, COMPARE, COND, CONNECTIVES, FUNCTIONS, INFIX, NOT, BoolLit, Call, Cmp,
+    Const, Constraint, Div, Expr, Ite, Not, Pow, Sub, Var,
 )
 
 
@@ -67,13 +67,10 @@ _TOKEN = re.compile(r"[ \t\r]+|#.*|(?P<OP><=|>=|!=|[-+*/^(),;=<>])|(?P<INT>[0-9]
                     r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<BAD>.)")
 _KEYWORDS = {"def", "pre", "if", "and", "or", "not", "true", "false"}
 
-# The binding power and node of every infix operator, loosest first: the
-# connectives, then (above prefix `not`) the comparisons and the arithmetic
-_NOT = max(bp for _, bp in CONNECTIVES.values()) + 1
-_CMP = _NOT + 1
-_BINDING = {**{word: (bp, node) for node, (word, bp) in CONNECTIVES.items()},
-            **{op: (_CMP, partial(Cmp, op)) for op in CMP},
-            **{symbol: (_CMP + prec, node) for node, (symbol, prec) in INFIX.items()}}
+# The binding power and node of every infix operator
+_BINDING = {**{op: (COMPARE, partial(Cmp, op)) for op in CMP},
+            **{word: (power, node)
+               for node, (word, power) in (*CONNECTIVES.items(), *INFIX.items())}}
 _KINDS = ("an expression", "a constraint")
 _ARGUMENTS = {1: "one argument", 2: "two arguments"}
 
@@ -171,7 +168,7 @@ class _Parser:
         except ValueError as err:
             raise ParseError(str(err), tok.line, tok.col) from None
 
-    def formula(self, bp: int = 0, want: bool | None = None) -> Expr:
+    def formula(self, bp: int = COND, want: bool | None = None) -> Expr:
         """An operand and every infix operator after it that binds tighter
         than `bp`, folded left to right, checked to be a constraint when
         `want` is true and an expression when it is false.  The right
@@ -185,7 +182,7 @@ class _Parser:
         e = self.unary()
         while True:
             tok = self.peek()
-            power, node = _BINDING.get(tok.text, (0, None))
+            power, node = _BINDING.get(tok.text, (COND, None))
             if power <= bp:
                 break
             self.next()
@@ -196,7 +193,7 @@ class _Parser:
                 e = Const(e.value / rhs.value)  # rational literal p/q
                 continue
             e = self.build(node, tok, e, rhs)
-            if power == _CMP:
+            if power == COMPARE:
                 continue
             self.links += 1
             if self.links > MAX_CHAIN:
@@ -218,7 +215,7 @@ class _Parser:
         t = self.peek()
         if t.text == "not":
             self.next()
-            e = Not(self.formula(_NOT, True))
+            e = Not(self.formula(NOT, True))
         elif t.text == "-":
             self.next()
             start = self.peek()

@@ -72,8 +72,8 @@ class SolveReport:
             return 2
         return 3
 
-    def to_json_dict(self, with_timings: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "name": self.name,
             "recurrence": self.recurrence,
             "closed_form": self.closed_form.to_text() if self.closed_form else None,
@@ -89,10 +89,8 @@ class SolveReport:
             "error": self.error,
             "note": self.note,
             "config": self.config,
+            "timings_ms": self.timings_ms,
         }
-        if with_timings:
-            out["timings_ms"] = self.timings_ms
-        return out
 
 
 def verdict_fields(verdict: CheckVerdict) -> tuple:

@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
-    _COND, Call, ClosedForm, Constraint, Emitter, Expr, Not, Record, conj,
-    contains_calls, disj, free_vars, map_children, nodes, to_text,
+    COND, Call, ClosedForm, Constraint, DomainChecker, Emitter, Expr, Not,
+    Record, conj, contains_calls, disj, free_vars, nodes, replace_calls, to_text,
 )
 
 
@@ -126,7 +126,7 @@ def foreign_names(rdef: RecurrenceDef) -> set:
             if isinstance(node, Call) and node.fname != rdef.name}
 
 
-def validate_coverage(rdef: RecurrenceDef, entails: Callable[[Constraint, Constraint], bool]):
+def validate_coverage(rdef: RecurrenceDef, entails: DomainChecker):
     """Check the load-time well-formedness condition that the precondition
     entails the disjunction of case guards, via the given entailment oracle."""
     if not entails(rdef.precondition, disj([c.guard for c in rdef.cases])):
@@ -134,17 +134,16 @@ def validate_coverage(rdef: RecurrenceDef, entails: Callable[[Constraint, Constr
             f"precondition of {rdef.name} does not entail the guard disjunction")
 
 
-def inline_function(rdef: RecurrenceDef, fname: str, cf: ClosedForm) -> RecurrenceDef:
-    """Replace every call to a foreign function by a closed form (used to
-    chain a solved size recurrence into a dependent cost recurrence)."""
-
-    def walk(e: Expr) -> Expr:
-        e = map_children(e, walk)
-        if isinstance(e, Call) and e.fname == fname:
-            return cf.instantiate(e.args)
-        return e
-
-    cases = tuple(Case(walk(c.body), c.guard) for c in rdef.cases)
+def inline_function(rdef: RecurrenceDef, fname: str, cf: ClosedForm,
+                    domain_checker: DomainChecker) -> RecurrenceDef:
+    """Replace the calls to the foreign function `fname` by its closed form
+    `cf` (used to chain a solved size recurrence into a dependent cost
+    recurrence), each where `domain_checker` finds that the precondition
+    and the case guard entail `cf`'s precondition at the call's arguments
+    (`expr.replace_calls`).  A call outside `cf`'s domain stays, so the
+    result is not evaluated there (UnknownFunction)."""
+    cases = tuple(Case(replace_calls(c.body, fname, cf, rdef.precondition, c.guard,
+                                     domain_checker), c.guard) for c in rdef.cases)
     return RecurrenceDef(rdef.name, rdef.arg_names, rdef.precondition, cases)
 
 
@@ -249,7 +248,7 @@ class _StepWriter(Emitter):
         if e.fname != self.name:
             return self.raising(UnknownFunction, e.fname)
         key = "".join(self.operand(arg) + ", " for arg in e.args)
-        return f"m[k] if (k := ({key})) in m else (yield k)", _COND
+        return f"m[k] if (k := ({key})) in m else (yield k)", COND
 
     def step(self) -> Callable:
         lines = []

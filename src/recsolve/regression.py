@@ -378,8 +378,8 @@ def guess(rdef: RecurrenceDef, reg_cfg: RegressionConfig, sample_cfg: SampleConf
     guard holds, then the non-recursive cases copied verbatim.  The
     precondition is the closed form's own and is not repeated in the
     guard."""
-    train_pts, test_pts = sample_train_test(rdef.recursive_region(), rdef.arity,
-                                            sample_cfg, arg_names=rdef.arg_names)
+    train_pts, test_pts = sample_train_test(rdef.recursive_region(), rdef.arg_names,
+                                            sample_cfg)
     ts = build_training_set(rdef, default_base_set(rdef.arg_names),
                             list(train_pts) + list(test_pts), limits)
     train_set, test_set = set(train_pts), set(test_pts)

@@ -117,15 +117,17 @@ _ENUMERATION_LIMIT = 200_000  # boxes up to this size are enumerated
 _MAX_ATTEMPTS = 200_000       # draws of rejection sampling in a larger box
 
 
-def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig, count: int,
-                  arg_names: Sequence[str]) -> list:
-    """Draw up to `count` distinct integer tuples within bounds satisfying
-    `pre`, deterministically for a given seed.  Small boxes are enumerated
-    and shuffled; large ones use rejection sampling capped at
-    `_MAX_ATTEMPTS`, so fewer points come back when few satisfy `pre`."""
+def sample_inputs(pre: Constraint, arg_names: Sequence[str], cfg: SampleConfig,
+                  count: int) -> list:
+    """Draw up to `count` distinct integer tuples, one value per name of
+    `arg_names`, within bounds satisfying `pre`, deterministically for a
+    given seed.  Small boxes are enumerated and shuffled; large ones use
+    rejection sampling capped at `_MAX_ATTEMPTS`, so fewer points come
+    back when few satisfy `pre`."""
     satisfies = compile_expr(pre, arg_names)
     lo, hi = cfg.bounds
     rng = random.Random(cfg.seed)
+    arity = len(arg_names)
     box = (hi - lo + 1) ** arity
     if box <= _ENUMERATION_LIMIT:
         points = list(filter(satisfies,
@@ -146,13 +148,12 @@ def sample_inputs(pre: Constraint, arity: int, cfg: SampleConfig, count: int,
     return found
 
 
-def sample_train_test(pre: Constraint, arity: int, cfg: SampleConfig,
-                      arg_names: Sequence[str]) -> tuple:
+def sample_train_test(pre: Constraint, arg_names: Sequence[str], cfg: SampleConfig) -> tuple:
     """Disjoint train/test inputs from one seeded stream.  When the
     satisfying set is smaller than the requested total, the split is scaled
     down proportionally; below `MIN_POINTS` it raises SamplingExhausted."""
     total = cfg.n_train + cfg.n_test
-    points = sample_inputs(pre, arity, cfg, count=total, arg_names=arg_names)
+    points = sample_inputs(pre, arg_names, cfg, count=total)
     if len(points) < MIN_POINTS:
         raise SamplingExhausted(total, len(points))
     if len(points) >= total:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from recsolve.checker import Refuted, Verified, check_solution
+from recsolve.checker import Refuted, Verified, check_solution, make_domain_checker
 from recsolve.cli import BENCHMARKS, main
 from recsolve.expr import (
     Add, ClosedForm, Const, Max, Mul, Piece, Pow, Var, con, simplify,
@@ -100,7 +100,8 @@ def test_criterion_4_size_cost_chaining(solver):
     assert size_report.verdict == "verified"
     assert simplify(size_report.closed_form.pieces[0].expr) == Var("x")
 
-    chained = inline_function(load_bench("cost"), "s", size_report.closed_form)
+    chained = inline_function(load_bench("cost"), "s", size_report.closed_form,
+                              make_domain_checker(solver))
     cost_report = solve(chained, cfg)
     assert cost_report.verdict == "unknown"
     assert cost_report.verdict_reason == "unsupported-operator"
@@ -212,7 +213,8 @@ def test_criterion_8_evaluator_oracle(solver):
     corpus = [(name, load_bench(name)) for name in BENCHMARKS]
     corpus += [("fib", load_bench("fib")), ("nonterm", load_bench("nonterm")),
                ("size", load_bench("size")),
-               ("cost-inlined", inline_function(load_bench("cost"), "s", size_cf))]
+               ("cost-inlined", inline_function(load_bench("cost"), "s", size_cf,
+                                                make_domain_checker(solver)))]
     for name, rdef in corpus:
         for p in grid_points(rdef.precondition, rdef.arg_names, 0, 8):
             assert eval_fun(rdef, p) == eval_fun_naive(rdef, p), (name, p)

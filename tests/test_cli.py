@@ -11,6 +11,9 @@ from recsolve.cli import main, make_parser
 from conftest import BENCH_DIR
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
 def bench_file(name):
     return os.path.join(BENCH_DIR, f"{name}.rec")
 
@@ -350,3 +353,16 @@ class TestBenchCommand:
             return json.dumps(docs, sort_keys=True).encode()
 
         assert one_run() == one_run()
+
+    def test_corpus_reports_match_the_golden_file(self, capsys):
+        # every report of `bench --seed 0`, timings aside, byte for byte;
+        # merge and sum-osc differ from their references in print only
+        status, out, _ = run_cli(capsys, "bench", "--seed", "0", "--solver", "builtin",
+                                 "--format", "json-lines")
+        assert status == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        for d in docs:
+            del d["timings_ms"]
+        text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+        with open(os.path.join(GOLDEN_DIR, "bench-seed0.jsonl"), encoding="utf-8") as fh:
+            assert text == fh.read()

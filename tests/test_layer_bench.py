@@ -40,15 +40,15 @@ pytestmark = pytest.mark.layerbench
 
 
 def guess_points(rdef) -> list:
-    train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
-                                    SampleConfig(), arg_names=rdef.arg_names)
+    train, test = sample_train_test(rdef.recursive_region(), rdef.arg_names,
+                                    SampleConfig())
     return list(train) + list(test)
 
 
 def test_sample_train_test_merge_sz(benchmark):
     rdef = load_bench("merge-sz")
-    train, test = benchmark(sample_train_test, rdef.recursive_region(), rdef.arity,
-                            SampleConfig(), arg_names=rdef.arg_names)
+    train, test = benchmark(sample_train_test, rdef.recursive_region(), rdef.arg_names,
+                            SampleConfig())
     assert (len(train), len(test)) == (100, 30)
 
 

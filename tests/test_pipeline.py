@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from recsolve.checker import BUILTIN, SolverConfig, resolve_solver
+from recsolve.checker import BUILTIN, SolverConfig, make_domain_checker, resolve_solver
 from recsolve.expr import Var, single_piece, to_text
 from recsolve.parser import parse_recurrence
 from recsolve.pipeline import APPROXIMATION_NOTE, SolveConfig, SolveReport, solve
@@ -183,7 +183,8 @@ class TestCoveredPiecesAbsorbed:
 
     def test_inexact_and_untranslatable_candidates_unchanged(self, solver):
         size = single_piece(Var("x"), ("x",), load_bench("size").precondition)
-        for rdef in (load_bench("fib"), inline_function(load_bench("cost"), "s", size)):
+        for rdef in (load_bench("fib"), inline_function(load_bench("cost"), "s", size,
+                                                       make_domain_checker(solver))):
             cfg = config(solver)
             guessed = guess(rdef, cfg.regression, cfg.sample, cfg.limits)
             assert solve(rdef, cfg).closed_form == guessed.closed_form

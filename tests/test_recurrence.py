@@ -16,9 +16,10 @@ from recsolve.parser import parse_constraint, parse_expression, parse_recurrence
 from recsolve.recurrence import (
     ArityMismatch, Case, ClosedForm, EvalLimits, GuardFallthrough,
     GuardFallthroughError, LimitExceeded, PreconditionNotCovering,
-    RecurrenceDef, RecurrenceError, Value, eval_closed_form, eval_fun,
-    foreign_names, inline_function, validate_coverage,
+    RecurrenceDef, RecurrenceError, UnknownFunction, Value, eval_closed_form,
+    eval_fun, foreign_names, inline_function, validate_coverage,
 )
+from recsolve.pipeline import SolveConfig, solve
 from recsolve.sampling import SampleConfig, sample_inputs
 
 from conftest import brute_entails, grid_points, load_bench, bench_sidecar
@@ -55,7 +56,7 @@ class TestEvalFun:
         cost = load_bench("cost")
         size_cf = ClosedForm(("x",), parse_constraint("x >= 0"),
                              (Piece(Var("x"), TRUE),))
-        inlined = inline_function(cost, "s", size_cf)
+        inlined = inline_function(cost, "s", size_cf, brute_entails)
         assert value(eval_fun(inlined, (3,))) == 15  # 2^(3+1) - 1
 
     def test_arity_checked(self):
@@ -100,20 +101,36 @@ class TestEvalFun:
         assert eval_fun(rdef, (7, 9)) == eval_fun(rdef, (7, 9))
 
 
+# size's two-piece closed form over its precondition x >= 0
+SIZE_CF = ClosedForm(("x",), parse_constraint("x >= 0"),
+                     (Piece(Var("x"), parse_constraint("x > 0")),
+                      Piece(con(0), parse_constraint("x = 0"))))
+
+
 class TestInlineFunction:
     def test_size_closed_form_leaves_no_foreign_call(self):
         cost = load_bench("cost")
-        size = load_bench("size")
-        size_cf = ClosedForm(size.arg_names, size.precondition,
-                             (Piece(Var("x"), parse_constraint("x > 0")),
-                              Piece(con(0), parse_constraint("x = 0"))))
-        inlined = inline_function(cost, "s", size_cf)
+        inlined = inline_function(cost, "s", SIZE_CF, brute_entails)
         assert foreign_names(cost) == {"s"}
         assert foreign_names(inlined) == set()
         for case in inlined.cases:
             assert not contains_calls(case.body, "s")
+        assert inlined.to_text().splitlines()[-1] == \
+            "c(x) = c(x - 1) + c(ite(x - 1 > 0, x - 1, 0)) + 1 if x > 0;"
         assert [value(eval_fun(inlined, (x,))) for x in range(6)] \
             == [2 ** (x + 1) - 1 for x in range(6)]
+
+    def test_call_outside_the_callee_domain_stays(self):
+        # s(x - 2) at x = 1 is s(-1), outside s's precondition x >= 0
+        caller = parse_recurrence("def c(x);\npre x >= 0;\nc(x) = 1 if x = 0;\n"
+                                  "c(x) = c(x - 1) + s(x - 2) if x > 0;\n")
+        inlined = inline_function(caller, "s", SIZE_CF, brute_entails)
+        assert inlined == caller
+        with pytest.raises(UnknownFunction):
+            eval_fun(inlined, (1,))
+        report = solve(inlined, SolveConfig())
+        assert (report.verdict, report.verdict_reason) == ("skipped", "validation-failed")
+        assert report.error == "UnknownFunction: s"
 
 
 class TestLimits:
@@ -168,10 +185,7 @@ def _accounting_rdef(name):
     if name == "ite-body":
         return ITE_BODY
     if name == "cost-inlined":  # size's two-piece closed form, as an Ite
-        size_cf = ClosedForm(("x",), parse_constraint("x >= 0"),
-                             (Piece(Var("x"), parse_constraint("x > 0")),
-                              Piece(con(0), parse_constraint("x = 0"))))
-        return inline_function(load_bench("cost"), "s", size_cf)
+        return inline_function(load_bench("cost"), "s", SIZE_CF, brute_entails)
     return load_bench(name)
 
 
@@ -335,8 +349,8 @@ MANY_BASE_CASES = parse_recurrence(
 
 def test_many_base_cases():
     assert eval_fun(MANY_BASE_CASES, (300,)) == Value(549)
-    points = sample_inputs(MANY_BASE_CASES.recursive_region(), 1,
-                           SampleConfig(bounds=(0, 400)), 8, ("x",))
+    points = sample_inputs(MANY_BASE_CASES.recursive_region(), ("x",),
+                           SampleConfig(bounds=(0, 400)), 8)
     assert points == [(277,), (317,), (304,), (323,), (321,), (264,), (296,), (386,)]
 
 

@@ -14,7 +14,7 @@ from recsolve.regression import (
 )
 from recsolve.sampling import SampleConfig
 
-from conftest import grid_points, load_bench
+from conftest import brute_entails, grid_points, load_bench
 
 
 def subgradient_violation(x, y, beta, intercept, lam):
@@ -278,7 +278,7 @@ class TestGuess:
         size_cf = ClosedForm(("x",), parse_constraint("x >= 0"),
                              (Piece(Var("x"), parse_constraint("x > 0")),
                               Piece(con(0), parse_constraint("x = 0"))))
-        cost = inline_function(load_bench("cost"), "s", size_cf)
+        cost = inline_function(load_bench("cost"), "s", size_cf, brute_entails)
         res = guess(cost, RegressionConfig(), SampleConfig(bounds=(0, hi)))
         assert to_text(res.closed_form.pieces[0].expr) == "2*2^x - 1"
         assert res.exact_fit

@@ -53,34 +53,31 @@ class TestDefaultBaseSet:
 
 class TestSampleInputs:
     def test_contract(self):
-        pts = sample_inputs(parse_constraint("x >= 0"), 1,
-                            SampleConfig(seed=1), count=20, arg_names=("x",))
+        pts = sample_inputs(parse_constraint("x >= 0"), ("x",),
+                            SampleConfig(seed=1), count=20)
         assert len(pts) == len(set(pts)) == 20
         assert all(p[0] >= 0 for p in pts)
 
     def test_guard_respected(self):
         pre = parse_constraint("x >= y and y > 0")
-        pts = sample_inputs(pre, 2, SampleConfig(seed=3), count=20,
-                            arg_names=("x", "y"))
+        pts = sample_inputs(pre, ("x", "y"), SampleConfig(seed=3), count=20)
         assert len(pts) == 20
         assert all(x >= y and y > 0 for x, y in pts)
 
     def test_unsatisfiable_raises(self):
         with pytest.raises(SamplingExhausted):
-            sample_train_test(parse_constraint("x < 0"), 1, SampleConfig(seed=0),
-                              arg_names=("x",))
+            sample_train_test(parse_constraint("x < 0"), ("x",), SampleConfig(seed=0))
 
     def test_deterministic(self):
         pre = parse_constraint("x >= 0")
         cfg = SampleConfig(seed=42)
-        a = sample_inputs(pre, 1, cfg, count=15, arg_names=("x",))
-        b = sample_inputs(pre, 1, cfg, count=15, arg_names=("x",))
+        a = sample_inputs(pre, ("x",), cfg, count=15)
+        b = sample_inputs(pre, ("x",), cfg, count=15)
         assert a == b
 
     def test_train_test_disjoint_and_adaptive(self):
         pre = parse_constraint("x >= 1")  # only 30 points in [0, 30]
-        train, test = sample_train_test(pre, 1, SampleConfig(seed=0),
-                                        arg_names=("x",))
+        train, test = sample_train_test(pre, ("x",), SampleConfig(seed=0))
         assert set(train).isdisjoint(test)
         assert len(train) + len(test) == 30
         assert len(test) >= 1
@@ -105,8 +102,8 @@ class TestBuildTrainingSet:
         # on the points the guess stage samples, every input diverges, so
         # the majority is settled after len(inputs)//2 + 1 evaluations
         rdef = load_bench("nonterm")
-        train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
-                                        SampleConfig(), arg_names=rdef.arg_names)
+        train, test = sample_train_test(rdef.recursive_region(), rdef.arg_names,
+                                        SampleConfig())
         inputs = list(train) + list(test)
         evaluated = []
 
@@ -183,8 +180,8 @@ class TestBuildTrainingSet:
         rdef = load_bench("merge")
         cfg = SampleConfig(seed=7, n_train=25, n_test=5)
         region = rdef.recursive_region()
-        a = sample_train_test(region, 2, cfg, arg_names=rdef.arg_names)
-        b = sample_train_test(region, 2, cfg, arg_names=rdef.arg_names)
+        a = sample_train_test(region, rdef.arg_names, cfg)
+        b = sample_train_test(region, rdef.arg_names, cfg)
         assert a == b
         ts1 = build_training_set(rdef, default_base_set(rdef.arg_names),
                                  list(a[0]) + list(a[1]))
@@ -201,8 +198,8 @@ class TestSharedMemo:
     def test_rows_equal_per_point_evaluation(self, name):
         # the points the guess stage samples, in its order
         rdef = load_bench(name)
-        train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
-                                        SampleConfig(), arg_names=rdef.arg_names)
+        train, test = sample_train_test(rdef.recursive_region(), rdef.arg_names,
+                                        SampleConfig())
         inputs = list(train) + list(test)
         ts = build_training_set(rdef, default_base_set(rdef.arg_names),
                                 inputs)
@@ -286,14 +283,14 @@ class TestPinnedAgainstOracle:
         enumerated = SampleConfig()
         rejected = SampleConfig(seed=4, bounds=(0, 250_000 if rdef.arity == 1 else 500))
         for cfg in (enumerated, rejected):
-            train, test = sample_train_test(region, rdef.arity, cfg, arg_names=names)
+            train, test = sample_train_test(region, names, cfg)
             assert list(train) + list(test) == self.brute_force(region, names, cfg), cfg
 
     @pytest.mark.parametrize("name", list(BENCHMARKS) + ["fib", "size"])
     def test_rows_equal_oracle_evaluation(self, name):
         rdef = load_bench(name)
-        train, test = sample_train_test(rdef.recursive_region(), rdef.arity,
-                                        SampleConfig(), arg_names=rdef.arg_names)
+        train, test = sample_train_test(rdef.recursive_region(), rdef.arg_names,
+                                        SampleConfig())
         base = default_base_set(rdef.arg_names)
         ts = build_training_set(rdef, base, list(train) + list(test))
         envs = [dict(zip(rdef.arg_names, p)) for p in ts.inputs]
