@@ -231,9 +231,10 @@ class EncodedFormula(Record):
 def encode(rdef: RecurrenceDef, fhat: ClosedForm,
            domain_checker: DomainChecker) -> EncodedFormula:
     """Build one implication per case, in case order: the antecedent is the
-    precondition plus the negations of the earlier guards plus the case
-    guard; the consequent equates the candidate at the arguments with the
-    case body after every call has been replaced by the candidate.  An
+    case's region (`RecurrenceDef.case_regions`), the precondition plus the
+    negations of the earlier guards plus the case guard; the consequent
+    equates the candidate at the arguments with the case body after every
+    call has been replaced by the candidate.  An
     implication that `emit_implication` cannot translate, one with a
     divisor that folds to 0 once the candidate is substituted, or one
     whose divisors the antecedent does not prove positive, raises
@@ -241,13 +242,10 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
     arg_vars = tuple(Var(n) for n in rdef.arg_names)
     implications = []
     emitted = []
-    previous: list = []
-    for i, case in enumerate(rdef.cases):
-        antecedent = conj([rdef.precondition] + previous + [case.guard])
+    for i, (case, antecedent) in enumerate(zip(rdef.cases, rdef.case_regions())):
         equation = Sub(Call(rdef.name, arg_vars), case.body)
         try:
-            replaced = replace_calls(equation, rdef.name, fhat,
-                                     rdef.precondition, case.guard, domain_checker)
+            replaced = replace_calls(equation, rdef.name, fhat, antecedent, domain_checker)
             if contains_calls(replaced):
                 raise ResidualCall(
                     f"case {i + 1}: could not replace every call in {to_text(case.body)}")
@@ -261,7 +259,6 @@ def encode(rdef: RecurrenceDef, fhat: ClosedForm,
         _check_divisor_positivity(antecedent, (impl.lhs, impl.rhs), domain_checker)
         implications.append(impl)
         emitted.append(text)
-        previous.append(Not(case.guard))
     return EncodedFormula(tuple(rdef.arg_names), tuple(implications), tuple(emitted))
 
 

@@ -812,20 +812,20 @@ def single_piece(expr: Expr, arg_names: Sequence[str], precondition: Constraint)
 DomainChecker = Callable[[Constraint, Constraint], bool]
 
 
-def replace_calls(e: Expr, fname: str, fhat: ClosedForm, pre: Constraint,
-                  guard: Constraint, domain_checker: DomainChecker) -> Expr:
+def replace_calls(e: Expr, fname: str, fhat: ClosedForm, hyp: Constraint,
+                  domain_checker: DomainChecker) -> Expr:
     """Replace Call(fname, args) nodes by the candidate instantiated at args,
     innermost first, whenever the domain side condition
 
-        pre(x) and guard(x)  entails  fhat.precondition(args)
+        hyp(x)  entails  fhat.precondition(args)
 
-    holds (decided by `domain_checker`).  Calls whose side condition fails,
-    or whose arguments still contain calls, are left in place.  One
-    post-order pass is a fixpoint: a replacement is call-free, and a call
-    left in place would meet the same side condition again.
+    holds (decided by `domain_checker`); `hyp` is where `e` is evaluated,
+    such as a case's region (`RecurrenceDef.case_regions`).  Calls whose
+    side condition fails, or whose arguments still contain calls, are left
+    in place.  One post-order pass is a fixpoint: a replacement is
+    call-free, and a call left in place would meet the same side condition
+    again.
     """
-    hyp = conj([pre, guard])
-
     def walk(node: Expr) -> Expr:
         node = map_children(node, walk)
         if isinstance(node, Call) and node.fname == fname \

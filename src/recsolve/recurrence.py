@@ -12,10 +12,14 @@ The evaluator is iterative with memoization on concrete argument tuples,
 so deeply recursive or non-terminating definitions hit the configured
 limits instead of exhausting the Python stack: a body that reaches a
 call missing from the memo yields the call's key and is suspended until
-that call's value is sent back.  A step is one body begun, so one point
-memoized, and only the evaluator's loop (`_run`) counts them.  A caller that
-evaluates many points of one recurrence may pass one memo to every
-`eval_fun` call; the limits still apply to each call on its own.
+that call's value is in the memo, where the body reads it when resumed.
+A body stores its own value in the memo and returns nothing, so the
+evaluator's loop (`_run`) drives it with `next(body, None)` and no
+StopIteration is raised for a point.  A step is one body begun, so one
+point memoized, and only that loop counts them.  A caller that evaluates
+many points of one recurrence may pass one memo to every `eval_fun` call;
+the limits still apply to each call on its own.  A float argument is read
+as the exact Fraction of its value.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import Callable, Sequence
 
 from .expr import (
@@ -98,6 +103,15 @@ class RecurrenceDef(Record):
         return conj([self.precondition]
                     + [Not(c.guard) for c in self.base_cases()])
 
+    def case_regions(self) -> list:
+        """For each case, where it is the one evaluated: the precondition,
+        the negations of the earlier guards and its own guard."""
+        regions, outside = [], [self.precondition]
+        for case in self.cases:
+            regions.append(conj(outside + [case.guard]))
+            outside.append(Not(case.guard))
+        return regions
+
     @cached_property
     def _compiled(self) -> Callable:
         """The step function of `eval_fun`, generated on its first call."""
@@ -138,12 +152,12 @@ def inline_function(rdef: RecurrenceDef, fname: str, cf: ClosedForm,
                     domain_checker: DomainChecker) -> RecurrenceDef:
     """Replace the calls to the foreign function `fname` by its closed form
     `cf` (used to chain a solved size recurrence into a dependent cost
-    recurrence), each where `domain_checker` finds that the precondition
-    and the case guard entail `cf`'s precondition at the call's arguments
-    (`expr.replace_calls`).  A call outside `cf`'s domain stays, so the
-    result is not evaluated there (UnknownFunction)."""
-    cases = tuple(Case(replace_calls(c.body, fname, cf, rdef.precondition, c.guard,
-                                     domain_checker), c.guard) for c in rdef.cases)
+    recurrence), each where `domain_checker` finds that the case's region
+    (`RecurrenceDef.case_regions`) entails `cf`'s precondition at the
+    call's arguments (`expr.replace_calls`).  A call outside `cf`'s domain
+    stays, so the result is not evaluated there (UnknownFunction)."""
+    cases = tuple(Case(replace_calls(c.body, fname, cf, region, domain_checker), c.guard)
+                  for c, region in zip(rdef.cases, rdef.case_regions()))
     return RecurrenceDef(rdef.name, rdef.arg_names, rdef.precondition, cases)
 
 
@@ -179,11 +193,19 @@ class GuardFallthrough(EvalOutcome):
 
 
 def _canon(v):
-    """Normalize to int when integral (ints and Fractions hash alike, so
-    memo keys stay consistent either way)."""
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
-    return int(v)
+    """`v` as an exact number, an int when integral.  A float is read
+    exactly, as `regression._exact` reads it (2.7 is a Fraction with the
+    denominator 2**50), so it is treated like that Fraction, not
+    truncated.  Ints and Fractions hash alike, so memo keys stay
+    consistent either way."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, Fraction):
+        try:
+            return index(v)
+        except TypeError:
+            v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOutcome:
@@ -195,39 +217,39 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
     recurrence.
 
     `body` is the innermost pending call and `below` holds the suspended
-    bodies of the others, so Python does not recurse.  A body that reaches
-    a call missing from the memo yields its key and is suspended while
-    that call's body runs; a returned value is memoized and sent to the
-    body below, which resumes where it stopped.  So each body is evaluated
-    once: a step, one body begun, is one point memoized.  Depth counts the
-    bodies pending, and the clock is read once per begin or resume."""
+    bodies of the others, so Python does not recurse.  `next(body, None)`
+    runs a body until it yields the key of a call missing from the memo,
+    and the body is suspended while that call's body runs; or until it
+    has memoized its own value and returned, which gives None without
+    raising StopIteration.  The body below then resumes where it stopped
+    and reads the call's value from the memo.  So each body is evaluated
+    once: a step, one body begun, is one point memoized.  Depth counts
+    the bodies pending, and the clock is read once per begin or resume."""
     if point in memo:
         return Value(memo[point])
     max_depth, max_steps = limits.max_depth, limits.max_steps
     clock = time.monotonic
     deadline = clock() + limits.timeout_ms / 1000.0
-    steps, key, body, below, value = 1, point, step(point, memo), [], None
-    while True:
-        if clock() > deadline:
-            return LimitExceeded("timeout")
-        try:
-            need = body.send(value)
-        except StopIteration as done:
-            value = done.value
-            if value is None:
-                return GuardFallthrough(key)
-            memo[key] = value
-            if not below:
-                return Value(value)
-            key, body = below.pop()
-            continue
-        below.append((key, body))
-        if len(below) >= max_depth:
-            return LimitExceeded("depth")
-        if steps >= max_steps:
-            return LimitExceeded("steps")
-        steps += 1
-        key, body, value = need, step(need, memo), None
+    steps, body, below = 1, step(point, memo), []
+    try:
+        while True:
+            if clock() > deadline:
+                return LimitExceeded("timeout")
+            need = next(body, None)
+            if need is None:
+                if not below:
+                    return Value(memo[point])
+                body = below.pop()
+                continue
+            below.append(body)
+            if len(below) >= max_depth:
+                return LimitExceeded("depth")
+            if steps >= max_steps:
+                return LimitExceeded("steps")
+            steps += 1
+            body = step(need, memo)
+    except GuardFallthroughError as err:
+        return GuardFallthrough(err.point)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +257,11 @@ def _run(step: Callable, point: tuple, limits: EvalLimits, memo: dict) -> EvalOu
 # ---------------------------------------------------------------------------
 
 class _StepWriter(Emitter):
-    """Writes the `step(a, m)` generator of a definition: it returns the
-    value of the body of the first case whose guard holds, or None.  A
-    call missing from the memo `m` yields its key and reads the value
-    sent back."""
+    """Writes the `step(a, m)` generator of a definition: it stores the
+    value of the body of the first case whose guard holds in the memo `m`
+    at `a` and returns nothing, or raises GuardFallthroughError(a).  A call
+    missing from `m` yields its key and, once resumed, reads the call's
+    value from `m`."""
 
     def __init__(self, rdef: RecurrenceDef):
         super().__init__(rdef.arg_names)
@@ -248,13 +271,15 @@ class _StepWriter(Emitter):
         if e.fname != self.name:
             return self.raising(UnknownFunction, e.fname)
         key = "".join(self.operand(arg) + ", " for arg in e.args)
-        return f"m[k] if (k := ({key})) in m else (yield k)", COND
+        return f"m[k] if (k := ({key})) in m else ((yield k) or m[k])", COND
 
     def step(self) -> Callable:
         lines = []
         for case in self.cases:
             lines += [f"    if {self.operand(case.guard)}:",
-                      f"        return {self.operand(case.body)}"]
+                      f"        m[a] = {self.operand(case.body)}",
+                      "        return"]
+        lines.append(f"    raise {self.lift(GuardFallthroughError)}(a)")
         return self.function("a, m", lines)
 
 

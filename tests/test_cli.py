@@ -129,6 +129,15 @@ class TestCheckCommand:
             3, "unknown (unsupported-operator): case 2: division by the literal constant zero\n",
             "")
 
+    def test_call_in_the_domain_by_an_earlier_guard(self, capsys, tmp_path):
+        # x - 1 >= 0 holds only because case 1 (x = 0) did not match
+        rec = tmp_path / "f.rec"
+        rec.write_text("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                       "f(x) = f(x - 1) + 1 if x >= 0;\n")
+        status, out, err = run_cli(capsys, "check", str(rec), "--cf", "x",
+                                   "--solver", "builtin")
+        assert (status, out, err) == (0, "verified\n", "")
+
     def test_non_ascii_name(self, capsys, tmp_path):
         # a solver model names variables in ASCII, so the parser does too
         rec = tmp_path / "e.rec"

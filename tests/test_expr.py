@@ -8,7 +8,7 @@ from recsolve.expr import (
     CMP, Add, And, Call, Ceil, Cmp, Const, Div, DivisionByZero, Expr, ExprError,
     Floor, Ite, Log2Ceil, Max, Min, Mul, Not, Or, Piece, Pow, Sub,
     UnboundVariable, UnexpandedCall, Var, ClosedForm, ceil_log2, children,
-    compile_expr, con, contains_calls, eval_expr, free_vars,
+    compile_expr, con, conj, contains_calls, eval_expr, free_vars,
     is_syntactically_integer, map_children, nodes, replace_calls, simplify,
     single_piece, substitute, to_text, FALSE, TRUE,
 )
@@ -355,14 +355,14 @@ class TestReplaceCalls:
         fhat = single_piece(X, ("x",), parse_constraint("x >= 0"))
         pre = parse_constraint("x >= 0")
         guard = parse_constraint("x > 0")
-        out = replace_calls(body, "f", fhat, pre, guard, brute_entails)
+        out = replace_calls(body, "f", fhat, conj([pre, guard]), brute_entails)
         assert simplify(out) == X
         assert to_text(out) == "x - 1 + 1"
 
     def test_no_calls_is_identity(self):
         e = Add(X, con(1))
         fhat = single_piece(X, ("x",), TRUE)
-        assert replace_calls(e, "f", fhat, TRUE, TRUE, brute_entails) == e
+        assert replace_calls(e, "f", fhat, TRUE, brute_entails) == e
 
     def test_two_variable_substitution(self):
         # f(x-y) + 1 with candidate floor(x/y) over x>=0, y>=0 and guard
@@ -372,7 +372,7 @@ class TestReplaceCalls:
                             parse_constraint("x >= 0 and y > 0"))
         pre = parse_constraint("x >= 0 and y > 0")
         guard = parse_constraint("x >= y and y > 0")
-        out = replace_calls(body, "f", fhat, pre, guard,
+        out = replace_calls(body, "f", fhat, conj([pre, guard]),
                             lambda h, c: brute_entails(h, c, lo=-2, hi=10))
         assert not contains_calls(out)
         assert ev(out, x=7, y=2) == ev(Floor(Div(Sub(X, Y), Y)), x=7, y=2) + 1 == 3
@@ -388,7 +388,7 @@ class TestReplaceCalls:
             queries.append(to_text(concl.lhs))
             return concl == parse_constraint("x - 1 >= 0")
 
-        out = replace_calls(body, "f", fhat, TRUE, TRUE, first_only)
+        out = replace_calls(body, "f", fhat, TRUE, first_only)
         assert out == parse_expression("(x - 1) + f(x-2)")
         assert queries == ["x - 1", "x - 2"]
 
@@ -396,8 +396,7 @@ class TestReplaceCalls:
         # guard does not restrict x, so x-1 may fall outside the domain
         body = Call("f", (Sub(X, con(1)),))
         fhat = single_piece(X, ("x",), parse_constraint("x >= 0"))
-        out = replace_calls(body, "f", fhat, parse_constraint("x >= 0"), TRUE,
-                            brute_entails)
+        out = replace_calls(body, "f", fhat, parse_constraint("x >= 0"), brute_entails)
         assert contains_calls(out, "f")
 
     def test_replacement_preserves_value_when_candidate_is_exact(self):
@@ -407,7 +406,7 @@ class TestReplaceCalls:
         fhat = single_piece(X, ("x",), parse_constraint("x >= 0"))
         pre = parse_constraint("x >= 0")
         guard = parse_constraint("x > 0")
-        out = replace_calls(body, "f", fhat, pre, guard, brute_entails)
+        out = replace_calls(body, "f", fhat, conj([pre, guard]), brute_entails)
 
         def recurrence(v):  # direct unrolling of the nested recurrence
             return v  # f(x) = x is exact

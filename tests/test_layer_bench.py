@@ -7,9 +7,9 @@ They time one layer each: sampling merge-sz's recursive region, its
 dictionary columns alone on the 130 sampled points (compiled code cached
 and not), `build_training_set` on those points, the CV-Lasso path on its
 training rows, `encode` and the whole `check_solution` of its candidate
-on the in-process prover,
-cold `eval_fun` calls (each with a fresh memo), a grid sweep through
-one shared memo, and what one `recsolve eval` op does with its fresh
+on the in-process prover, cold `eval_fun` calls (each with a fresh memo)
+on merge and on size's one-argument chain, a grid sweep through one
+shared memo, and what one `recsolve eval` op does with its fresh
 definition (parse, compile, evaluate a small point) with the generated
 code cached and not; `parse_recurrence` over the nine corpus texts; and
 `import recsolve.cli` in a fresh interpreter that compiles recsolve's
@@ -111,6 +111,12 @@ def test_eval_fun_merge_30_30(benchmark):
 def test_eval_fun_merge_100_100(benchmark):
     rdef = load_bench("merge")
     assert benchmark(eval_fun, rdef, (100, 100)) == Value(199)
+
+
+def test_eval_fun_size_5000(benchmark):
+    # a one-argument chain: 5,001 bodies begun, each resumed once
+    rdef = load_bench("size")
+    assert benchmark(eval_fun, rdef, (5_000,)) == Value(5_000)
 
 
 def test_eval_merge_sz_grid_shared_memo(benchmark):

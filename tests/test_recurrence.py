@@ -100,6 +100,78 @@ class TestEvalFun:
         rdef = load_bench("sum-osc")
         assert eval_fun(rdef, (7, 9)) == eval_fun(rdef, (7, 9))
 
+    def test_a_float_is_read_exactly(self):
+        # 2.7 is the Fraction of its binary value, not the int 2
+        rdef = load_bench("nested")
+        exact = Fraction(2.7)
+        assert exact != Fraction(27, 10)
+        assert eval_fun(rdef, (2.7,)) == eval_fun(rdef, (exact,)) \
+            == GuardFallthrough((exact - 3,))
+        memo: dict = {}
+        assert eval_fun(rdef, (3.0,), memo=memo) == Value(3)
+        assert all(type(x) is int for p in memo for x in p)
+        cf = ClosedForm(("x",), TRUE, (Piece(Var("x"), TRUE),))
+        assert eval_closed_form(cf, (2.7,)) == exact
+        assert type(eval_closed_form(cf, (3.0,))) is int
+
+
+class TestSuspendedBodies:
+    # a body that misses a call yields the call's key; once resumed, it
+    # reads the call's value from the memo
+
+    @pytest.mark.parametrize("base", ["0", "-3", "1/2"])
+    def test_a_resumed_body_reads_the_call_value(self, base):
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            f"f(x) = {base} if x = 0;\n"
+            f"f(x) = 2*f(x - 1) - {base} if x > 0;\n")
+        expected = Fraction(base)
+        memo: dict = {}
+        assert eval_fun(rdef, (4,), memo=memo) == Value(expected)
+        assert memo == {(x,): expected for x in range(5)}
+
+    @pytest.mark.parametrize("body, error", [
+        ("f(x - 1) + g(x)", UnknownFunction),
+        ("f(x - 1) + floor(1/(x - 2))", ExprError),
+    ], ids=["unknown-function", "division-by-zero"])
+    def test_an_error_after_a_resume_propagates(self, body, error):
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            f"f(x) = 0 if x = 0;\nf(x) = {body} if x > 0;\n")
+        memo: dict = {}
+        with pytest.raises(error):
+            eval_fun(rdef, (3,), memo=memo)
+        assert (3,) not in memo and (2,) not in memo
+        assert_memo_is_fresh(rdef, memo)
+
+    def test_a_nested_fallthrough_leaves_only_completed_values(self):
+        # at 5: f(2) completes, f(3) completes f(0) and falls through at 1
+        rdef = parse_recurrence(
+            "def f(x);\npre x >= 0;\n"
+            "f(x) = 0 if x = 0;\nf(x) = 1 if x = 2;\n"
+            "f(x) = f(x - 3) + f(x - 2) if x >= 3;\n")
+        memo: dict = {}
+        assert eval_fun(rdef, (5,), memo=memo) == GuardFallthrough((1,))
+        assert memo == {(2,): 1, (0,): 0}
+        assert_memo_is_fresh(rdef, memo)
+
+    @pytest.mark.parametrize("limits, limit", [
+        (EvalLimits(max_depth=40), "depth"), (EvalLimits(max_steps=300), "steps"),
+    ], ids=["depth", "steps"])
+    def test_a_limit_leaves_only_completed_values(self, limits, limit):
+        # the timeout: TestLimits::test_timeout_leaves_only_correct_values
+        rdef = load_bench("merge")
+        memo: dict = {}
+        assert eval_fun(rdef, (30, 25), limits, memo) == LimitExceeded(limit)
+        assert memo and (30, 25) not in memo
+        assert_memo_is_fresh(rdef, memo)
+
+
+def assert_memo_is_fresh(rdef, memo):
+    """Every value in `memo` is what a fresh evaluation gives."""
+    for point, v in memo.items():
+        assert eval_fun(rdef, point) == Value(v), point
+
 
 # size's two-piece closed form over its precondition x >= 0
 SIZE_CF = ClosedForm(("x",), parse_constraint("x >= 0"),
@@ -119,6 +191,17 @@ class TestInlineFunction:
             "c(x) = c(x - 1) + c(ite(x - 1 > 0, x - 1, 0)) + 1 if x > 0;"
         assert [value(eval_fun(inlined, (x,))) for x in range(6)] \
             == [2 ** (x + 1) - 1 for x in range(6)]
+
+    def test_call_in_the_domain_by_an_earlier_guard(self):
+        # x - 1 >= 0 holds in case 2 only because case 1 (x = 0) did not match
+        caller = parse_recurrence("def c(x);\npre x >= 0;\nc(x) = 1 if x = 0;\n"
+                                  "c(x) = c(x - 1) + s(x - 1) if x >= 0;\n")
+        inlined = inline_function(caller, "s", SIZE_CF, brute_entails)
+        assert foreign_names(inlined) == set()
+        assert inlined.to_text().splitlines()[-1] == \
+            "c(x) = c(x - 1) + ite(x - 1 > 0, x - 1, 0) if x >= 0;"
+        assert [value(eval_fun(inlined, (x,))) for x in range(6)] \
+            == [1 + x * (x - 1) // 2 for x in range(6)]
 
     def test_call_outside_the_callee_domain_stays(self):
         # s(x - 2) at x = 1 is s(-1), outside s's precondition x >= 0
