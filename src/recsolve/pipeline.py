@@ -1,10 +1,9 @@
 """End-to-end orchestration: guess, gate on the score, simplify, check.
 
 A solve is one guess, one absorption and one check.  A candidate goes to
-the verifier only when the regression is exact (R^2 of 1 and an exact
-rational re-score on the held-out test set); otherwise the report
-carries the candidate as an approximation, clearly labelled possibly
-unsafe.  An exact one first loses the base pieces its main piece covers
+the verifier only when the guess is exact (it reproduces every sampled
+train and test row); otherwise the report carries the candidate as an
+approximation, clearly labelled possibly unsafe.  An exact one first loses the base pieces its main piece covers
 (`checker.absorb_covered_pieces`).  A refuted candidate is reported with
 the counterexample that evaluation confirmed.
 """

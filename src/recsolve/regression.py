@@ -1,15 +1,23 @@
-"""The guess stage: sparse linear regression over the base-function
-dictionary, followed by coefficient rationalization.
+"""The guess stage: an exact span fit first, and sparse linear regression
+with coefficient rationalization only for an approximation.
 
-The pipeline is one fixed recipe: Lasso with a penalty chosen by
-`FOLDS`-fold cross-validation, pruning of terms whose coefficient is
-below `EPSILON`, an exact least-squares refit on the survivors, and
-rationalization of the refit coefficients to denominators of at most
-`MAX_DENOMINATOR` so the verification stage can reason over integers.
-Only the penalty grid is configurable (`RegressionConfig.lambdas`).  The
-Lasso starts from exact moments of the exact training rows; each mean,
-variance and covariance is rounded once from them to a float, and the
-path runs in floating point.  The refit and its R^2 are computed over the rationals.
+The training rows are exact, so whether the target lies in the span of
+the dictionary over them is decided exactly: `span_fit` eliminates the
+Gram matrix of `[1 | dictionary | y]` modulo the prime `P`, taking
+pivots greedily in dictionary order, and recovers the pivot coefficients
+as rationals by rational reconstruction.  The modular step only proposes
+a candidate; it is accepted only when it reproduces every sampled row
+exactly, so a modular accident can lose an exact fit but never make one.
+
+When there is no such fit, the pipeline is one fixed recipe: Lasso with
+a penalty chosen by `FOLDS`-fold cross-validation, pruning of terms
+whose coefficient is below `EPSILON`, an exact least-squares refit on
+the survivors, and rationalization of the refit coefficients to
+denominators of at most `MAX_DENOMINATOR`.  Only the penalty grid is
+configurable (`RegressionConfig.lambdas`).  The Lasso starts from exact
+moments of the exact training rows; each mean, variance and covariance
+is rounded once from them to a float, and the path runs in floating
+point.  The refit and its R^2 are computed over the rationals.
 
 The Lasso objective, on features standardized to zero mean and unit
 variance with an unpenalized intercept, is
@@ -42,6 +50,7 @@ from .sampling import (
 FOLDS = 2              # cross-validation folds
 EPSILON = 0.05         # pruning threshold on |Lasso coefficient|
 MAX_DENOMINATOR = 64   # largest denominator a rationalized coefficient keeps
+P = 2**61 - 1          # the prime modulo which the span fit eliminates
 
 
 class RegressionError(Exception):
@@ -75,7 +84,7 @@ class FitResult(Record):
                  "surviving_names",
                  "score",            # R^2 on the held-out test set, clamped to [0, 1]
                  "raw_score",
-                 "selected_lambda",
+                 "selected_lambda",  # None on an exact span fit, which runs no Lasso
                  "rationalization_delta")
 
 
@@ -347,13 +356,82 @@ def rationalize(beta: Sequence, intercept: Fraction | float):
 
 
 # ---------------------------------------------------------------------------
+# Exact span fit, by elimination modulo P
+# ---------------------------------------------------------------------------
+
+_BOUND = math.isqrt(P // 2)  # largest numerator and denominator reconstructed
+
+
+def _residue(v) -> int:
+    """An int or a Fraction modulo P; ValueError when P divides the denominator."""
+    if type(v) is int:
+        return v % P
+    return v.numerator * pow(v.denominator, -1, P) % P
+
+
+def _reconstruct(u: int) -> Fraction | None:
+    """The rational r/s with |r| and s at most `_BOUND` and r = s*u modulo
+    P, by the extended Euclidean algorithm (Wang's rational
+    reconstruction); None when there is none."""
+    r0, r1, s0, s1 = P, u, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= _BOUND else None
+
+
+def span_fit(x: Sequence, y: Sequence) -> tuple | None:
+    """Propose (coefficients, intercept) with y = intercept + x . coefficients
+    on every row, or None.
+
+    The Gram matrix of `[1 | x | y]` is eliminated modulo P, with a pivot
+    at each column, in order, whose Schur-complement diagonal is nonzero;
+    y is in the span when its own diagonal is 0.  The pivot coefficients
+    are solved modulo P and reconstructed as rationals, and every other
+    column gets 0.  There is no proposal when P divides a denominator, a
+    coefficient does not reconstruct, or the pivots are not fewer than the
+    rows (any y would then be in their span).  A proposal proves nothing:
+    modulo P a nonzero rational can read 0, so the caller re-checks it."""
+    gram = _moments([(1, *row) for row in x], y)[2]
+    try:
+        g = [list(map(_residue, row)) for row in gram]
+    except ValueError:  # P divides a denominator
+        return None
+    last = len(g) - 1  # y's column
+    pivots = []
+    for k in range(len(g)):
+        row = g[k]
+        if not row[k]:
+            continue
+        if k == last:
+            return None
+        pivots.append(k)
+        inv = pow(row[k], -1, P)
+        for i in range(k + 1, len(g)):  # g is symmetric: only its upper triangle is kept
+            f = row[i] * inv % P
+            if f:
+                g[i][i:] = [(a - f * b) % P for a, b in zip(g[i][i:], row[i:])]
+    if len(pivots) >= len(y):
+        return None
+    w = [0] * last  # back-substitution; a column that is no pivot keeps 0
+    for k in reversed(pivots):
+        row = g[k]
+        w[k] = (row[last] - sum(map(mul, row[k + 1:last], w[k + 1:]))) \
+            * pow(row[k], -1, P) % P
+    coefs = list(map(_reconstruct, w))
+    if None in coefs:
+        return None
+    return coefs[1:], coefs[0]
+
+
+# ---------------------------------------------------------------------------
 # End-to-end guess
 # ---------------------------------------------------------------------------
 
 class GuessResult(Record):
     __slots__ = ("closed_form",
                  "fit",
-                 "exact_fit",        # rationalized candidate reproduces the test set exactly
+                 "exact_fit",        # the candidate reproduces every train and test row exactly
                  "train_rows",
                  "test_rows",
                  "dropped_inputs",
@@ -377,7 +455,8 @@ def guess(rdef: RecurrenceDef, reg_cfg: RegressionConfig, sample_cfg: SampleConf
     assemble a piecewise candidate: the fitted expression where no base
     guard holds, then the non-recursive cases copied verbatim.  The
     precondition is the closed form's own and is not repeated in the
-    guard."""
+    guard.  The fit is the span fit's when its candidate reproduces every
+    sampled row, and otherwise the CV-Lasso's approximation."""
     train_pts, test_pts = sample_train_test(rdef.recursive_region(), rdef.arg_names,
                                             sample_cfg)
     ts = build_training_set(rdef, default_base_set(rdef.arg_names),
@@ -388,31 +467,43 @@ def guess(rdef: RecurrenceDef, reg_cfg: RegressionConfig, sample_cfg: SampleConf
     if len(train_idx) < FOLDS or not test_idx:
         raise LikelyNonterminating(len(ts.inputs), ts.dropped_inputs)
 
-    y_train = [ts.values[i] for i in train_idx]
-    beta_cv, _, lam = cv_lasso_regression(
-        [ts.features[i] for i in train_idx], y_train, reg_cfg.lambdas, sample_cfg.seed)
+    exprs = dict(zip(ts.columns, ts.column_exprs))
+    for fit in _fits(ts, train_idx, test_idx, reg_cfg.lambdas, sample_cfg.seed):
+        candidate = assemble_candidate(fit.coefficients, fit.intercept,
+                                       [exprs[name] for name in fit.surviving_names])
+        # the train and test rows are all the rows of ts
+        exact = _rescore_exact(candidate, rdef.arg_names, ts.inputs, ts.values)
+        if exact:
+            break
+    base = rdef.base_cases()
+    pieces = [Piece(candidate, conj([Not(c.guard) for c in base]))]
+    pieces += [Piece(c.body, c.guard) for c in base]
+    cf = ClosedForm(rdef.arg_names, rdef.precondition, tuple(pieces))
+    return GuessResult(cf, fit, exact, len(train_idx), len(test_idx),
+                       ts.dropped_inputs, ts.dropped_columns)
+
+
+def _fits(ts, train_idx: list, test_idx: list, lambdas: Sequence[float], seed: int):
+    """The span fit's proposal, if there is one, and then the CV-Lasso's
+    fit: pruned, refitted exactly and rationalized."""
+    x = [ts.features[i] for i in train_idx]
+    y = [ts.values[i] for i in train_idx]
+    proposal = span_fit(x, y)
+    if proposal is not None:
+        coefs, b0 = proposal
+        keep = [j for j, c in enumerate(coefs) if c]
+        yield FitResult([coefs[j] for j in keep], b0, [ts.columns[j] for j in keep],
+                        1.0, 1.0, None, 0.0)
+    beta_cv, _, lam = cv_lasso_regression(x, y, lambdas, seed)
     keep, kept_names = remove_terms(ts.columns, beta_cv)
 
     def rows(idx):
         return [[ts.features[i][j] for j in keep] for i in idx]
 
     beta, intercept, score, raw = linear_regression(
-        rows(train_idx), y_train, rows(test_idx), [ts.values[i] for i in test_idx])
+        rows(train_idx), y, rows(test_idx), [ts.values[i] for i in test_idx])
     coefs, b0, delta = rationalize(beta, intercept)
-
-    kept_exprs = [ts.column_exprs[j] for j in keep]
-    candidate = assemble_candidate(coefs, b0, kept_exprs)
-
-    exact = _rescore_exact(candidate, rdef.arg_names,
-                           [ts.inputs[i] for i in test_idx],
-                           [ts.values[i] for i in test_idx])
-    base = rdef.base_cases()
-    pieces = [Piece(candidate, conj([Not(c.guard) for c in base]))]
-    pieces += [Piece(c.body, c.guard) for c in base]
-    cf = ClosedForm(rdef.arg_names, rdef.precondition, tuple(pieces))
-    fit = FitResult(coefs, b0, kept_names, score, raw, lam, delta)
-    return GuessResult(cf, fit, exact, len(train_idx), len(test_idx),
-                       ts.dropped_inputs, ts.dropped_columns)
+    yield FitResult(coefs, b0, kept_names, score, raw, lam, delta)
 
 
 def _rescore_exact(candidate: Expr, arg_names: Sequence[str],

@@ -34,13 +34,38 @@ class TestSolve:
         assert solve(load_bench("nested"), cfg).verdict == "verified"
 
     def test_values_past_the_float_range_end_the_guess(self, solver):
-        # f(x) = 2^x: the mean of the sampled values overflows a float
+        # f(x) = 3^x is outside the dictionary's span, so the Lasso runs,
+        # and the mean of the sampled values overflows its floats
         rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 1 if x = 0;\n"
-                                "f(x) = 2 * f(x-1) if x > 0;\n")
+                                "f(x) = 3 * f(x-1) if x > 0;\n")
         cfg = SolveConfig(sample=SampleConfig(bounds=(1030, 1100)), solver=solver)
         report = solve(rdef, cfg)
         assert (report.verdict, report.verdict_reason) == ("skipped", "guess-error")
         assert report.error.startswith("OverflowError")
+
+    def test_powers_of_two_past_the_float_range_are_fitted_exactly(self, solver):
+        # f(x) = 2^x is in the span, which exact arithmetic decides at any
+        # magnitude; the checker cannot yet emit a variable exponent
+        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 1 if x = 0;\n"
+                                "f(x) = 2 * f(x-1) if x > 0;\n")
+        cfg = SolveConfig(sample=SampleConfig(bounds=(1030, 1100)), solver=solver)
+        report = solve(rdef, cfg)
+        assert report.exact_fit
+        assert (report.verdict, report.verdict_reason) == ("unknown", "unsupported-operator")
+        assert "2^x" in report.error
+
+    @pytest.mark.parametrize("pre, step, main", [
+        ("x >= 0 and y >= x", "f(x - 1, y - 1) + 2*x^2 + x",
+         "3/2*x^2 + 2/3*x^3 + y - 1/6*x"),
+        ("x >= 0 and y >= 0", "f(x - 1, y + 1) + 3*y + 2*x^2",
+         "3*(x*y) + 5/2*x^2 + 2/3*x^3 + y - 1/6*x")])
+    def test_exact_fits_outside_the_lasso_reach_are_verified(self, solver, pre, step, main):
+        # the Lasso's floats settled on an inexact support for both
+        rdef = parse_recurrence(f"def f(x, y);\npre {pre};\nf(x, y) = y if x = 0;\n"
+                                f"f(x, y) = {step} if x > 0;\n")
+        report = solve(rdef, config(solver))
+        assert report.verdict == "verified"
+        assert report.closed_form.to_text() == main
 
     def test_merge_is_piecewise_verified(self, solver):
         report = solve(load_bench("merge"), config(solver))

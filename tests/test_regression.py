@@ -3,16 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from recsolve import regression
 from recsolve.cli import BENCHMARKS
 from recsolve.expr import And, ClosedForm, Not, Piece, Var, con, conj, to_text
 from recsolve.parser import parse_constraint
 from recsolve.recurrence import eval_fun, inline_function, Value
 from recsolve.regression import (
-    DegenerateDesign, RegressionConfig, assemble_candidate,
+    P, DegenerateDesign, RegressionConfig, assemble_candidate,
     cv_lasso_regression, guess, lambda_grid, lambda_max, lasso_fit,
-    linear_regression, rationalize, remove_terms,
+    linear_regression, rationalize, remove_terms, span_fit,
 )
-from recsolve.sampling import SampleConfig
+from recsolve.sampling import SampleConfig, TrainingSet
 
 from conftest import brute_entails, grid_points, load_bench
 
@@ -229,6 +230,34 @@ class TestRationalize:
         assert delta == 0.0
 
 
+class TestSpanFit:
+    def test_target_in_span_recovered_exactly(self):
+        x = [[v, v * v, 2 ** v] for v in range(12)]
+        y = [Fraction(2, 3) * a - Fraction(1, 6) * b + 5 for a, b, _ in x]
+        assert span_fit(x, y) == ([Fraction(2, 3), Fraction(-1, 6), 0], 5)
+
+    def test_dependent_column_gets_zero(self):
+        x = [[v, 2 * v, v * v] for v in range(10)]
+        assert span_fit(x, [3 * v + 1 for v in range(10)]) == ([3, 0, 0], 1)
+
+    def test_target_outside_span(self):
+        assert span_fit([[v, v * v] for v in range(10)], [v ** 3 for v in range(10)]) is None
+
+    def test_denominator_divisible_by_p(self):
+        assert span_fit([[v] for v in range(10)], [Fraction(v, P) for v in range(10)]) is None
+
+    def test_coefficient_that_does_not_reconstruct(self):
+        # 10^10 + 2 = r/s modulo P has no solution with |r| and s below sqrt(P/2)
+        assert span_fit([[v] for v in range(10)], [(10 ** 10 + 2) * v for v in range(10)]) is None
+
+    def test_too_few_rows_for_the_pivots(self):
+        # three rows, and three independent columns with the intercept:
+        # any target is in their span; with a fourth row, x is found
+        x = [[v, v * v] for v in range(3)]
+        assert span_fit(x, [v ** 3 for v in range(3)]) is None
+        assert span_fit(x + [[3, 9]], [v for v in range(4)]) == ([1, 0], 0)
+
+
 class TestAssembleCandidate:
     def test_normalizes_unit_coefficients(self):
         from recsolve.expr import Var
@@ -247,12 +276,59 @@ def _conjuncts(c):
 
 
 class TestGuess:
-    def test_nested_yields_identity(self):
+    def test_nested_yields_identity(self, monkeypatch):
+        def no_lasso(*args):
+            raise AssertionError("the CV-Lasso ran on an exact fit")
+
+        monkeypatch.setattr(regression, "cv_lasso_regression", no_lasso)
         rdef = load_bench("nested")
         res = guess(rdef, RegressionConfig(), SampleConfig(seed=0))
         assert to_text(res.closed_form.pieces[0].expr) == "x"
-        assert res.fit.score == 1.0
+        assert (res.fit.score, res.fit.raw_score) == (1.0, 1.0)
+        assert (res.fit.selected_lambda, res.fit.rationalization_delta) == (None, 0.0)
         assert res.exact_fit
+
+    @staticmethod
+    def bumped_guess(monkeypatch, rdef, part, bump=1):
+        """guess(rdef) with `bump` added to the recurrence's value at the
+        last sampled point of `part` (0: training, 1: test), and the number
+        of CV-Lasso runs it made."""
+        sample, build, cv = (regression.sample_train_test, regression.build_training_set,
+                             regression.cv_lasso_regression)
+        split, runs = [], []
+
+        def kept_split(*args):
+            split[:] = sample(*args)
+            return split
+
+        def bumped(*args):
+            ts = build(*args)
+            values = list(ts.values)
+            values[ts.inputs.index(split[part][-1])] += bump
+            return TrainingSet(ts.inputs, values, ts.columns, ts.column_exprs,
+                               ts.features, ts.dropped_inputs, ts.dropped_columns)
+
+        def counted(*args):
+            runs.append(args)
+            return cv(*args)
+
+        monkeypatch.setattr(regression, "sample_train_test", kept_split)
+        monkeypatch.setattr(regression, "build_training_set", bumped)
+        monkeypatch.setattr(regression, "cv_lasso_regression", counted)
+        return guess(rdef, RegressionConfig(), SampleConfig(seed=0)), len(runs)
+
+    def test_proposal_missing_a_test_row_falls_through_to_the_lasso(self, monkeypatch):
+        res, lasso_runs = self.bumped_guess(monkeypatch, load_bench("nested"), 1)
+        assert not res.exact_fit
+        assert lasso_runs == 1
+        assert res.fit.selected_lambda is not None
+
+    @pytest.mark.parametrize("name, bump", [("merge-sz", 1), ("nested", Fraction(1, 1000))])
+    def test_candidate_missing_a_training_row_is_not_exact(self, monkeypatch, name, bump):
+        # the Lasso's refit, rationalized, still reproduces every test row
+        res, lasso_runs = self.bumped_guess(monkeypatch, load_bench(name), 0, bump)
+        assert not res.exact_fit
+        assert lasso_runs == 1
 
     def test_s_max_1_matches_reference_pointwise(self):
         rdef = load_bench("s-max-1")
@@ -305,9 +381,9 @@ class TestGuess:
         assert "min(" not in res.closed_form.to_text()
 
     def test_determinism(self):
-        rdef = load_bench("div")
-        args = (rdef, RegressionConfig(), SampleConfig(seed=9))
-        a, b = guess(*args), guess(*args)
-        assert a.closed_form == b.closed_form
-        assert a.fit.score == b.fit.score
-        assert a.fit.selected_lambda == b.fit.selected_lambda
+        for name in ("div", "fib"):  # an exact span fit, and a Lasso approximation
+            args = (load_bench(name), RegressionConfig(), SampleConfig(seed=9))
+            a, b = guess(*args), guess(*args)
+            assert a.closed_form == b.closed_form
+            assert a.fit.score == b.fit.score
+            assert a.fit.selected_lambda == b.fit.selected_lambda
