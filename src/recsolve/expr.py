@@ -332,15 +332,18 @@ _FUNCTION_NAMES = {node: name for name, node in FUNCTIONS.items()}
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _floor(v):
+    return v if isinstance(v, int) else math.floor(v)
+
+
+def _ceil(v):
+    return v if isinstance(v, int) else math.ceil(v)
+
+
 def ceil_log2(v) -> int:
-    """Smallest k with 2^k >= v, clamped to 0 for v <= 1."""
-    if v <= 1:
-        return 0
-    k, p = 0, 1
-    while p < v:
-        p *= 2
-        k += 1
-    return k
+    """Smallest k with 2^k >= v, clamped to 0 for v <= 1: the bit length
+    of ceil(v) - 1, since 2^k >= v exactly when 2^k >= ceil(v)."""
+    return (_ceil(v) - 1).bit_length() if v > 1 else 0
 
 
 def exact_div(a, b):
@@ -354,6 +357,8 @@ def exact_div(a, b):
 
 
 def exact_pow(base, exp):
+    if type(exp) is int and exp >= 0:
+        return base ** exp
     if isinstance(exp, Fraction):
         if exp.denominator != 1:
             raise ExprError(f"non-integer exponent {exp}")
@@ -365,12 +370,18 @@ def exact_pow(base, exp):
     return base ** exp
 
 
-def _floor(v):
-    return v if isinstance(v, int) else math.floor(v)
+def floor_div(a, b):
+    """floor(a/b): Python's `//` on two ints, else `exact_div` floored."""
+    if type(a) is int and type(b) is int and b:
+        return a // b
+    return _floor(exact_div(a, b))
 
 
-def _ceil(v):
-    return v if isinstance(v, int) else math.ceil(v)
+def ceil_div(a, b):
+    """ceil(a/b): `-(-a // b)` on two ints, else `exact_div` ceiled."""
+    if type(a) is int and type(b) is int and b:
+        return -(-a // b)
+    return _ceil(exact_div(a, b))
 
 
 # The exact arithmetic of every operator node (binary or unary), applied to
@@ -381,6 +392,10 @@ OPS = {
     Pow: exact_pow, Max: max, Min: min,
     Floor: _floor, Ceil: _ceil, Log2Ceil: ceil_log2,
 }
+
+# The compiler's one call for `floor(a/b)` and `ceil(a/b)`, of the same
+# value as OPS's division then rounding.
+ROUNDED_DIV = {Floor: floor_div, Ceil: ceil_div}
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +422,14 @@ class Emitter:
     and the other operators are calls of their `OPS` entry, since Python's
     `/` and `^` mean other things.  Operands are evaluated left to right,
     and text is parenthesized only where Python would read it otherwise, so
-    long sums and `and` chains stay flat.  An unbound variable or a Call
+    long sums and `and` chains stay flat.  A floor or ceil of a division is
+    one call of its `ROUNDED_DIV` entry, which divides two ints with
+    Python's `//` and builds no Fraction.  An unbound variable or a Call
     raises only when its branch is evaluated.  A subclass may write calls
     its own way."""
 
-    namespace = {"_raise": _raise, **{"_" + t.__name__: op for t, op in OPS.items()}}
+    namespace = {"_raise": _raise, **{"_" + t.__name__: op for t, op in OPS.items()},
+                 **{"_" + t.__name__ + "Div": op for t, op in ROUNDED_DIV.items()}}
 
     def __init__(self, arg_names: Sequence[str]):
         self.unpacked = ", ".join(f"a{i}" for i in range(len(arg_names)))
@@ -447,6 +465,8 @@ class Emitter:
             return f"{self.operand(e.then, OR)} if {cond} else {self.operand(e.other)}", COND
         if t is Not:
             return f"not {self.operand(e.arg, NOT)}", NOT
+        if t in ROUNDED_DIV and type(e.arg) is Div:
+            return f"_{t.__name__}Div({self.operand(e.arg.lhs)}, {self.operand(e.arg.rhs)})", ATOM
         infix = INFIX.get(t) or CONNECTIVES.get(t)
         if t is Cmp:
             infix = "==" if e.op == "=" else e.op, COMPARE

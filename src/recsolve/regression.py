@@ -3,11 +3,17 @@ with coefficient rationalization only for an approximation.
 
 The training rows are exact, so whether the target lies in the span of
 the dictionary over them is decided exactly: `span_fit` eliminates the
-Gram matrix of `[1 | dictionary | y]` modulo the prime `P`, taking
-pivots greedily in dictionary order, and recovers the pivot coefficients
-as rationals by rational reconstruction.  The modular step only proposes
+Gram matrix of `[1 | dictionary | y]` modulo a prime, taking pivots
+greedily in dictionary order, and recovers the pivot coefficients as
+rationals by rational reconstruction.  The modular step only proposes
 a candidate; it is accepted only when it reproduces every sampled row
 exactly, so a modular accident can lose an exact fit but never make one.
+The first proposal comes from as few training rows as can decide it,
+`len(columns) + 2`, modulo `P`; only when it is rejected (or there is
+none) does the fit run on all training rows, modulo the wider `P_WIDE`,
+which reaches coefficients up to about 9.2e18 in place of 1.07e9.  A
+prefix proposal that reproduces every row is the one the all-row fit
+would make (see `_fits`), so the prefix changes no guess.
 
 When there is no such fit, the pipeline is one fixed recipe: Lasso with
 a penalty chosen by `FOLDS`-fold cross-validation, pruning of terms
@@ -51,6 +57,7 @@ FOLDS = 2              # cross-validation folds
 EPSILON = 0.05         # pruning threshold on |Lasso coefficient|
 MAX_DENOMINATOR = 64   # largest denominator a rationalized coefficient keeps
 P = 2**61 - 1          # the prime modulo which the span fit eliminates
+P_WIDE = 2**127 - 1    # the prime of its all-rows retry, for wider coefficients
 
 
 class RegressionError(Exception):
@@ -356,46 +363,47 @@ def rationalize(beta: Sequence, intercept: Fraction | float):
 
 
 # ---------------------------------------------------------------------------
-# Exact span fit, by elimination modulo P
+# Exact span fit, by elimination modulo a prime
 # ---------------------------------------------------------------------------
 
-_BOUND = math.isqrt(P // 2)  # largest numerator and denominator reconstructed
-
-
-def _residue(v) -> int:
-    """An int or a Fraction modulo P; ValueError when P divides the denominator."""
+def _residue(v, prime: int) -> int:
+    """An int or a Fraction modulo `prime`; ValueError when `prime` divides
+    the denominator."""
     if type(v) is int:
-        return v % P
-    return v.numerator * pow(v.denominator, -1, P) % P
+        return v % prime
+    return v.numerator * pow(v.denominator, -1, prime) % prime
 
 
-def _reconstruct(u: int) -> Fraction | None:
-    """The rational r/s with |r| and s at most `_BOUND` and r = s*u modulo
-    P, by the extended Euclidean algorithm (Wang's rational
+def _reconstruct(u: int, prime: int) -> Fraction | None:
+    """The rational r/s with |r| and s at most sqrt(prime/2) and r = s*u
+    modulo `prime`, by the extended Euclidean algorithm (Wang's rational
     reconstruction); None when there is none."""
-    r0, r1, s0, s1 = P, u, 0, 1
-    while r1 > _BOUND:
+    bound = math.isqrt(prime // 2)
+    r0, r1, s0, s1 = prime, u, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return Fraction(r1, s1) if abs(s1) <= _BOUND else None
+    return Fraction(r1, s1) if abs(s1) <= bound else None
 
 
-def span_fit(x: Sequence, y: Sequence) -> tuple | None:
+def span_fit(x: Sequence, y: Sequence, prime: int = P) -> tuple | None:
     """Propose (coefficients, intercept) with y = intercept + x . coefficients
     on every row, or None.
 
-    The Gram matrix of `[1 | x | y]` is eliminated modulo P, with a pivot
-    at each column, in order, whose Schur-complement diagonal is nonzero;
-    y is in the span when its own diagonal is 0.  The pivot coefficients
-    are solved modulo P and reconstructed as rationals, and every other
-    column gets 0.  There is no proposal when P divides a denominator, a
-    coefficient does not reconstruct, or the pivots are not fewer than the
-    rows (any y would then be in their span).  A proposal proves nothing:
-    modulo P a nonzero rational can read 0, so the caller re-checks it."""
+    The Gram matrix of `[1 | x | y]` is eliminated modulo `prime`, with a
+    pivot at each column, in order, whose Schur-complement diagonal is
+    nonzero; y is in the span when its own diagonal is 0.  The pivot
+    coefficients are solved modulo `prime` and reconstructed as rationals
+    whose numerator and denominator are at most sqrt(prime/2), and every
+    other column gets 0.  There is no proposal when `prime` divides a
+    denominator, a coefficient does not reconstruct, or the pivots are not
+    fewer than the rows (any y would then be in their span).  A proposal
+    proves nothing: modulo `prime` a nonzero rational can read 0, so the
+    caller re-checks it."""
     gram = _moments([(1, *row) for row in x], y)[2]
     try:
-        g = [list(map(_residue, row)) for row in gram]
-    except ValueError:  # P divides a denominator
+        g = [[_residue(v, prime) for v in row] for row in gram]
+    except ValueError:  # prime divides a denominator
         return None
     last = len(g) - 1  # y's column
     pivots = []
@@ -406,19 +414,19 @@ def span_fit(x: Sequence, y: Sequence) -> tuple | None:
         if k == last:
             return None
         pivots.append(k)
-        inv = pow(row[k], -1, P)
+        inv = pow(row[k], -1, prime)
         for i in range(k + 1, len(g)):  # g is symmetric: only its upper triangle is kept
-            f = row[i] * inv % P
+            f = row[i] * inv % prime
             if f:
-                g[i][i:] = [(a - f * b) % P for a, b in zip(g[i][i:], row[i:])]
+                g[i][i:] = [(a - f * b) % prime for a, b in zip(g[i][i:], row[i:])]
     if len(pivots) >= len(y):
         return None
     w = [0] * last  # back-substitution; a column that is no pivot keeps 0
     for k in reversed(pivots):
         row = g[k]
         w[k] = (row[last] - sum(map(mul, row[k + 1:last], w[k + 1:]))) \
-            * pow(row[k], -1, P) % P
-    coefs = list(map(_reconstruct, w))
+            * pow(row[k], -1, prime) % prime
+    coefs = [_reconstruct(u, prime) for u in w]
     if None in coefs:
         return None
     return coefs[1:], coefs[0]
@@ -484,12 +492,27 @@ def guess(rdef: RecurrenceDef, reg_cfg: RegressionConfig, sample_cfg: SampleConf
 
 
 def _fits(ts, train_idx: list, test_idx: list, lambdas: Sequence[float], seed: int):
-    """The span fit's proposal, if there is one, and then the CV-Lasso's
-    fit: pruned, refitted exactly and rationalized."""
+    """The span fit's proposals, if any, and then the CV-Lasso's fit:
+    pruned, refitted exactly and rationalized.
+
+    The first proposal comes from the first `len(ts.columns) + 2` training
+    rows modulo `P`: the fewest rows on which every column of `[1 | x]`
+    can be a pivot with fewer pivots than rows.  The training rows are in
+    sampled order, so these are a random subset.  The second comes from all
+    training rows modulo `P_WIDE`, and is not tried again when it equals
+    the first.  A column that is a pivot on the prefix is one on all rows,
+    so a prefix proposal that reproduces every row is the unique
+    representation over the all-row pivots, and the all-row fit would have
+    proposed the same rationals; when the caller rejects it, the all-row
+    fit decides, and the Lasso runs only after that."""
     x = [ts.features[i] for i in train_idx]
     y = [ts.values[i] for i in train_idx]
-    proposal = span_fit(x, y)
-    if proposal is not None:
+    previous = None
+    for n, prime in ((len(ts.columns) + 2, P), (len(y), P_WIDE)):
+        proposal = span_fit(x[:n], y[:n], prime)
+        if proposal is None or proposal == previous:
+            continue
+        previous = proposal
         coefs, b0 = proposal
         keep = [j for j, c in enumerate(coefs) if c]
         yield FitResult([coefs[j] for j in keep], b0, [ts.columns[j] for j in keep],

@@ -529,3 +529,63 @@ class TestCompiler:
             compile_expr(Ite(Cmp(">", X, con(0)), Z, X), ("x",))((1,))
         with pytest.raises(UnexpandedCall):
             compile_expr(Ite(Cmp(">", X, con(0)), X, Call("f", (X,))), ("x",))((0,))
+
+
+def _doubling_ceil_log2(v):
+    """The smallest k with 2^k >= v (0 for v <= 1), by doubling."""
+    k, p = 0, 1
+    while p < v:
+        p *= 2
+        k += 1
+    return k
+
+
+_numbers = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.fractions(-1000, 1000, max_denominator=50))
+
+
+class TestKernels:
+    """The compiler's integer kernels against `simplify`'s constant fold,
+    which applies OPS: the division, then the rounding."""
+
+    @given(_numbers, _numbers)
+    @settings(max_examples=300, deadline=None)
+    def test_rounded_division_matches_the_fold(self, a, b):
+        for node in (Floor, Ceil):
+            f = compile_expr(node(Div(X, Y)), ("x", "y"))
+            if b == 0:
+                with pytest.raises(DivisionByZero):
+                    f((a, b))
+                continue
+            folded = simplify(node(Div(con(a), con(b))))
+            assert isinstance(folded, Const)
+            assert f((a, b)) == folded.value
+            assert type(f((a, b))) is int
+
+    @pytest.mark.parametrize("node", [Floor, Ceil])
+    def test_rounded_division_by_a_constant(self, node):
+        # a constant operand is lifted as an int; the kernel takes any operand
+        f = compile_expr(node(Div(X, con(-3))), ("x",))
+        assert [f((v,)) for v in (-7, 7, Fraction(7, 2))] == \
+            [simplify(node(Div(con(v), con(-3)))).value for v in (-7, 7, Fraction(7, 2))]
+
+    def test_ceil_log2_matches_doubling_on_ints(self):
+        assert [ceil_log2(v) for v in range(-5, 5001)] == \
+            [_doubling_ceil_log2(v) for v in range(-5, 5001)]
+
+    @given(st.fractions(-10, 10 ** 6, max_denominator=1000))
+    def test_ceil_log2_matches_doubling_on_fractions(self, v):
+        assert ceil_log2(v) == _doubling_ceil_log2(v)
+
+    @given(st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=20)),
+           st.integers(0, 5))
+    def test_power_keeps_type_and_value(self, v, k):
+        value = compile_expr(Pow(X, con(k)), ("x",))((v,))
+        assert value == Fraction(v) ** k
+        assert type(value) is type(v)
+
+    def test_power_of_two_of_a_natural_stays_an_int(self):
+        f = compile_expr(Pow(con(2), X), ("x",))
+        assert [f((v,)) for v in range(5)] == [1, 2, 4, 8, 16]
+        assert all(type(f((v,))) is int for v in range(5))
+        assert f((-2,)) == Fraction(1, 4)

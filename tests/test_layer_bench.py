@@ -6,7 +6,8 @@ by the `layerbench` marker:
 They time one layer each: sampling merge-sz's recursive region, its
 dictionary columns alone on the 130 sampled points (compiled code cached
 and not), `build_training_set` on those points, the CV-Lasso path on its
-training rows, `encode` and the whole `check_solution` of its candidate
+training rows, the exact span fit on its first training rows and on all
+of them (the guess stage's proposal and its fallback), `encode` and the whole `check_solution` of its candidate
 on the in-process prover, cold `eval_fun` calls (each with a fresh memo)
 on merge and on size's one-argument chain, a grid sweep through one
 shared memo, and what one `recsolve eval` op does with its fresh
@@ -29,7 +30,9 @@ from recsolve.cli import BENCHMARKS
 from recsolve.expr import _code, compile_expr
 from recsolve.parser import parse_recurrence
 from recsolve.recurrence import EvalLimits, Value, eval_fun
-from recsolve.regression import RegressionConfig, cv_lasso_regression, guess
+from recsolve.regression import (
+    P, P_WIDE, RegressionConfig, cv_lasso_regression, guess, span_fit,
+)
 from recsolve.sampling import (
     SampleConfig, build_training_set, default_base_set, sample_train_test,
 )
@@ -74,6 +77,18 @@ def test_cv_lasso_regression_merge_sz(benchmark):
     beta, _, _ = benchmark(cv_lasso_regression, ts.features[:100], ts.values[:100],
                            RegressionConfig().lambdas, SampleConfig().seed)
     assert len(beta) == len(ts.columns)
+
+
+@pytest.mark.parametrize("rows", ["prefix", "all"])
+def test_span_fit_merge_sz(benchmark, rows):
+    # as `regression._fits` calls it: the prefix modulo P, or all training
+    # rows modulo P_WIDE
+    rdef = load_bench("merge-sz")
+    ts = build_training_set(rdef, default_base_set(rdef.arg_names),
+                            guess_points(rdef))
+    n, prime = (len(ts.columns) + 2, P) if rows == "prefix" else (100, P_WIDE)
+    coefs, _ = benchmark(span_fit, ts.features[:n], ts.values[:n], prime)
+    assert len(coefs) == len(ts.columns)
 
 
 def merge_sz_candidate():

@@ -6,14 +6,14 @@ import pytest
 from recsolve import regression
 from recsolve.cli import BENCHMARKS
 from recsolve.expr import And, ClosedForm, Not, Piece, Var, con, conj, to_text
-from recsolve.parser import parse_constraint
+from recsolve.parser import parse_constraint, parse_recurrence
 from recsolve.recurrence import eval_fun, inline_function, Value
 from recsolve.regression import (
-    P, DegenerateDesign, RegressionConfig, assemble_candidate,
+    P, P_WIDE, DegenerateDesign, RegressionConfig, assemble_candidate,
     cv_lasso_regression, guess, lambda_grid, lambda_max, lasso_fit,
     linear_regression, rationalize, remove_terms, span_fit,
 )
-from recsolve.sampling import SampleConfig, TrainingSet
+from recsolve.sampling import SampleConfig, TrainingSet, sample_train_test
 
 from conftest import brute_entails, grid_points, load_bench
 
@@ -250,6 +250,19 @@ class TestSpanFit:
         # 10^10 + 2 = r/s modulo P has no solution with |r| and s below sqrt(P/2)
         assert span_fit([[v] for v in range(10)], [(10 ** 10 + 2) * v for v in range(10)]) is None
 
+    def test_wide_prime_reaches_large_coefficients(self):
+        # beyond sqrt(P/2) ~ 1.07e9, within sqrt(P_WIDE/2) ~ 9.2e18
+        x = [[v] for v in range(10)]
+        for coef in (10 ** 10 + 2, Fraction(10 ** 10 + 1, 3)):
+            assert span_fit(x, [coef * v for v in range(10)], P_WIDE) == ([coef], 0)
+
+    def test_wide_prime_agrees_on_small_coefficients(self):
+        x = [[v, v * v, 2 ** v] for v in range(12)]
+        y = [Fraction(2, 3) * a - Fraction(1, 6) * b + 5 for a, b, _ in x]
+        assert span_fit(x, y, P_WIDE) == span_fit(x, y)
+        assert span_fit([[v, v * v] for v in range(10)], [v ** 3 for v in range(10)],
+                        P_WIDE) is None
+
     def test_too_few_rows_for_the_pivots(self):
         # three rows, and three independent columns with the intercept:
         # any target is in their span; with a fourth row, x is found
@@ -329,6 +342,79 @@ class TestGuess:
         res, lasso_runs = self.bumped_guess(monkeypatch, load_bench(name), 0, bump)
         assert not res.exact_fit
         assert lasso_runs == 1
+
+    @staticmethod
+    def spied_guess(monkeypatch, rdef, seed=0, points=None):
+        """guess(rdef) with its span fits recorded as (rows, prime, proposal),
+        its CV-Lasso runs counted, and its training set and training points
+        kept; `points`, if given, is the (train, test) split to use."""
+        fit, build, cv = regression.span_fit, regression.build_training_set, \
+            regression.cv_lasso_regression
+        seen = {"fits": [], "lasso": 0}
+
+        def spied_fit(x, y, prime=P):
+            proposal = fit(x, y, prime)
+            seen["fits"].append((len(y), prime, proposal))
+            return proposal
+
+        def kept_split(pre, names, cfg):
+            seen["split"] = points or sample_train_test(pre, names, cfg)
+            return seen["split"]
+
+        def kept_set(*args):
+            seen["ts"] = build(*args)
+            return seen["ts"]
+
+        def counted(*args):
+            seen["lasso"] += 1
+            return cv(*args)
+
+        monkeypatch.setattr(regression, "span_fit", spied_fit)
+        monkeypatch.setattr(regression, "sample_train_test", kept_split)
+        monkeypatch.setattr(regression, "build_training_set", kept_set)
+        monkeypatch.setattr(regression, "cv_lasso_regression", counted)
+        return guess(rdef, RegressionConfig(), SampleConfig(seed=seed)), seen
+
+    @pytest.mark.parametrize("name", [*BENCHMARKS, "size", "fib"])
+    def test_exact_fit_is_proposed_from_the_prefix(self, monkeypatch, name):
+        for seed in range(4):
+            res, seen = self.spied_guess(monkeypatch, load_bench(name), seed)
+            ts, train = seen["ts"], set(seen["split"][0])
+            rows = [i for i, p in enumerate(ts.inputs) if p in train]
+            x, y = [ts.features[i] for i in rows], [ts.values[i] for i in rows]
+            prefix = len(ts.columns) + 2
+            if res.exact_fit:
+                assert seen["fits"] == [(prefix, P, span_fit(x, y))]
+                assert seen["lasso"] == 0
+            else:  # the prefix fit, the all-row fit and the Lasso
+                assert [f[:2] for f in seen["fits"]] == [(prefix, P), (len(y), P_WIDE)]
+                assert seen["lasso"] == 1
+
+    def test_rejected_prefix_proposal_falls_back_to_all_rows(self, monkeypatch):
+        # log2ceil(x) is 4 on the first 8 training rows, 9..16, so their
+        # proposal is the constant 4, which the other rows reject
+        rdef = parse_recurrence("def f(x);\npre x >= 1;\nf(x) = 0 if x <= 1;\n"
+                                "f(x) = f(ceil(x/2)) + 1 if x > 1;\n")
+        train = [(v,) for v in [*range(9, 17), *range(2, 9), *range(17, 25)]]
+        test = [(v,) for v in range(25, 31)]
+        res, seen = self.spied_guess(monkeypatch, rdef, points=(train, test))
+        assert len(seen["ts"].columns) + 2 == 8
+        assert [(n, prime) for n, prime, _ in seen["fits"]] == [(8, P), (len(train), P_WIDE)]
+        assert seen["fits"][0][2] == ([0] * 6, 4)
+        assert to_text(res.closed_form.pieces[0].expr) == "log2ceil(x)"
+        assert res.exact_fit and seen["lasso"] == 0
+
+    def test_large_coefficient_is_exact_without_the_lasso(self, monkeypatch):
+        # 10000000002 does not reconstruct modulo P; the all-row fit modulo
+        # P_WIDE proposes it
+        rdef = parse_recurrence("def f(x);\npre x >= 0;\nf(x) = 0 if x = 0;\n"
+                                "f(x) = f(x-1) + 10000000002 if x > 0;\n")
+        res, seen = self.spied_guess(monkeypatch, rdef)
+        assert [(prime, proposal is None) for _, prime, proposal in seen["fits"]] == \
+            [(P, True), (P_WIDE, False)]
+        assert to_text(res.closed_form.pieces[0].expr) == "10000000002*x"
+        assert res.exact_fit and res.fit.selected_lambda is None
+        assert seen["lasso"] == 0
 
     def test_s_max_1_matches_reference_pointwise(self):
         rdef = load_bench("s-max-1")
